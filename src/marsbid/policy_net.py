@@ -1,9 +1,9 @@
 """Actor-critic MLP with explicit float64 parameters.
 
 A shared tanh body feeds a Gaussian policy head (optionally tanh-squashed
-into [-1, 1]) and a scalar value head. Forward passes are plain numpy;
-training builds an :mod:`.autodiff` graph over the same parameter arrays,
-so gradients are exact reverse-mode.
+into [-1, 1]) and a scalar value head. Everything is plain numpy: the
+forward pass here, and the closed-form PPO loss gradient over the same
+parameter arrays in :func:`.ppo_trainer.loss_and_grads`.
 
 Checkpoint format (little-endian):
 
@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import CheckpointError
 
 CHECKPOINT_MAGIC = b"MARSDA01"
@@ -37,14 +36,14 @@ LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 SQUASH_EPS = 1e-6
 
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 ROLES = ("safe", "spec", "neutral", "meta", "vanilla", "cvar")
 
 
 class ActionSample(NamedTuple):
     action: np.ndarray  # what the environment sees
-    log_prob: float
+    log_prob: np.ndarray  # summed over action components
     pre_squash: np.ndarray  # Gaussian draw before any squashing
 
 
@@ -55,7 +54,7 @@ def gaussian_log_prob(u, mean, log_std) -> np.ndarray:
     mean = np.asarray(mean, dtype=np.float64)
     log_std = np.asarray(log_std, dtype=np.float64)
     z = (u - mean) / np.exp(log_std)
-    per_dim = -0.5 * z**2 - log_std - _HALF_LOG_2PI
+    per_dim = -0.5 * z**2 - log_std - HALF_LOG_2PI
     return per_dim.sum(axis=-1)
 
 
@@ -66,23 +65,27 @@ def squash_correction(a_raw) -> np.ndarray:
     return np.log(1.0 - a**2 + SQUASH_EPS).sum(axis=-1)
 
 
-def sample_action(mean, log_std, rng: np.random.Generator, size=None):
-    """Draw a tanh-squashed Gaussian action.
+def sample_action(mean, log_std, rng: np.random.Generator, squash: bool = True, size=None):
+    """Draw a diagonal-Gaussian action, tanh-squashed into (-1, 1) when
+    ``squash`` (the meta controller's raw logits are not squashed).
 
-    ``mean``/``log_std`` are action vectors of shape (A,). With ``size``
-    given, draws a batch of shape (*size, A). Returns an
-    :class:`ActionSample`; ``log_prob`` is summed over action components.
+    ``mean``/``log_std`` are action vectors of shape (A,); the draw consumes
+    ``rng.standard_normal`` of shape (A,), or (*size, A) with ``size``
+    given. Returns an :class:`ActionSample`; ``log_prob`` is summed over
+    action components: the Gaussian density of the pre-squash draw, minus
+    the tanh change-of-variables term when squashed.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     log_std = np.broadcast_to(np.asarray(log_std, dtype=np.float64), mean.shape)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(log_std))):
         raise ValueError("non-finite mean or log_std")
     shape = mean.shape if size is None else tuple(np.atleast_1d(size)) + mean.shape
-    z = rng.standard_normal(shape)
-    u = mean + np.exp(log_std) * z
+    u = mean + np.exp(log_std) * rng.standard_normal(shape)
+    log_prob = gaussian_log_prob(u, mean, log_std)
+    if not squash:
+        return ActionSample(action=u, log_prob=log_prob, pre_squash=u)
     a = np.tanh(u)
-    log_prob = gaussian_log_prob(u, mean, log_std) - squash_correction(a)
-    return ActionSample(action=a, log_prob=log_prob, pre_squash=u)
+    return ActionSample(action=a, log_prob=log_prob - squash_correction(a), pre_squash=u)
 
 
 def log_prob_of_action(mean, log_std, a_raw) -> np.ndarray:
@@ -214,50 +217,11 @@ class PolicyNetwork:
 
     def sample(self, obs, rng: np.random.Generator) -> ActionSample:
         mean, log_std, _ = self.forward(obs)
-        z = rng.standard_normal(self.action_dim)
-        u = mean + np.exp(log_std) * z
-        if self.squash:
-            a = np.tanh(u)
-            logp = float(gaussian_log_prob(u, mean, log_std) - squash_correction(a))
-        else:
-            a = u
-            logp = float(gaussian_log_prob(u, mean, log_std))
-        return ActionSample(action=a, log_prob=logp, pre_squash=u)
+        return sample_action(mean, log_std, rng, squash=self.squash)
 
     def value(self, obs) -> float:
         _, _, v = self.forward(np.asarray(obs))
         return float(v) if np.ndim(v) == 0 else v
-
-    # -- training graph ----------------------------------------------------
-    def wrap_params(self) -> dict:
-        return {name: ad.Node(self.params[name]) for name in self.param_names()}
-
-    def forward_graph(self, pnodes: dict, obs_batch: np.ndarray):
-        """Differentiable forward pass; returns (mean (B,A), value (B,1))."""
-        h = ad.Node(np.asarray(obs_batch, dtype=np.float64))
-        for i in range(len(self.layer_dims) - 1):
-            h = ad.tanh(h @ pnodes[f"W{i}"] + pnodes[f"b{i}"])
-        mean = h @ pnodes["Wp"] + pnodes["bp"]
-        value = h @ pnodes["Wv"] + pnodes["bv"]
-        return mean, value
-
-    def log_prob_graph(self, pnodes: dict, mean: "ad.Node", actions_pre: np.ndarray):
-        """Log probability of recorded pre-squash actions under the current
-        parameters, shape (B,)."""
-        log_std = pnodes["log_std"]
-        std = ad.exp(log_std)
-        z = (ad.Node(actions_pre) - mean) / std
-        per_sample = ad.nsum(ad.square(z) * (-0.5), axis=1)
-        logp = per_sample - ad.nsum(log_std) - self.action_dim * _HALF_LOG_2PI
-        if self.squash:
-            corr = squash_correction(np.tanh(actions_pre))
-            logp = logp - ad.Node(corr)
-        return logp
-
-    def entropy_graph(self, pnodes: dict) -> "ad.Node":
-        """Entropy of the pre-squash diagonal Gaussian (the standard PPO
-        exploration bonus)."""
-        return ad.nsum(pnodes["log_std"]) + self.action_dim * (0.5 + _HALF_LOG_2PI)
 
     # -- persistence -------------------------------------------------------
     def save(self, path, config_hash: str = "") -> None:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DivergenceError
-from .policy_net import PolicyNetwork, gaussian_log_prob, squash_correction
+from .policy_net import HALF_LOG_2PI, PolicyNetwork, sample_action, squash_correction
 
 
 @dataclass(frozen=True)
@@ -178,28 +178,91 @@ class TrainingLog:
                 )
 
 
-def build_loss_graph(
+class LossAndGrads(NamedTuple):
+    total: float
+    policy_loss: float
+    value_loss: float
+    entropy: float
+    ratio: np.ndarray  # (B,) probability ratio new / old
+    grads: dict  # d total / d parameter, in ``param_names()`` order
+
+
+def loss_and_grads(
     policy: PolicyNetwork,
-    pnodes: dict,
     obs: np.ndarray,
     actions_pre: np.ndarray,
     log_prob_old: np.ndarray,
     advantages: np.ndarray,
     returns: np.ndarray,
     cfg: PpoConfig,
-):
-    """Total PPO loss as an autodiff graph plus its scalar pieces."""
-    mean, value = policy.forward_graph(pnodes, obs)
-    logp_new = policy.log_prob_graph(pnodes, mean, actions_pre)
-    ratio = ad.exp(logp_new - ad.Node(log_prob_old))
-    adv = ad.Node(advantages)
-    surr1 = ratio * adv
-    surr2 = ad.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * adv
-    policy_loss = -ad.nmean(ad.minimum(surr1, surr2))
-    value_loss = ad.nmean(ad.square(value - ad.Node(returns.reshape(-1, 1))))
-    entropy = policy.entropy_graph(pnodes)
+) -> LossAndGrads:
+    """Total PPO loss on one minibatch and its exact gradient.
+
+    total = -mean(min(r * A, clip(r, 1 - eps, 1 + eps) * A))
+            + value_coef * mean((V - R)^2) - entropy_coef * H,
+    with r = exp(log_prob_new - log_prob_old) of the recorded pre-squash
+    actions and H the entropy of the pre-squash Gaussian. The backward pass
+    is the closed form for the tanh MLP, written in the same operation order
+    as a reverse-mode sweep so results are reproducible bit for bit.
+    """
+    p = policy.params
+    n_layers = len(policy.layer_dims) - 1
+    B, A = actions_pre.shape
+    hs = [np.asarray(obs, dtype=np.float64)]
+    for i in range(n_layers):
+        hs.append(np.tanh(hs[i] @ p[f"W{i}"] + p[f"b{i}"]))
+    h = hs[-1]
+    mean = h @ p["Wp"] + p["bp"]
+    value = h @ p["Wv"] + p["bv"]
+    log_std = p["log_std"]
+    std = np.exp(log_std)
+    diff = actions_pre - mean
+    z = diff / std
+    logp = (z**2 * -0.5).sum(axis=1) - log_std.sum() - A * HALF_LOG_2PI
+    if policy.squash:
+        logp = logp - squash_correction(np.tanh(actions_pre))
+    ratio = np.exp(logp - log_prob_old)
+    lo, hi = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
+    surr1 = ratio * advantages
+    surr2 = np.clip(ratio, lo, hi) * advantages
+    policy_loss = -np.minimum(surr1, surr2).mean()
+    value_err = value - returns.reshape(-1, 1)
+    value_loss = (value_err**2).mean()
+    entropy = log_std.sum() + A * (0.5 + HALF_LOG_2PI)
     total = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
-    return total, policy_loss, value_loss, entropy, ratio
+
+    # the min takes the unclipped branch on ties; the clip passes gradient
+    # only strictly inside (lo, hi)
+    g_min = -1.0 / B
+    take1 = surr1 <= surr2
+    inside = (ratio > lo) & (ratio < hi)
+    g_logp = (g_min * take1 * advantages + g_min * ~take1 * advantages * inside) * ratio
+    g_z = g_logp[:, None] * -0.5 * 2.0 * z
+    g_mean = -(g_z / std)
+    g_std = (-g_z * diff / std**2).sum(axis=0)
+    g_value = cfg.value_coef / B * 2.0 * value_err
+
+    grads = {
+        "Wp": h.T @ g_mean,
+        "bp": g_mean.sum(axis=0),
+        "Wv": h.T @ g_value,
+        "bv": g_value.sum(axis=0),
+        "log_std": g_std * std + (-g_logp).sum() - cfg.entropy_coef,
+    }
+    g_h = g_mean @ p["Wp"].T + g_value @ p["Wv"].T
+    for i in reversed(range(n_layers)):
+        g_pre = g_h * (1.0 - hs[i + 1] * hs[i + 1])
+        grads[f"W{i}"] = hs[i].T @ g_pre
+        grads[f"b{i}"] = g_pre.sum(axis=0)
+        g_h = g_pre @ p[f"W{i}"].T
+    return LossAndGrads(
+        total=float(total),
+        policy_loss=float(policy_loss),
+        value_loss=float(value_loss),
+        entropy=float(entropy),
+        ratio=ratio,
+        grads={name: grads[name] for name in policy.param_names()},
+    )
 
 
 def train(
@@ -253,19 +316,13 @@ def train(
             for i in range(workers):
                 x = obs[i]
                 mean, log_std, value = policy.forward(x)
-                z = sample_rng.standard_normal(A)
-                u = mean + np.exp(log_std) * z
-                a_env = np.tanh(u) if policy.squash else u
-                logp = float(gaussian_log_prob(u, mean, log_std))
-                if policy.squash:
-                    logp -= float(squash_correction(a_env))
-
-                out = envs[i].step(a_env if A > 1 else float(a_env[0]))
+                s = sample_action(mean, log_std, sample_rng, squash=policy.squash)
+                out = envs[i].step(s.action if A > 1 else float(s.action[0]))
                 shaped = float(reward_fn(out.reward_raw, out.alpha))
 
                 buf_obs[t, i] = x
-                buf_pre[t, i] = u
-                buf_logp[t, i] = logp
+                buf_pre[t, i] = s.pre_squash
+                buf_logp[t, i] = s.log_prob
                 buf_rew[t, i] = shaped
                 buf_raw[t, i] = out.reward_raw
                 buf_val[t, i] = value
@@ -294,10 +351,8 @@ def train(
             kl_epoch = []
             for start in range(0, n, cfg.minibatch_size):
                 idx = perm[start : start + cfg.minibatch_size]
-                pnodes = policy.wrap_params()
-                total, p_loss, v_loss, entropy, ratio = build_loss_graph(
+                lg = loss_and_grads(
                     policy,
-                    pnodes,
                     flat_obs[idx],
                     flat_pre[idx],
                     flat_logp[idx],
@@ -305,19 +360,17 @@ def train(
                     flat_ret[idx],
                     cfg,
                 )
-                if not np.isfinite(total.value):
+                if not np.isfinite(lg.total):
                     raise DivergenceError(f"non-finite loss at update {update}")
-                ad.backward(total)
-                grads = {k: ad.grad_of(pnodes[k]) for k in pnodes}
-                clip_grad_norm(grads, cfg.max_grad_norm)
-                optimizer.step(grads)
+                clip_grad_norm(lg.grads, cfg.max_grad_norm)
+                optimizer.step(lg.grads)
                 policy.clamp_log_std()
 
-                r = ratio.value
+                r = lg.ratio
                 kl_epoch.append(float(np.mean(r - 1.0 - np.log(r))))
-                pl_sum += float(p_loss.value)
-                vl_sum += float(v_loss.value)
-                ent_last = float(entropy.value)
+                pl_sum += lg.policy_loss
+                vl_sum += lg.value_loss
+                ent_last = lg.entropy
                 n_batches += 1
             kl_mean = float(np.mean(kl_epoch))
             if kl_mean > cfg.kl_target:

@@ -1,71 +1,15 @@
 import numpy as np
 import pytest
 
-from marsbid import autodiff as ad
 from marsbid.errors import CheckpointError
 from marsbid.policy_net import (
     PolicyNetwork,
     gaussian_log_prob,
     log_prob_of_action,
     sample_action,
+    squash_correction,
 )
-
-
-# -- autodiff core -------------------------------------------------------------
-
-
-def test_autodiff_simple_chain():
-    x = ad.Node(np.array([2.0]))
-    y = ad.tanh(x * 3.0)
-    ad.backward(ad.nsum(y))
-    expected = 3.0 * (1.0 - np.tanh(6.0) ** 2)
-    assert x.grad[0] == pytest.approx(expected, rel=1e-12)
-
-
-def test_autodiff_broadcast_bias():
-    W = ad.Node(np.ones((3, 2)))
-    b = ad.Node(np.zeros(2))
-    x = ad.Node(np.arange(6.0).reshape(2, 3))
-    out = ad.nsum(x @ W + b)
-    ad.backward(out)
-    assert b.grad.shape == (2,)
-    np.testing.assert_allclose(b.grad, [2.0, 2.0])
-
-
-def test_autodiff_gradient_linearity():
-    def grads_of(f):
-        x = ad.Node(np.array([1.5, -0.5]))
-        ad.backward(f(x))
-        return x.grad
-
-    g1 = grads_of(lambda x: ad.nsum(ad.square(x)))
-    g2 = grads_of(lambda x: ad.nsum(ad.exp(x)))
-    g12 = grads_of(lambda x: ad.nsum(ad.square(x)) + ad.nsum(ad.exp(x)))
-    np.testing.assert_allclose(g12, g1 + g2, rtol=1e-12)
-
-
-def test_autodiff_dead_input_zero_grad():
-    x = ad.Node(np.array([1.0, 2.0]))
-    y = ad.Node(np.array([3.0]))
-    ad.backward(ad.nsum(ad.square(y)))
-    assert x.grad is None  # not part of the graph
-    z = ad.nsum(ad.square(y)) + 0.0 * ad.nsum(x)
-    ad.backward(z)
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0])
-
-
-def test_autodiff_clip_dead_zone():
-    x = ad.Node(np.array([0.5, 1.5, 2.5]))
-    ad.backward(ad.nsum(ad.clip(x, 1.0, 2.0)))
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
-
-
-def test_autodiff_minimum_subgradient():
-    a = ad.Node(np.array([1.0, 5.0]))
-    b = ad.Node(np.array([2.0, 4.0]))
-    ad.backward(ad.nsum(ad.minimum(a, b)))
-    np.testing.assert_array_equal(a.grad, [1.0, 0.0])
-    np.testing.assert_array_equal(b.grad, [0.0, 1.0])
+from marsbid.ppo_trainer import PpoConfig, loss_and_grads
 
 
 # -- forward -------------------------------------------------------------------
@@ -169,74 +113,122 @@ def test_policy_sample_unsquashed_gaussian(rng):
 # -- gradients through the full loss ------------------------------------------
 
 
-def _loss_pieces(net, obs, pre, logp_old, adv, ret, clip_eps=0.2):
-    pnodes = net.wrap_params()
-    mean, value = net.forward_graph(pnodes, obs)
-    logp = net.log_prob_graph(pnodes, mean, pre)
-    ratio = ad.exp(logp - ad.Node(logp_old))
-    surr1 = ratio * ad.Node(adv)
-    surr2 = ad.clip(ratio, 1 - clip_eps, 1 + clip_eps) * ad.Node(adv)
-    policy_loss = -ad.nmean(ad.minimum(surr1, surr2))
-    value_loss = ad.nmean(ad.square(value - ad.Node(ret.reshape(-1, 1))))
-    entropy = net.entropy_graph(pnodes)
-    return pnodes, {"policy": policy_loss, "value": value_loss, "entropy": entropy}
-
-
-def _fd_check(net, make_scalar, h=1e-5, tol=1e-4):
-    """Compare analytic grads with central finite differences for every
-    parameter of ``net``; ``make_scalar() -> (pnodes, scalar node)`` reads
-    the network's current parameters."""
-    pnodes, scalar = make_scalar()
-    ad.backward(scalar)
-    grads = {k: ad.grad_of(n) for k, n in pnodes.items()}
+def _fd_check(net, batch, cfg, h=1e-5, tol=1e-4):
+    """Compare the gradient of the total loss from :func:`loss_and_grads`
+    with central finite differences for every parameter of ``net``."""
+    grads = loss_and_grads(net, *batch, cfg).grads
+    assert list(grads) == net.param_names()
     worst = 0.0
-    base = {k: v.copy() for k, v in net.params.items()}
-
-    def value_at(name, j, offset):
-        net.params[name] = base[name].copy()
-        net.params[name].ravel()[j] += offset
-        _, s = make_scalar()
-        net.params[name] = base[name].copy()
-        return float(s.value)
-
     for name in net.param_names():
-        grad = grads[name]
-        for j in range(base[name].size):
-            fd = (value_at(name, j, +h) - value_at(name, j, -h)) / (2 * h)
-            a = grad.ravel()[j]
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
-            worst = max(worst, rel)
+        base = net.params[name].copy()
+        for j in range(base.size):
+            totals = []
+            for offset in (+h, -h):
+                net.params[name] = base.copy()
+                net.params[name].ravel()[j] += offset
+                totals.append(loss_and_grads(net, *batch, cfg).total)
+            net.params[name] = base
+            fd = (totals[0] - totals[1]) / (2 * h)
+            a = grads[name].ravel()[j]
+            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-8))
     assert worst < tol, f"worst relative gradient error {worst}"
+
+
+# each loss part alone: (value_coef, entropy_coef, keep advantages); with
+# zero advantages the clipped surrogate is identically zero
+PARTS = {
+    "policy": (0.0, 0.0, True),
+    "value": (1.0, 0.0, False),
+    "entropy": (0.0, 1.0, False),
+    "total": (0.5, 0.01, True),
+}
+
+
+def _part_batch_and_cfg(batch, which):
+    value_coef, entropy_coef, keep_adv = PARTS[which]
+    obs, pre, logp_old, adv, ret = batch
+    adv = adv if keep_adv else np.zeros_like(adv)
+    cfg = PpoConfig(total_steps=0, value_coef=value_coef, entropy_coef=entropy_coef)
+    return (obs, pre, logp_old, adv, ret), cfg
+
+
+def _random_batch(rng, B, obs_dim, A, logp_scale=0.1):
+    return (
+        rng.standard_normal((B, obs_dim)),
+        rng.standard_normal((B, A)),
+        rng.standard_normal(B) * logp_scale,
+        rng.standard_normal(B),
+        rng.standard_normal(B),
+    )
 
 
 def test_gradients_match_finite_differences_small_net(rng):
     net = PolicyNetwork(obs_dim=3, hidden=(4,), action_dim=2, seed=9)
-    obs = rng.standard_normal((6, 3))
-    pre = rng.standard_normal((6, 2))
-    logp_old = rng.standard_normal(6) * 0.1
-    adv = rng.standard_normal(6)
-    ret = rng.standard_normal(6)
+    batch = _random_batch(rng, 6, 3, 2)
+    for which in PARTS:
+        _fd_check(net, *_part_batch_and_cfg(batch, which))
 
-    for which in ("policy", "value", "entropy"):
 
-        def make():
-            pnodes, pieces = _loss_pieces(net, obs, pre, logp_old, adv, ret)
-            return pnodes, pieces[which]
+def test_gradients_match_finite_differences_unsquashed_meta_head(rng):
+    net = PolicyNetwork(obs_dim=3, hidden=(4,), action_dim=2, role="meta", squash=False, seed=21)
+    net.params["log_std"][:] = [-0.3, 0.4]
+    batch = _random_batch(rng, 6, 3, 2)
+    for which in PARTS:
+        _fd_check(net, *_part_batch_and_cfg(batch, which))
 
-        _fd_check(net, make)
+
+def test_gradients_match_finite_differences_clipped_both_sides(rng):
+    # ratios far below 1 - eps and far above 1 + eps under both advantage
+    # signs, so the clipped (dead) and unclipped branches both win somewhere
+    net = PolicyNetwork(obs_dim=3, hidden=(4,), action_dim=1, seed=5)
+    obs, pre, _, _, ret = _random_batch(rng, 8, 3, 1)
+    mean, log_std, _ = net.forward(obs)
+    logp_new = gaussian_log_prob(pre, mean, log_std) - squash_correction(np.tanh(pre))
+    target = np.array([0.5, 0.6, 1.6, 1.8, 0.5, 0.6, 1.6, 1.8])
+    adv = np.array([1.0, -0.7, 0.8, -1.2, -1.0, 0.9, 1.1, -0.6])
+    logp_old = logp_new - np.log(target)
+    cfg = PpoConfig(total_steps=0)
+    lg = loss_and_grads(net, obs, pre, logp_old, adv, ret, cfg)
+    assert np.sum(lg.ratio < 0.8) == 4 and np.sum(lg.ratio > 1.2) == 4
+    _fd_check(net, (obs, pre, logp_old, adv, ret), cfg)
+
+
+def test_loss_parts_isolated_by_coefficients(rng):
+    net = PolicyNetwork(obs_dim=3, hidden=(4,), action_dim=2, seed=9)
+    batch = _random_batch(rng, 6, 3, 2)
+    full = loss_and_grads(net, *batch, PpoConfig(total_steps=0))
+    for which, part in (
+        ("policy", full.policy_loss),
+        ("value", full.value_loss),
+        ("entropy", -full.entropy),
+    ):
+        part_batch, cfg = _part_batch_and_cfg(batch, which)
+        lg = loss_and_grads(net, *part_batch, cfg)
+        assert lg.total == pytest.approx(part, rel=1e-12, abs=1e-15)
+    # zero advantages: the surrogate and its gradient vanish exactly
+    part_batch, cfg = _part_batch_and_cfg(batch, "entropy")
+    lg = loss_and_grads(net, *part_batch, cfg)
+    assert lg.policy_loss == 0.0
+    for name in net.param_names():
+        if name != "log_std":
+            np.testing.assert_array_equal(lg.grads[name], 0.0)
+    np.testing.assert_array_equal(lg.grads["log_std"], [-1.0, -1.0])
 
 
 def test_value_loss_ignores_policy_head(rng):
     net = PolicyNetwork(obs_dim=3, hidden=(4,), action_dim=1, seed=4)
-    obs = rng.standard_normal((5, 3))
-    pnodes = net.wrap_params()
-    _, value = net.forward_graph(pnodes, obs)
-    loss = ad.nmean(ad.square(value - ad.Node(np.zeros((5, 1)))))
-    ad.backward(loss)
-    np.testing.assert_array_equal(ad.grad_of(pnodes["Wp"]), np.zeros_like(net.params["Wp"]))
-    np.testing.assert_array_equal(
-        ad.grad_of(pnodes["log_std"]), np.zeros_like(net.params["log_std"])
+    batch = (
+        rng.standard_normal((5, 3)),
+        rng.standard_normal((5, 1)),
+        rng.standard_normal(5),
+        np.zeros(5),
+        np.zeros(5),
     )
+    cfg = PpoConfig(total_steps=0, value_coef=1.0, entropy_coef=0.0)
+    grads = loss_and_grads(net, *batch, cfg).grads
+    for name in ("Wp", "bp", "log_std"):
+        np.testing.assert_array_equal(grads[name], np.zeros_like(net.params[name]))
+    assert np.any(grads["Wv"] != 0.0)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marsbid import autodiff as ad
-from marsbid.policy_net import PolicyNetwork
+from marsbid.policy_net import PolicyNetwork, gaussian_log_prob, squash_correction
 from marsbid.ppo_trainer import (
     Adam,
     PpoConfig,
-    build_loss_graph,
     clip_grad_norm,
     compute_gae,
+    loss_and_grads,
     normalize_advantages,
     ppo_loss,
     train,
@@ -131,33 +130,37 @@ def test_ppo_loss_graph_matches_numpy(rng):
     adv = rng.standard_normal(32)
     ret = rng.standard_normal(32)
     mean, log_std, _ = net.forward(obs)
-    from marsbid.policy_net import gaussian_log_prob, squash_correction
-
     logp_old = gaussian_log_prob(pre, mean, log_std) - squash_correction(np.tanh(pre))
     logp_old = logp_old + rng.normal(0, 0.3, 32)  # stale, as after updates
-    _, p_loss, _, _, _ = build_loss_graph(net, net.wrap_params(), obs, pre, logp_old, adv, ret, cfg)
+    lg = loss_and_grads(net, obs, pre, logp_old, adv, ret, cfg)
     logp_new = gaussian_log_prob(pre, mean, log_std) - squash_correction(np.tanh(pre))
-    assert float(p_loss.value) == pytest.approx(
+    assert lg.policy_loss == pytest.approx(
         ppo_loss(logp_new, logp_old, adv, cfg.clip_epsilon), rel=1e-12
     )
 
 
-def test_ppo_dead_zone_zero_gradient():
-    # clipping binds: gradient of the loss w.r.t. log_prob_new is exactly 0
-    for logr, adv in ((np.log(0.5), -1.0), (np.log(1.8), 1.0)):
-        lp = ad.Node(np.array([logr]))
-        ratio = ad.exp(lp - ad.Node(np.array([0.0])))
-        adv_node = ad.Node(np.array([adv]))
-        surr = ad.minimum(ratio * adv_node, ad.clip(ratio, 0.8, 1.2) * adv_node)
-        loss = -ad.nmean(surr)
-        ad.backward(loss)
-        np.testing.assert_array_equal(lp.grad, [0.0])
-        # central finite difference agrees
-        h = 1e-6
+def test_ppo_dead_zone_zero_gradient(rng):
+    # clipping binds on every sample: the surrogate's gradient with respect
+    # to every parameter is exactly 0
+    net = PolicyNetwork(obs_dim=4, hidden=(8,), action_dim=1, seed=2)
+    cfg = PpoConfig(total_steps=0, value_coef=0.0, entropy_coef=0.0)
+    obs = rng.standard_normal((2, 4))
+    pre = rng.standard_normal((2, 1))
+    mean, log_std, _ = net.forward(obs)
+    logp_new = gaussian_log_prob(pre, mean, log_std) - squash_correction(np.tanh(pre))
+    ratios = np.array([0.5, 1.8])
+    adv = np.array([-1.0, 1.0])
+    lg = loss_and_grads(net, obs, pre, logp_new - np.log(ratios), adv, np.zeros(2), cfg)
+    np.testing.assert_allclose(lg.ratio, ratios, rtol=1e-12)
+    for name in net.param_names():
+        np.testing.assert_array_equal(lg.grads[name], 0.0)
+    # central finite difference in the log ratio agrees
+    h = 1e-6
+    for logr, a in zip(np.log(ratios), adv):
 
         def f(x):
             r = np.exp(x)
-            return -min(r * adv, np.clip(r, 0.8, 1.2) * adv)
+            return -min(r * a, np.clip(r, 0.8, 1.2) * a)
 
         assert (f(logr + h) - f(logr - h)) / (2 * h) == pytest.approx(0.0, abs=1e-9)
 
@@ -165,9 +168,8 @@ def test_ppo_dead_zone_zero_gradient():
 def test_total_loss_components_finite(rng):
     net = PolicyNetwork(obs_dim=4, hidden=(8,), seed=1)
     cfg = PpoConfig(total_steps=0)
-    total, p, v, e, _ = build_loss_graph(
+    lg = loss_and_grads(
         net,
-        net.wrap_params(),
         rng.standard_normal((16, 4)),
         rng.standard_normal((16, 1)),
         rng.standard_normal(16),
@@ -175,11 +177,15 @@ def test_total_loss_components_finite(rng):
         rng.standard_normal(16),
         cfg,
     )
-    for node in (total, p, v, e):
-        assert np.isfinite(node.value)
-    assert float(total.value) == pytest.approx(
-        float(p.value) + cfg.value_coef * float(v.value) - cfg.entropy_coef * float(e.value)
+    for v in (lg.total, lg.policy_loss, lg.value_loss, lg.entropy):
+        assert np.isfinite(v)
+    assert lg.total == pytest.approx(
+        lg.policy_loss + cfg.value_coef * lg.value_loss - cfg.entropy_coef * lg.entropy
     )
+    assert list(lg.grads) == net.param_names()
+    for name in net.param_names():
+        assert lg.grads[name].shape == net.params[name].shape
+        assert np.all(np.isfinite(lg.grads[name]))
 
 
 # -- optimizer -----------------------------------------------------------------
