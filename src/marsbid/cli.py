@@ -405,19 +405,15 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
 
     for seed in cfg.eval_seeds:
         _ensure_dir(_ckpt_dir(out_dir, seed))
-        ens2, _ = train_university(
-            factory, cfg.ppo_base, cfg.shaping, roles=("safe", "spec"),
+        # one call, so the neutral worker gets its own init and rollout
+        # seeds; spawn(3)[:2] == spawn(2) keeps safe and spec unchanged
+        ens_k3, _ = train_university(
+            factory, cfg.ppo_base, cfg.shaping, roles=("safe", "spec", "neutral"),
             seed=seed, workers=workers,
         )
-        for role, net in ens2.workers:
+        for role, net in ens_k3.workers:
             net.save(_ckpt_path(out_dir, seed, role), config_hash=cfg.config_hash)
-        ens3, _ = train_university(
-            factory, cfg.ppo_base, cfg.shaping, roles=("neutral",),
-            seed=seed, workers=workers,
-        )
-        neutral = ens3.workers[0][1]
-        neutral.save(_ckpt_path(out_dir, seed, "neutral"), config_hash=cfg.config_hash)
-        ens_k3 = AgentEnsemble(workers=ens2.workers + (("neutral", neutral),))
+        ens2 = AgentEnsemble(workers=ens_k3.workers[:2])
 
         meta2, _ = train_meta(
             factory, ens2, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, DivergenceError
 
 CHECKPOINT_MAGIC = b"MARSDA01"
 CHECKPOINT_VERSION = 1
@@ -73,12 +73,13 @@ def sample_action(mean, log_std, rng: np.random.Generator, squash: bool = True, 
     ``rng.standard_normal`` of shape (A,), or (*size, A) with ``size``
     given. Returns an :class:`ActionSample`; ``log_prob`` is summed over
     action components: the Gaussian density of the pre-squash draw, minus
-    the tanh change-of-variables term when squashed.
+    the tanh change-of-variables term when squashed. A non-finite mean or
+    log_std raises :class:`DivergenceError`.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     log_std = np.broadcast_to(np.asarray(log_std, dtype=np.float64), mean.shape)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(log_std))):
-        raise ValueError("non-finite mean or log_std")
+        raise DivergenceError("non-finite policy mean or log_std")
     shape = mean.shape if size is None else tuple(np.atleast_1d(size)) + mean.shape
     u = mean + np.exp(log_std) * rng.standard_normal(shape)
     log_prob = gaussian_log_prob(u, mean, log_std)

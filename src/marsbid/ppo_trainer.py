@@ -44,6 +44,15 @@ class PpoConfig:
             raise ValueError("gae_lambda must be in [0, 1]")
         if self.buffer_size < 1 or self.minibatch_size < 1:
             raise ValueError("buffer and minibatch sizes must be >= 1")
+        if self.epochs_per_update < 1:
+            raise ValueError("epochs_per_update must be >= 1")
+        if self.total_steps < 0:
+            raise ValueError("total_steps must be >= 0")
+        if not self.kl_target > 0.0:
+            raise ValueError("kl_target must be > 0")
+        for name in ("learning_rate", "value_coef", "entropy_coef", "max_grad_norm"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def compute_gae(rewards, values, dones, bootstrap_value, gamma: float, lam: float):
@@ -202,8 +211,11 @@ def loss_and_grads(
             + value_coef * mean((V - R)^2) - entropy_coef * H,
     with r = exp(log_prob_new - log_prob_old) of the recorded pre-squash
     actions and H the entropy of the pre-squash Gaussian. The backward pass
-    is the closed form for the tanh MLP, written in the same operation order
-    as a reverse-mode sweep so results are reproducible bit for bit.
+    is the closed form for the tanh MLP. Each line keeps the operation order
+    of a reverse-mode sweep over the forward pass (``* -0.5 * 2.0`` rather
+    than a negation; the three ``log_std`` terms summed std path, density,
+    entropy), so gradients and every artifact downstream match that sweep
+    bit for bit.
     """
     p = policy.params
     n_layers = len(policy.layer_dims) - 1
@@ -254,7 +266,8 @@ def loss_and_grads(
         g_pre = g_h * (1.0 - hs[i + 1] * hs[i + 1])
         grads[f"W{i}"] = hs[i].T @ g_pre
         grads[f"b{i}"] = g_pre.sum(axis=0)
-        g_h = g_pre @ p[f"W{i}"].T
+        if i:
+            g_h = g_pre @ p[f"W{i}"].T
     return LossAndGrads(
         total=float(total),
         policy_loss=float(policy_loss),
@@ -279,12 +292,13 @@ def train(
     ``env_factory`` builds a fresh environment per rollout worker;
     ``reward_fn(profit, alpha)`` shapes the raw settlement profit into the
     training reward. The policy is updated in place. Raises
-    :class:`DivergenceError` if losses or parameters go non-finite.
+    :class:`DivergenceError` if policy outputs, losses or parameters go
+    non-finite.
     """
     if policy.frozen:
         raise ValueError("cannot train a frozen policy")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= cfg.buffer_size:
+        raise ValueError(f"workers must be in [1, buffer_size={cfg.buffer_size}], got {workers}")
 
     ss = np.random.SeedSequence(seed)
     env_seeds, sample_seed, shuffle_seed = ss.spawn(3)
@@ -295,7 +309,7 @@ def train(
     envs = [env_factory() for _ in range(workers)]
     obs = [envs[i].reset(rng=env_rngs[i]).vector for i in range(workers)]
 
-    T = max(1, cfg.buffer_size // workers)
+    T = cfg.buffer_size // workers
     A = policy.action_dim
     obs_dim = policy.layer_dims[0]
     optimizer = Adam(policy.params, lr=cfg.learning_rate)

@@ -8,6 +8,7 @@ from marsbid.cli import main
 from marsbid.config import DEFAULTS, build_config, config_hash, load_raw
 from marsbid.errors import ConfigError
 from marsbid.market_data import ingest_csv
+from marsbid.policy_net import PolicyNetwork
 
 # small-but-real settings shared by the CLI round-trip tests
 TINY = [
@@ -76,6 +77,12 @@ def test_hash_stable_and_sensitive():
     assert config_hash(raw2) != h1
 
 
+def test_default_config_hash_pinned():
+    # every artifact is stamped with this hash: a change to the default key
+    # set or values must be deliberate
+    assert config_hash(load_raw(environ={})) == "f445d3a05c16644a"
+
+
 def test_every_default_key_parses():
     # guards against DEFAULTS drifting from the typed builder
     cfg = build_config(environ={})
@@ -100,6 +107,14 @@ def test_bad_values_are_config_errors():
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_invalid_ppo_setting_exits_2(tmp_path):
+    rc = run_cli(
+        "train", "--phase", "vanilla", "--out", str(tmp_path), *TINY,
+        "--set", "ppo.base.epochs_per_update=0",
+    )
+    assert rc == 2
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +246,13 @@ def test_ablate_matrix(tmp_path):
     # static 50/50 required no meta checkpoint (none was saved for it), yet
     # its row exists with a defined sharpe
     assert rows["static_5050"][header.index("sharpe_mean")] != "NA"
+
+
+def test_ablate_neutral_worker_has_its_own_seeds(tmp_path):
+    # zero training budget: the saved workers are their initial parameters
+    out = str(tmp_path)
+    args = TINY + ["--set", "ppo.base.total_steps=0", "--set", "ppo.meta.total_steps=0"]
+    assert run_cli("ablate", "--out", out, *args) == 0
+    ckpt = Path(out) / "checkpoints" / "seed0"
+    init = {r: PolicyNetwork.load(ckpt / f"{r}.ckpt").param_hash() for r in ("safe", "spec", "neutral")}
+    assert len(set(init.values())) == 3

@@ -233,6 +233,25 @@ def test_zero_meta_budget_returns_init_near_uniform(trained_pair):
     np.testing.assert_allclose(w, [0.5, 0.5], atol=0.02)
 
 
+def test_university_third_role_keeps_first_two_workers():
+    # roles draw their seeds from one SeedSequence: adding a role leaves the
+    # earlier workers bit-identical and gives the new one its own seeds
+    factory = lambda: StrategicBiddingEnv(wavy_series(), episode_len=48)
+    cfg = PpoConfig(total_steps=256, buffer_size=128, hidden=(8,))
+    ens2, _ = train_university(factory, cfg, ShapingParams(), roles=("safe", "spec"), seed=3)
+    ens3, _ = train_university(
+        factory, cfg, ShapingParams(), roles=("safe", "spec", "neutral"), seed=3
+    )
+    h2, h3 = ens2.param_hashes(), ens3.param_hashes()
+    assert (h3["safe"], h3["spec"]) == (h2["safe"], h2["spec"])
+    init = PpoConfig(total_steps=0, hidden=(8,))
+    ens0, _ = train_university(
+        factory, init, ShapingParams(), roles=("safe", "spec", "neutral"), seed=3
+    )
+    h0 = ens0.param_hashes()
+    assert h0["neutral"] != h0["safe"]
+
+
 def test_university_unknown_role_rejected():
     with pytest.raises(ValueError, match="role"):
         train_university(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from marsbid.errors import CheckpointError
+from marsbid.errors import CheckpointError, DivergenceError
 from marsbid.policy_net import (
     PolicyNetwork,
     gaussian_log_prob,
@@ -98,7 +98,7 @@ def test_log_prob_integrates_to_one():
 
 
 def test_sample_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(DivergenceError):
         sample_action(np.array([np.nan]), np.array([0.0]), np.random.default_rng(0))
 
 
@@ -163,18 +163,14 @@ def _random_batch(rng, B, obs_dim, A, logp_scale=0.1):
 
 
 def test_gradients_match_finite_differences_small_net(rng):
-    net = PolicyNetwork(obs_dim=3, hidden=(4,), action_dim=2, seed=9)
-    batch = _random_batch(rng, 6, 3, 2)
-    for which in PARTS:
-        _fd_check(net, *_part_batch_and_cfg(batch, which))
-
-
-def test_gradients_match_finite_differences_unsquashed_meta_head(rng):
-    net = PolicyNetwork(obs_dim=3, hidden=(4,), action_dim=2, role="meta", squash=False, seed=21)
-    net.params["log_std"][:] = [-0.3, 0.4]
-    batch = _random_batch(rng, 6, 3, 2)
-    for which in PARTS:
-        _fd_check(net, *_part_batch_and_cfg(batch, which))
+    # a squashed bidding head and an unsquashed two-logit meta head
+    for net in (
+        PolicyNetwork(obs_dim=3, hidden=(4,), action_dim=2, seed=9),
+        PolicyNetwork(obs_dim=3, hidden=(4,), action_dim=2, role="meta", squash=False, seed=21),
+    ):
+        batch = _random_batch(rng, 6, 3, 2)
+        for which in PARTS:
+            _fd_check(net, *_part_batch_and_cfg(batch, which))
 
 
 def test_gradients_match_finite_differences_clipped_both_sides(rng):

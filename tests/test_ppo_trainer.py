@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marsbid.errors import DivergenceError
 from marsbid.policy_net import PolicyNetwork, gaussian_log_prob, squash_correction
 from marsbid.ppo_trainer import (
     Adam,
@@ -268,6 +269,32 @@ def test_config_validation():
         PpoConfig(gamma=1.5)
     with pytest.raises(ValueError):
         PpoConfig(gae_lambda=-0.1)
+    for bad in (
+        {"epochs_per_update": 0},
+        {"learning_rate": -1e-4},
+        {"kl_target": 0.0},
+        {"value_coef": -0.5},
+        {"entropy_coef": -0.01},
+        {"max_grad_norm": -1.0},
+        {"total_steps": -1},
+    ):
+        with pytest.raises(ValueError):
+            PpoConfig(**bad)
+    # zero is legal: a frozen-in-place run, no value/entropy terms, no clipping
+    PpoConfig(learning_rate=0.0, value_coef=0.0, entropy_coef=0.0, max_grad_norm=0.0, total_steps=0)
+    # more rollout workers than buffer slots would leave no full column
+    net = PolicyNetwork(obs_dim=4, hidden=(4,), seed=0)
+    cfg = PpoConfig(total_steps=16, buffer_size=4, hidden=(4,))
+    with pytest.raises(ValueError, match="buffer_size"):
+        train(lambda: BanditEnv(), net, lambda pi, a: pi, cfg, seed=0, workers=5)
+
+
+def test_non_finite_policy_output_is_divergence():
+    net = PolicyNetwork(obs_dim=4, hidden=(4,), seed=0)
+    net.params["bp"][:] = np.nan
+    cfg = PpoConfig(total_steps=16, buffer_size=8, hidden=(4,))
+    with pytest.raises(DivergenceError, match="non-finite"):
+        train(lambda: BanditEnv(), net, lambda pi, a: pi, cfg, seed=0)
 
 
 def test_multi_worker_collection_trains():
