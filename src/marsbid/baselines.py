@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mars_hierarchy import blend
-from .policy_net import PolicyNetwork
-from .ppo_trainer import PpoConfig, train
+from .mars_hierarchy import blend, train_worker
+from .ppo_trainer import PpoConfig
 from .reward_shaping import CvarRewardShaper, ShapingParams
 
 
@@ -78,21 +77,18 @@ def train_vanilla(
     shaping: ShapingParams,
     seed: int = 0,
     workers: int = 1,
-    hidden=None,
     checkpoint_cb=None,
 ):
     """Monolithic PPO agent on raw profit divided by s_linear."""
-    net = _fresh_policy(env_factory, cfg, hidden, role="vanilla", seed=seed)
-    log = train(
+    return train_worker(
         env_factory,
-        net,
-        lambda pi, alpha: pi / shaping.s_linear,
         cfg,
-        seed=_train_seed(seed),
+        np.random.SeedSequence(seed),
+        "vanilla",
+        lambda pi, alpha: pi / shaping.s_linear,
         workers=workers,
         checkpoint_cb=checkpoint_cb,
     )
-    return net, log
 
 
 def train_cvar(
@@ -101,42 +97,21 @@ def train_cvar(
     shaping: ShapingParams,
     seed: int = 0,
     workers: int = 1,
-    hidden=None,
     checkpoint_cb=None,
 ):
     """PPO with rolling-quantile tail-penalty shaping (risk-averse
     baseline). The quantile window sees raw dollars; the shaped reward is
     scaled like the vanilla agent's."""
-    net = _fresh_policy(env_factory, cfg, hidden, role="cvar", seed=seed)
     shaper = CvarRewardShaper(shaping)
-    log = train(
+    return train_worker(
         env_factory,
-        net,
-        lambda pi, alpha: shaper(pi, alpha) / shaping.s_linear,
         cfg,
-        seed=_train_seed(seed),
+        np.random.SeedSequence(seed),
+        "cvar",
+        lambda pi, alpha: shaper(pi, alpha) / shaping.s_linear,
         workers=workers,
         checkpoint_cb=checkpoint_cb,
     )
-    return net, log
-
-
-def _fresh_policy(env_factory, cfg, hidden, role, seed):
-    probe = env_factory()
-    hidden = tuple(hidden) if hidden is not None else tuple(cfg.hidden)
-    init_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
-    return PolicyNetwork(
-        obs_dim=probe.obs_dim,
-        hidden=hidden,
-        action_dim=1,
-        role=role,
-        squash=True,
-        seed=init_seed,
-    )
-
-
-def _train_seed(seed: int) -> int:
-    return int(np.random.SeedSequence(seed).generate_state(2)[1])
 
 
 def select_best_single(candidates: dict, sharpe_by_name: dict) -> str:

@@ -47,7 +47,6 @@ class GeneratorSpec:
     heat_rate: float = 7.5  # MMBtu per MWh; marginal cost = heat_rate * gas
     ramp_penalty: float = 25.0  # $ per MW clamped
     mutd_penalty: float = 1000.0  # $ per blocked transition
-    marginal_cost_fn: object = None  # optional callable gas_price -> $/MWh
 
     def __post_init__(self):
         if not 0 <= self.p_min <= self.p_max:
@@ -60,8 +59,6 @@ class GeneratorSpec:
             raise ValueError("costs must be >= 0")
 
     def marginal_cost(self, gas_price: float) -> float:
-        if self.marginal_cost_fn is not None:
-            return float(self.marginal_cost_fn(gas_price))
         return self.heat_rate * gas_price
 
 

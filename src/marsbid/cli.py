@@ -140,17 +140,29 @@ def _load_ensemble(cfg: RunConfig, out_dir: str, seed: int, obs_dim: int) -> Age
     return AgentEnsemble(workers=tuple(workers))
 
 
-def _checkpoint_cb(cfg: RunConfig, out_dir: str, seed: int, name: str):
+def _checkpoint_cb(cfg: RunConfig, out_dir: str, seed: int):
+    """Save ``<role>_u<update>`` every ``io.checkpoint_every`` updates."""
     if cfg.checkpoint_every <= 0:
         return None
 
     def cb(net, update):
         if update % cfg.checkpoint_every == 0:
             net.save(
-                _ckpt_path(out_dir, seed, f"{name}_u{update}"), config_hash=cfg.config_hash
+                _ckpt_path(out_dir, seed, f"{net.role}_u{update}"), config_hash=cfg.config_hash
             )
 
     return cb
+
+
+def _check_workers(workers: int, ppo_by_section: dict) -> None:
+    """``--workers`` must fit the buffer of every PPO section the command
+    trains."""
+    for section, ppo in ppo_by_section.items():
+        if not 1 <= workers <= ppo.buffer_size:
+            raise ConfigError(
+                f"--workers must be in [1, {section}.buffer_size={ppo.buffer_size}], "
+                f"got {workers}"
+            )
 
 
 # -- subcommands -----------------------------------------------------------
@@ -194,22 +206,18 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
 def cmd_train(cfg: RunConfig, args) -> int:
     out_dir = _outdir(cfg, args)
     seed = args.seed
+    _check_workers(
+        args.workers,
+        {"ppo.meta": cfg.ppo_meta} if args.phase == "meta" else {"ppo.base": cfg.ppo_base},
+    )
     series, (train_split, _, _) = load_series(cfg, out_dir)
     load_scale = resolve_load_scale(cfg, train_split)
     factory = make_env_factory(cfg, train_split, cfg.episode_len, load_scale)
     _ensure_dir(_ckpt_dir(out_dir, seed))
     logs_dir = _ensure_dir(os.path.join(out_dir, "logs"))
+    checkpoint_cb = _checkpoint_cb(cfg, out_dir, seed)
 
     if args.phase == "university":
-        worker_cb = None
-        if cfg.checkpoint_every > 0:
-            def worker_cb(role, net, update):
-                if update % cfg.checkpoint_every == 0:
-                    net.save(
-                        _ckpt_path(out_dir, seed, f"{role}_u{update}"),
-                        config_hash=cfg.config_hash,
-                    )
-
         ensemble, logs = train_university(
             factory,
             cfg.ppo_base,
@@ -217,7 +225,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             roles=cfg.roles,
             seed=seed,
             workers=args.workers,
-            checkpoint_cb=worker_cb,
+            checkpoint_cb=checkpoint_cb,
         )
         for role, net in ensemble.workers:
             net.save(_ckpt_path(out_dir, seed, role), config_hash=cfg.config_hash)
@@ -236,7 +244,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             cfg.shaping,
             seed=seed,
             workers=args.workers,
-            checkpoint_cb=_checkpoint_cb(cfg, out_dir, seed, "meta"),
+            checkpoint_cb=checkpoint_cb,
         )
         meta.save(_ckpt_path(out_dir, seed, "meta"), config_hash=cfg.config_hash)
         log.to_csv(
@@ -251,7 +259,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             cfg.shaping,
             seed=seed,
             workers=args.workers,
-            checkpoint_cb=_checkpoint_cb(cfg, out_dir, seed, args.phase),
+            checkpoint_cb=checkpoint_cb,
         )
         net.save(_ckpt_path(out_dir, seed, args.phase), config_hash=cfg.config_hash)
         log.to_csv(
@@ -392,6 +400,7 @@ ABLATION_CONFIGS = (
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
     """Train and evaluate the ablation matrix on shared seeds."""
+    _check_workers(args.workers, {"ppo.base": cfg.ppo_base, "ppo.meta": cfg.ppo_meta})
     out_dir = _outdir(cfg, args)
     series, (train_s, test1_s, test2_s) = load_series(cfg, out_dir)
     series_by_split = {"train": train_s, "test1": test1_s, "test2": test2_s}

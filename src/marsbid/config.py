@@ -12,35 +12,61 @@ from __future__ import annotations
 import configparser
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bidding_env import GeneratorSpec
-from .errors import ConfigError
-from .market_data import DateRange, SplitSpec, SyntheticConfig, parse_timestamp
+from .errors import ConfigError, MarketDataError
+from .market_data import (
+    DateRange,
+    SplitSpec,
+    SyntheticConfig,
+    format_timestamp,
+    parse_timestamp,
+)
 from .ppo_trainer import PpoConfig
 from .reward_shaping import ShapingParams
 
 ENV_PREFIX = "MARSBID_"
+
+# The five sections that configure a library dataclass, each with the
+# defaults the CLI sets apart from the library's: the library makes the
+# caller size the synthetic market, and the CLI's meta budget is half the
+# workers'. Every other default is the dataclass's own.
+_TYPED_SECTIONS = {
+    "synthetic": (SyntheticConfig, {"n_hours": 17520}),
+    "generator": (GeneratorSpec, {}),
+    "shaping": (ShapingParams, {}),
+    "ppo.base": (PpoConfig, {}),
+    "ppo.meta": (PpoConfig, {"total_steps": 100_000}),
+}
+
+# The one typed field that holds an epoch hour; it is written and read as
+# an ISO-8601 timestamp.
+_TIMESTAMP_FIELD = ("synthetic", "start")
+
+
+def _format_field(section: str, f, value) -> str:
+    if (section, f.name) == _TIMESTAMP_FIELD:
+        return format_timestamp(value)
+    if f.type == "tuple":
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _typed_defaults(section: str) -> dict:
+    cls, cli_defaults = _TYPED_SECTIONS[section]
+    return {
+        f.name: _format_field(section, f, cli_defaults.get(f.name, f.default))
+        for f in fields(cls)
+    }
+
 
 DEFAULTS = {
     "data": {
         "source": "synthetic",  # synthetic | csv
         "csv_path": "",
     },
-    "synthetic": {
-        "n_hours": "17520",
-        "start": "2021-01-01T00:00:00Z",
-        "calm_mean": "40.0",
-        "calm_std": "5.0",
-        "volatile_mean": "60.0",
-        "volatile_std": "25.0",
-        "regime_dwell_hours": "72.0",
-        "rt_spread_std": "8.0",
-        "diurnal_amplitude": "10.0",
-        "seed": "0",
-        "rt_spike_prob": "0.0",
-        "rt_spike_mean": "0.0",
-    },
+    "synthetic": _typed_defaults("synthetic"),
     "split": {
         "train_start": "2021-01-01T00:00:00Z",
         "train_end": "2022-01-01T00:00:00Z",
@@ -49,17 +75,7 @@ DEFAULTS = {
         "test2_start": "2022-07-01T00:00:00Z",
         "test2_end": "2023-01-01T00:00:00Z",
     },
-    "generator": {
-        "p_max": "100.0",
-        "p_min": "20.0",
-        "ramp_rate": "50.0",
-        "min_up": "4",
-        "min_down": "4",
-        "startup_cost": "500.0",
-        "heat_rate": "7.5",
-        "ramp_penalty": "25.0",
-        "mutd_penalty": "1000.0",
-    },
+    "generator": _typed_defaults("generator"),
     "env": {
         "episode_len": "168",
         "price_scale": "100.0",
@@ -67,45 +83,9 @@ DEFAULTS = {
         "dispatch_mode": "always_on",
         "include_weather": "false",
     },
-    "shaping": {
-        "lambda_role": "0.5",
-        "lambda_risk": "5.0",
-        "s_linear": "1000.0",
-        "s_var": "100.0",
-        "neutral_band": "0.2",
-        "cvar_alpha": "0.05",
-        "cvar_window": "200",
-    },
-    "ppo.base": {
-        "clip_epsilon": "0.2",
-        "gamma": "0.99",
-        "gae_lambda": "0.95",
-        "epochs_per_update": "10",
-        "minibatch_size": "64",
-        "learning_rate": "0.0003",
-        "value_coef": "0.5",
-        "entropy_coef": "0.01",
-        "max_grad_norm": "0.5",
-        "total_steps": "200000",
-        "buffer_size": "2048",
-        "kl_target": "0.02",
-        "hidden": "64,64",
-    },
-    "ppo.meta": {
-        "clip_epsilon": "0.2",
-        "gamma": "0.99",
-        "gae_lambda": "0.95",
-        "epochs_per_update": "10",
-        "minibatch_size": "64",
-        "learning_rate": "0.0003",
-        "value_coef": "0.5",
-        "entropy_coef": "0.01",
-        "max_grad_norm": "0.5",
-        "total_steps": "100000",
-        "buffer_size": "2048",
-        "kl_target": "0.02",
-        "hidden": "64,64",
-    },
+    "shaping": _typed_defaults("shaping"),
+    "ppo.base": _typed_defaults("ppo.base"),
+    "ppo.meta": _typed_defaults("ppo.meta"),
     "ensemble": {
         "roles": "safe,spec",
     },
@@ -155,6 +135,29 @@ def _parse_bool(section, key, value) -> bool:
     raise ConfigError(f"{section}.{key}: expected true/false, got {value!r}")
 
 
+def _parse_field(section: str, f, text: str):
+    """Parse by the declared type. The dataclass modules postpone their
+    annotations, so ``f.type`` is the annotation's text."""
+    key = f.name
+    if (section, key) == _TIMESTAMP_FIELD:
+        return _parse_hour(section, key, text)
+    if f.type == "int":
+        return _parse_int(section, key, text)
+    if f.type == "float":
+        return _parse_float(section, key, text)
+    if f.type == "tuple":
+        sizes = tuple(_parse_int(section, key, v) for v in _parse_list(text))
+        if not sizes:
+            raise ConfigError(f"{section}.{key} must list at least one layer size")
+        return sizes
+    raise TypeError(f"{section}.{key}: no parser for field type {f.type!r}")
+
+
+def _build_typed(raw: dict, section: str):
+    cls, _ = _TYPED_SECTIONS[section]
+    return cls(**{f.name: _parse_field(section, f, raw[section][f.name]) for f in fields(cls)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     raw: dict
@@ -178,13 +181,6 @@ class RunConfig:
     eval_split: str
     out_dir: str
     checkpoint_every: int
-
-    def describe(self) -> str:
-        return "\n".join(
-            f"{section}.{key} = {value}"
-            for section in sorted(self.raw)
-            for key, value in sorted(self.raw[section].items())
-        )
 
 
 def _apply_override(raw: dict, section: str, key: str, value: str, origin: str) -> None:
@@ -261,34 +257,7 @@ def build_config(
         raise ConfigError(f"data.source must be synthetic or csv, got {source!r}")
 
     try:
-        synthetic = SyntheticConfig(
-            n_hours=_parse_int("synthetic", "n_hours", get("synthetic", "n_hours")),
-            calm_mean=_parse_float("synthetic", "calm_mean", get("synthetic", "calm_mean")),
-            calm_std=_parse_float("synthetic", "calm_std", get("synthetic", "calm_std")),
-            volatile_mean=_parse_float(
-                "synthetic", "volatile_mean", get("synthetic", "volatile_mean")
-            ),
-            volatile_std=_parse_float(
-                "synthetic", "volatile_std", get("synthetic", "volatile_std")
-            ),
-            regime_dwell_hours=_parse_float(
-                "synthetic", "regime_dwell_hours", get("synthetic", "regime_dwell_hours")
-            ),
-            rt_spread_std=_parse_float(
-                "synthetic", "rt_spread_std", get("synthetic", "rt_spread_std")
-            ),
-            diurnal_amplitude=_parse_float(
-                "synthetic", "diurnal_amplitude", get("synthetic", "diurnal_amplitude")
-            ),
-            seed=_parse_int("synthetic", "seed", get("synthetic", "seed")),
-            start=_parse_hour("synthetic", "start", get("synthetic", "start")),
-            rt_spike_prob=_parse_float(
-                "synthetic", "rt_spike_prob", get("synthetic", "rt_spike_prob")
-            ),
-            rt_spike_mean=_parse_float(
-                "synthetic", "rt_spike_mean", get("synthetic", "rt_spike_mean")
-            ),
-        )
+        synthetic = _build_typed(raw, "synthetic")
         split = SplitSpec(
             train=DateRange(
                 _parse_hour("split", "train_start", get("split", "train_start")),
@@ -303,76 +272,12 @@ def build_config(
                 _parse_hour("split", "test2_end", get("split", "test2_end")),
             ),
         )
-        generator = GeneratorSpec(
-            p_max=_parse_float("generator", "p_max", get("generator", "p_max")),
-            p_min=_parse_float("generator", "p_min", get("generator", "p_min")),
-            ramp_rate=_parse_float("generator", "ramp_rate", get("generator", "ramp_rate")),
-            min_up=_parse_int("generator", "min_up", get("generator", "min_up")),
-            min_down=_parse_int("generator", "min_down", get("generator", "min_down")),
-            startup_cost=_parse_float(
-                "generator", "startup_cost", get("generator", "startup_cost")
-            ),
-            heat_rate=_parse_float("generator", "heat_rate", get("generator", "heat_rate")),
-            ramp_penalty=_parse_float(
-                "generator", "ramp_penalty", get("generator", "ramp_penalty")
-            ),
-            mutd_penalty=_parse_float(
-                "generator", "mutd_penalty", get("generator", "mutd_penalty")
-            ),
-        )
-        shaping = ShapingParams(
-            lambda_role=_parse_float("shaping", "lambda_role", get("shaping", "lambda_role")),
-            lambda_risk=_parse_float("shaping", "lambda_risk", get("shaping", "lambda_risk")),
-            s_linear=_parse_float("shaping", "s_linear", get("shaping", "s_linear")),
-            s_var=_parse_float("shaping", "s_var", get("shaping", "s_var")),
-            neutral_band=_parse_float(
-                "shaping", "neutral_band", get("shaping", "neutral_band")
-            ),
-            cvar_alpha=_parse_float("shaping", "cvar_alpha", get("shaping", "cvar_alpha")),
-            cvar_window=_parse_int("shaping", "cvar_window", get("shaping", "cvar_window")),
-        )
-
-        def ppo(section):
-            hidden = tuple(
-                _parse_int(section, "hidden", h) for h in _parse_list(get(section, "hidden"))
-            )
-            if not hidden:
-                raise ConfigError(f"{section}.hidden must list at least one layer size")
-            return PpoConfig(
-                clip_epsilon=_parse_float(
-                    section, "clip_epsilon", get(section, "clip_epsilon")
-                ),
-                gamma=_parse_float(section, "gamma", get(section, "gamma")),
-                gae_lambda=_parse_float(section, "gae_lambda", get(section, "gae_lambda")),
-                epochs_per_update=_parse_int(
-                    section, "epochs_per_update", get(section, "epochs_per_update")
-                ),
-                minibatch_size=_parse_int(
-                    section, "minibatch_size", get(section, "minibatch_size")
-                ),
-                learning_rate=_parse_float(
-                    section, "learning_rate", get(section, "learning_rate")
-                ),
-                value_coef=_parse_float(section, "value_coef", get(section, "value_coef")),
-                entropy_coef=_parse_float(
-                    section, "entropy_coef", get(section, "entropy_coef")
-                ),
-                max_grad_norm=_parse_float(
-                    section, "max_grad_norm", get(section, "max_grad_norm")
-                ),
-                total_steps=_parse_int(section, "total_steps", get(section, "total_steps")),
-                buffer_size=_parse_int(section, "buffer_size", get(section, "buffer_size")),
-                kl_target=_parse_float(section, "kl_target", get(section, "kl_target")),
-                hidden=hidden,
-            )
-
-        ppo_base = ppo("ppo.base")
-        ppo_meta = ppo("ppo.meta")
-    except ConfigError:
-        raise
-    except Exception as exc:
-        # dataclass validators raise ValueError/MarketDataError; surface as
-        # config problems with the offending message
+        generator = _build_typed(raw, "generator")
+        shaping = _build_typed(raw, "shaping")
+        ppo_base = _build_typed(raw, "ppo.base")
+        ppo_meta = _build_typed(raw, "ppo.meta")
+    except (ValueError, MarketDataError) as exc:
+        # the dataclass validators' messages name the offending field
         raise ConfigError(str(exc)) from exc
 
     roles = tuple(_parse_list(get("ensemble", "roles")))

@@ -36,6 +36,12 @@ _NONNEGATIVE_FIELDS = ("load_actual", "load_forecast", "gas_price")
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
+# Synthetic load (MW) and gas price ($/MMBtu) levels.
+LOAD_BASE = 1000.0
+LOAD_AMPLITUDE = 200.0
+LOAD_NOISE_STD = 20.0
+GAS_BASE = 4.0
+
 
 def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 UTC timestamp into epoch hours.
@@ -219,10 +225,6 @@ class SyntheticConfig:
     start: int = 447072  # 2021-01-01T00:00Z
     rt_spike_prob: float = 0.0
     rt_spike_mean: float = 0.0
-    load_base: float = 1000.0
-    load_amplitude: float = 200.0
-    load_noise_std: float = 20.0
-    gas_base: float = 4.0
 
     def __post_init__(self):
         if self.n_hours < 48:
@@ -447,8 +449,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> MarketSeries:
         hit = volatile & (spike_u < cfg.rt_spike_prob)
         lmp_rt = lmp_rt + np.where(hit, cfg.rt_spike_mean * (1.0 + spike_mag), 0.0)
 
-    load_shape = cfg.load_base + cfg.load_amplitude * diurnal
-    load_actual = np.maximum(0.0, load_shape + cfg.load_noise_std * load_noise)
+    load_shape = LOAD_BASE + LOAD_AMPLITUDE * diurnal
+    load_actual = np.maximum(0.0, load_shape + LOAD_NOISE_STD * load_noise)
     load_forecast = np.maximum(0.0, load_shape)
     temperature = 12.0 + 8.0 * np.sin(2.0 * np.pi * (hod - 8.0) / 24.0) + 1.5 * temp_noise
     wind_speed = np.maximum(0.0, 5.0 + 2.5 * wind_noise)
@@ -458,7 +460,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> MarketSeries:
     day_steps = np.zeros(int(days[-1]) + 1)
     for d in range(1, day_steps.size):
         day_steps[d] = gas_steps[d]
-    gas_daily = np.clip(cfg.gas_base + np.cumsum(0.05 * day_steps), 0.5, None)
+    gas_daily = np.clip(GAS_BASE + np.cumsum(0.05 * day_steps), 0.5, None)
     gas_price = gas_daily[days]
 
     fields = {

@@ -141,6 +141,42 @@ class BlendedActionEnv:
         return out
 
 
+def train_worker(
+    env_factory,
+    cfg: PpoConfig,
+    seed_seq: np.random.SeedSequence,
+    role: str,
+    reward_fn,
+    workers: int = 1,
+    checkpoint_cb=None,
+):
+    """Initialise a squashed one-action policy tagged ``role`` and train it
+    with PPO on ``reward_fn(profit, alpha)``.
+
+    The init seed is ``seed_seq.generate_state(1)[0]`` and the rollout seed
+    ``seed_seq.generate_state(2)[1]``. Returns ``(net, log)``; the net is
+    left unfrozen.
+    """
+    net = PolicyNetwork(
+        obs_dim=env_factory().obs_dim,
+        hidden=tuple(cfg.hidden),
+        action_dim=1,
+        role=role,
+        squash=True,
+        seed=int(seed_seq.generate_state(1)[0]),
+    )
+    log = train(
+        env_factory,
+        net,
+        reward_fn,
+        cfg,
+        seed=int(seed_seq.generate_state(2)[1]),
+        workers=workers,
+        checkpoint_cb=checkpoint_cb,
+    )
+    return net, log
+
+
 def train_university(
     env_factory,
     cfg: PpoConfig,
@@ -148,20 +184,18 @@ def train_university(
     roles=("safe", "spec"),
     seed: int = 0,
     workers: int = 1,
-    hidden=None,
     checkpoint_cb=None,
 ):
     """Phase 1: train one worker per role on its role reward, then freeze.
 
     Role rewards are divided by ``shaping.s_linear`` before entering PPO so
     gradients are conditioned the same way as the vanilla baseline; positive
-    scaling leaves the optimal policy unchanged.
+    scaling leaves the optimal policy unchanged. ``checkpoint_cb(net,
+    update)`` is passed to every worker's training; ``net.role`` tells the
+    workers apart.
 
     Returns ``(ensemble, logs)`` with logs keyed by role.
     """
-    probe = env_factory()
-    obs_dim = probe.obs_dim
-    hidden = tuple(hidden) if hidden is not None else tuple(cfg.hidden)
     trained = []
     logs: dict[str, TrainingLog] = {}
     role_seeds = np.random.SeedSequence(seed).spawn(len(roles))
@@ -169,29 +203,18 @@ def train_university(
         if role not in ROLE_REWARDS:
             raise ValueError(f"no role reward defined for {role!r}")
         reward = ROLE_REWARDS[role]
-        net = PolicyNetwork(
-            obs_dim=obs_dim,
-            hidden=hidden,
-            action_dim=1,
-            role=role,
-            squash=True,
-            seed=int(role_seed.generate_state(1)[0]),
-        )
 
         def shaped(pi, alpha, _reward=reward):
             return _reward(pi, alpha, shaping) / shaping.s_linear
 
-        cb = None
-        if checkpoint_cb is not None:
-            cb = lambda net_, update, _role=role: checkpoint_cb(_role, net_, update)
-        logs[role] = train(
+        net, logs[role] = train_worker(
             env_factory,
-            net,
-            shaped,
             cfg,
-            seed=int(role_seed.generate_state(2)[1]),
+            role_seed,
+            role,
+            shaped,
             workers=workers,
-            checkpoint_cb=cb,
+            checkpoint_cb=checkpoint_cb,
         )
         net.freeze()
         trained.append((role, net))
@@ -205,7 +228,6 @@ def train_meta(
     shaping: ShapingParams,
     seed: int = 0,
     workers: int = 1,
-    hidden=None,
     checkpoint_cb=None,
 ):
     """Phase 2: train the meta controller over the frozen ensemble.
@@ -213,13 +235,11 @@ def train_meta(
     Returns ``(meta_policy, log)``. With ``cfg.total_steps == 0`` the meta
     policy is returned at initialization (near-uniform weights).
     """
-    probe = env_factory()
-    hidden = tuple(hidden) if hidden is not None else tuple(cfg.hidden)
     ss = np.random.SeedSequence(seed)
     init_seed, train_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
     meta = PolicyNetwork(
-        obs_dim=probe.obs_dim,
-        hidden=hidden,
+        obs_dim=env_factory().obs_dim,
+        hidden=tuple(cfg.hidden),
         action_dim=ensemble.k,
         role="meta",
         squash=False,

@@ -1,14 +1,18 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
 
 import pytest
 
+from marsbid.bidding_env import GeneratorSpec
 from marsbid.cli import main
 from marsbid.config import DEFAULTS, build_config, config_hash, load_raw
 from marsbid.errors import ConfigError
-from marsbid.market_data import ingest_csv
+from marsbid.market_data import SyntheticConfig, format_timestamp, ingest_csv
 from marsbid.policy_net import PolicyNetwork
+from marsbid.ppo_trainer import PpoConfig
+from marsbid.reward_shaping import ShapingParams
 
 # small-but-real settings shared by the CLI round-trip tests
 TINY = [
@@ -35,6 +39,12 @@ def test_defaults_build():
     assert cfg.roles == ("safe", "spec")
     assert cfg.eval_seeds == (0, 1, 2, 3, 4)
     assert len(cfg.config_hash) == 16
+    # the typed sections take the dataclass defaults, apart from the CLI's two
+    assert cfg.synthetic == SyntheticConfig(n_hours=17520)
+    assert cfg.generator == GeneratorSpec()
+    assert cfg.shaping == ShapingParams()
+    assert cfg.ppo_base == PpoConfig()
+    assert cfg.ppo_meta == PpoConfig(total_steps=100000)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -97,9 +107,56 @@ def test_bad_values_are_config_errors():
         "eval.split=test9",
         "synthetic.n_hours=3",
         "ensemble.roles=safe,turbo",
+        "ppo.meta.hidden=",
+        "generator.min_up=1.5",
+        "synthetic.start=2021-01-01T00:30:00Z",
+        "shaping.cvar_window=x",
     ):
         with pytest.raises(ConfigError):
             build_config(overrides=[override], environ={})
+
+
+TYPED_SECTIONS = {
+    "synthetic": ("synthetic", SyntheticConfig),
+    "generator": ("generator", GeneratorSpec),
+    "shaping": ("shaping", ShapingParams),
+    "ppo.base": ("ppo_base", PpoConfig),
+    "ppo.meta": ("ppo_meta", PpoConfig),
+}
+
+
+def test_typed_keys_round_trip():
+    # every field of the five dataclasses is a key; a value set on it lands
+    # on the same-named attribute with the declared type. Values are unique
+    # across keys, so a key wired to the wrong field or section shows.
+    default = build_config(environ={})
+    declared = {"int": int, "float": float, "tuple": tuple}
+    overrides, expected = [], {}
+    i = 0
+    for section, (attr, cls) in TYPED_SECTIONS.items():
+        assert set(DEFAULTS[section]) == {f.name for f in dataclasses.fields(cls)}
+        for f in dataclasses.fields(cls):
+            i += 1
+            old = getattr(getattr(default, attr), f.name)
+            if (section, f.name) == ("synthetic", "start"):
+                new = old + 24 * i
+                text = format_timestamp(new)
+            elif f.type == "tuple":
+                new = (i, i + 1)
+                text = f"{i},{i + 1}"
+            elif f.type == "int":
+                new = old + i
+                text = str(new)
+            else:
+                new = old / 2 + 0.001 * i
+                text = repr(new)
+            overrides.append(f"{section}.{f.name}={text}")
+            expected[attr, f.name] = (new, declared[f.type])
+    cfg = build_config(overrides=overrides, environ={})
+    for (attr, key), (new, typ) in expected.items():
+        got = getattr(getattr(cfg, attr), key)
+        assert got == new and type(got) is typ, (attr, key, got, new)
+    assert all(type(h) is int for h in cfg.ppo_base.hidden + cfg.ppo_meta.hidden)
 
 
 # -- CLI round trips --------------------------------------------------------------
@@ -115,6 +172,42 @@ def test_invalid_ppo_setting_exits_2(tmp_path):
         "--set", "ppo.base.epochs_per_update=0",
     )
     assert rc == 2
+
+
+def test_workers_out_of_range_exits_2(tmp_path):
+    out = str(tmp_path)
+    # TINY sets ppo.base.buffer_size=256
+    for workers in ("0", "257"):
+        rc = run_cli("train", "--phase", "vanilla", "--workers", workers, "--out", out, *TINY)
+        assert rc == 2
+    # ablate trains both sections: --workers above ppo.meta's buffer alone is enough
+    rc = run_cli(
+        "ablate", "--workers", "200", "--out", out, *TINY, "--set", "ppo.meta.buffer_size=128"
+    )
+    assert rc == 2
+
+
+def test_periodic_checkpoints(tmp_path):
+    # TINY gives every worker two PPO updates and the meta controller one
+    def run(every):
+        out = str(tmp_path / f"every{every}")
+        sets = ["--set", f"io.checkpoint_every={every}"]
+        for phase in ("university", "meta", "vanilla"):
+            assert run_cli("train", "--phase", phase, "--out", out, *TINY, *sets) == 0
+        stamp = build_config(overrides=[a for a in TINY + sets if a != "--set"]).config_hash
+        return Path(out) / "checkpoints" / "seed0", stamp.encode()
+
+    periodic, stamp1 = run(1)
+    final_only, stamp0 = run(0)
+    names = {p.stem for p in periodic.glob("*.ckpt")}
+    assert {"safe_u1", "safe_u2", "spec_u1", "spec_u2", "meta_u1", "vanilla_u1"} <= names
+    assert {p.stem for p in final_only.glob("*.ckpt")} == {"safe", "spec", "meta", "vanilla"}
+    # periodic saves leave training alone: the final checkpoints differ
+    # only in the stamped config hash, and equal the last periodic save
+    for name, last in (("safe", 2), ("spec", 2), ("meta", 1), ("vanilla", 2)):
+        final = (periodic / f"{name}.ckpt").read_bytes()
+        assert final.replace(stamp1, stamp0) == (final_only / f"{name}.ckpt").read_bytes()
+        assert final == (periodic / f"{name}_u{last}.ckpt").read_bytes()
 
 
 @pytest.fixture(scope="module")
