@@ -3,6 +3,9 @@
 Run:  python demos/01_synthetic_market.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from marsbid import (
@@ -46,8 +49,10 @@ print("idempotent repair:", np.array_equal(repaired.fields["lmp_da"], again.fiel
 
 # The CSV emitter uses round-trip float formatting, so write -> ingest ->
 # write reproduces the file byte for byte.
-write_csv(series, "/tmp/demo_market.csv")
-back = ingest_csv("/tmp/demo_market.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_market.csv")
+    write_csv(series, path)
+    back = ingest_csv(path)
 print("csv round trip exact:", all(
     np.array_equal(back.fields[k], series.fields[k]) for k in series.fields
 ))

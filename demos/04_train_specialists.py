@@ -15,7 +15,7 @@ from marsbid import (
     generate_synthetic,
     train_university,
 )
-from marsbid.evaluation import run_policy_episode
+from marsbid.evaluation import greedy, run_policy_episode
 
 # A market with a persistent day-ahead premium: DA clears 20 $/MWh above RT.
 base = generate_synthetic(
@@ -42,9 +42,7 @@ for role, log in logs.items():
 
 env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
 for role, net in ensemble.workers:
-    ledger = run_policy_episode(
-        env, lambda obs, e, n=net: float(n.act_deterministic(obs.vector)[0]), start=24
-    )
+    ledger = run_policy_episode(env, greedy(net), start=24)
     print(f"{role:5s}: mean alpha {np.mean(ledger.alpha):.3f}  "
           f"(frozen: {net.frozen}, params {net.param_hash()[:12]})")
 print("\nThe safe worker locks capacity into the day-ahead market; the "

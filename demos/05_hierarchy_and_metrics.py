@@ -5,24 +5,22 @@ risk metrics that show the dampening behaviour.
 Run:  python demos/05_hierarchy_and_metrics.py   (about a minute)
 """
 
-import numpy as np
-
 from marsbid import (
+    BlendPolicy,
     MarketSeries,
     PpoConfig,
     ShapingParams,
     StrategicBiddingEnv,
     SyntheticConfig,
     generate_synthetic,
-    run_hierarchical_episode,
+    run_policy_episode,
     train_meta,
     train_university,
 )
 from marsbid.evaluation import (
-    allocation_entropy,
     compute_report,
+    greedy,
     max_drawdown,
-    run_policy_episode,
     sharpe,
 )
 
@@ -53,13 +51,11 @@ meta, _ = train_meta(
 )
 
 env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
-mars = run_hierarchical_episode(env, ensemble, meta, shaping=shaping, start=24)
-static = run_hierarchical_episode(env, ensemble, lambda obs: np.array([0.5, 0.5]),
-                                  shaping=shaping, start=24)
-spec_net = dict(ensemble.workers)["spec"]
-solo = run_policy_episode(
-    env, lambda obs, e: float(spec_net.act_deterministic(obs.vector)[0]), start=24
-)
+# one runner for every policy: the meta blend, fixed 50/50 weights over the
+# same workers, and the speculator alone, all over the same hours
+mars = run_policy_episode(env, BlendPolicy(ensemble, meta), start=24, shaping=shaping)
+static = run_policy_episode(env, BlendPolicy(ensemble, [0.5, 0.5]), start=24, shaping=shaping)
+solo = run_policy_episode(env, greedy(dict(ensemble.workers)["spec"]), start=24)
 
 report = compute_report(mars)
 print("MARS-DA evaluation pass:")

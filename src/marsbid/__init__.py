@@ -26,14 +26,14 @@ from .market_data import (
 )
 from .mars_hierarchy import (
     AgentEnsemble,
+    Blend,
+    BlendPolicy,
     blend,
-    meta_weights,
-    run_hierarchical_episode,
     train_meta,
     train_university,
 )
 from .policy_net import PolicyNetwork, sample_action
-from .ppo_trainer import PpoConfig, compute_gae, ppo_loss, train
+from .ppo_trainer import PpoConfig, compute_gae, train
 from .reward_shaping import (
     ShapingParams,
     reward_cvar_shaped,
@@ -49,6 +49,7 @@ from .evaluation import (
     max_drawdown,
     regime_alignment,
     rolling_metrics,
+    run_policy_episode,
     sharpe,
     sortino,
 )

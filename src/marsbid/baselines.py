@@ -56,9 +56,6 @@ class RollingOptPolicy:
         self.cfg = cfg or RollingOptConfig()
         self.prev_action = 0.0
 
-    def reset(self) -> None:
-        self.prev_action = 0.0
-
     def __call__(self, obs, env) -> float:
         spread = env.spread_history(self.cfg.window)
         self.prev_action = rolling_opt_action(spread, self.cfg, self.prev_action)

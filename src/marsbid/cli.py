@@ -20,19 +20,14 @@ import traceback
 import numpy as np
 
 from . import market_data as md
-from .baselines import (
-    RollingOptConfig,
-    RollingOptPolicy,
-    select_best_single,
-    train_cvar,
-    train_vanilla,
-)
+from .baselines import RollingOptPolicy, select_best_single, train_cvar, train_vanilla
 from .bidding_env import OBS_HISTORY_HOURS, StrategicBiddingEnv
 from .config import RunConfig, build_config
 from .errors import ConfigError, DivergenceError, MarsbidError, MissingPrerequisiteError
 from .evaluation import (
     aggregate_reports,
     compute_report,
+    greedy,
     rolling_metrics,
     run_policy_episode,
     sharpe,
@@ -41,7 +36,7 @@ from .evaluation import (
 )
 from .mars_hierarchy import (
     AgentEnsemble,
-    run_hierarchical_episode,
+    BlendPolicy,
     train_meta,
     train_university,
 )
@@ -103,15 +98,7 @@ def make_env_factory(cfg: RunConfig, series, episode_len, load_scale):
 
 def eval_env(cfg: RunConfig, series, load_scale) -> StrategicBiddingEnv:
     """One contiguous pass over the given split."""
-    return StrategicBiddingEnv(
-        series,
-        spec=cfg.generator,
-        episode_len=len(series) - OBS_HISTORY_HOURS,
-        price_scale=cfg.price_scale,
-        load_scale=load_scale,
-        dispatch_mode=cfg.dispatch_mode,
-        include_weather=cfg.include_weather,
-    )
+    return make_env_factory(cfg, series, len(series) - OBS_HISTORY_HOURS, load_scale)()
 
 
 def _ckpt_dir(out_dir: str, seed: int) -> str:
@@ -272,39 +259,18 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _single_policy_act(net: PolicyNetwork):
-    return lambda obs, env: float(net.act_deterministic(obs.vector)[0])
-
-
-def _evaluate_policy_once(cfg, out_dir, policy, split_name, series_by_split, load_scale, seed):
-    """Run one contiguous evaluation pass; returns an EpisodeLedger."""
-    split_series = series_by_split[split_name]
-    env = eval_env(cfg, split_series, load_scale)
-    start = env.min_start
-
-    if policy == "mars":
-        ensemble = _load_ensemble(cfg, out_dir, seed, env.obs_dim)
-        meta = _load_ckpt(out_dir, seed, "meta", env.obs_dim)
-        return run_hierarchical_episode(
-            env, ensemble, meta, shaping=cfg.shaping, deterministic=True, start=start
-        )
-    if policy == "static":
-        ensemble = _load_ensemble(cfg, out_dir, seed, env.obs_dim)
-        uniform = np.full(ensemble.k, 1.0 / ensemble.k)
-        return run_hierarchical_episode(
-            env, ensemble, lambda obs: uniform, shaping=cfg.shaping,
-            deterministic=True, start=start,
-        )
+def _eval_policy(cfg, out_dir, policy, series_by_split, load_scale, seed, obs_dim):
+    """The policy object that ``evaluate --policy <policy>`` runs."""
+    if policy in ("mars", "static"):
+        ensemble = _load_ensemble(cfg, out_dir, seed, obs_dim)
+        if policy == "mars":
+            return BlendPolicy(ensemble, _load_ckpt(out_dir, seed, "meta", obs_dim))
+        return BlendPolicy(ensemble, np.full(ensemble.k, 1.0 / ensemble.k))
     if policy == "rolling_opt":
-        return run_policy_episode(env, RollingOptPolicy(RollingOptConfig()), start=start)
+        return RollingOptPolicy()
     if policy == "best_single":
-        name = _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed)
-        net = _load_ckpt(out_dir, seed, name, env.obs_dim)
-        return run_policy_episode(env, _single_policy_act(net), start=start)
-    if policy in SINGLE_POLICIES:
-        net = _load_ckpt(out_dir, seed, policy, env.obs_dim)
-        return run_policy_episode(env, _single_policy_act(net), start=start)
-    raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
+        policy = _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed)
+    return greedy(_load_ckpt(out_dir, seed, policy, obs_dim))
 
 
 def _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed) -> str:
@@ -317,12 +283,11 @@ def _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed) -> str:
         raise MissingPrerequisiteError(
             f"best_single: no single-policy checkpoints for seed {seed}"
         )
-    train_series = series_by_split["train"]
+    env = eval_env(cfg, series_by_split["train"], load_scale)
     sharpes = {}
     for name in candidates:
-        env = eval_env(cfg, train_series, load_scale)
-        net = _load_ckpt(out_dir, seed, name, env.obs_dim)
-        ledger = run_policy_episode(env, _single_policy_act(net), start=env.min_start)
+        policy = greedy(_load_ckpt(out_dir, seed, name, env.obs_dim))
+        ledger = run_policy_episode(env, policy, start=env.min_start)
         sharpes[name] = sharpe(ledger.profits)
     return select_best_single(candidates, sharpes)
 
@@ -342,10 +307,14 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     load_scale = resolve_load_scale(cfg, train_s)
 
     eval_dir = _ensure_dir(os.path.join(out_dir, "eval", policy, split_name))
+    env = eval_env(cfg, series_by_split[split_name], load_scale)
     reports = []
     for seed in seeds:
-        ledger = _evaluate_policy_once(
-            cfg, out_dir, policy, split_name, series_by_split, load_scale, seed
+        ledger = run_policy_episode(
+            env,
+            _eval_policy(cfg, out_dir, policy, series_by_split, load_scale, seed, env.obs_dim),
+            start=env.min_start,
+            shaping=cfg.shaping,
         )
         report = compute_report(ledger, config_hash=cfg.config_hash, seed=seed)
         report.to_json(os.path.join(eval_dir, f"seed{seed}.metrics.json"))
@@ -443,35 +412,20 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
         # one env per seed, reset at the same contiguous start for every
         # configuration: the paired design
         env = eval_env(cfg, series_by_split[split_name], load_scale)
-        start = env.min_start
-        uniform2 = np.full(2, 0.5)
         best_name = _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed)
-        best_net = _load_ckpt(out_dir, seed, best_name, env.obs_dim)
-        runs = {
-            "mars_k2": lambda: run_hierarchical_episode(
-                env, ens2, meta2, shaping=cfg.shaping, start=start
-            ),
-            "mars_k3_neutral": lambda: run_hierarchical_episode(
-                env, ens_k3, meta3, shaping=cfg.shaping, start=start
-            ),
-            "static_5050": lambda: run_hierarchical_episode(
-                env, ens2, lambda obs: uniform2, shaping=cfg.shaping, start=start
-            ),
-            "vanilla": lambda: run_policy_episode(
-                env, _single_policy_act(vanilla_net), start=start
-            ),
-            "cvar": lambda: run_policy_episode(
-                env, _single_policy_act(cvar_net), start=start
-            ),
-            "rolling_opt": lambda: run_policy_episode(
-                env, RollingOptPolicy(RollingOptConfig()), start=start
-            ),
-            "best_single": lambda: run_policy_episode(
-                env, _single_policy_act(best_net), start=start
-            ),
+        policies = {
+            "mars_k2": BlendPolicy(ens2, meta2),
+            "mars_k3_neutral": BlendPolicy(ens_k3, meta3),
+            "static_5050": BlendPolicy(ens2, np.full(2, 0.5)),
+            "vanilla": greedy(vanilla_net),
+            "cvar": greedy(cvar_net),
+            "rolling_opt": RollingOptPolicy(),
+            "best_single": greedy(_load_ckpt(out_dir, seed, best_name, env.obs_dim)),
         }
         for name in ABLATION_CONFIGS:
-            ledger = runs[name]()
+            ledger = run_policy_episode(
+                env, policies[name], start=env.min_start, shaping=cfg.shaping
+            )
             report = compute_report(ledger, config_hash=cfg.config_hash, seed=seed)
             report.to_json(os.path.join(abl_dir, f"{name}_seed{seed}.metrics.json"))
             per_config[name].append(report)
@@ -480,6 +434,8 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
                 f"{'NA' if report.sharpe is None else f'{report.sharpe:.4f}'}, "
                 f"mdd {report.max_drawdown_abs:.0f} $"
             )
+        # this seed's networks are not kept while the next seed trains
+        del policies
 
     table_path = os.path.join(out_dir, "ablation.csv")
     with open(table_path, "w", newline="") as fh:
@@ -581,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="config override, repeatable",
         )
-        p.add_argument("--workers", type=int, default=1, help="rollout env instances")
+        p.add_argument("--workers", type=int, default=1, help="rollout envs (train, ablate)")
 
     p = sub.add_parser("generate-data", help="write the synthetic market CSV")
     common(p)
@@ -625,6 +581,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers != 1 and args.command not in ("train", "ablate"):
+            raise ConfigError(f"--workers applies to train and ablate only, got {args.workers}")
         cfg = build_config(args.config, overrides=args.overrides)
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

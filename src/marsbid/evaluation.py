@@ -1,4 +1,5 @@
-"""Risk and alignment metrics over episode ledgers, and report emission.
+"""Risk and alignment metrics over episode ledgers, report emission, and
+the one episode runner that fills a ledger for any policy.
 
 Conventions: per-step profits, zero risk-free rate, no annualization; Sharpe
 uses the sample standard deviation, Sortino the root mean square of
@@ -16,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bidding_env import EpisodeLedger, StrategicBiddingEnv
+from .mars_hierarchy import Blend
+from .reward_shaping import ShapingParams, reward_meta
 
 CONVENTION = (
     "per-step profit, rf=0, unannualized; sharpe=mean/sample_std, "
@@ -245,22 +248,42 @@ def aggregate_reports(reports: list) -> dict:
     return out
 
 
+def greedy(net):
+    """A single policy's deterministic action, as a runner policy."""
+    return lambda obs, env: float(net.act_deterministic(obs.vector)[0])
+
+
 def run_policy_episode(
     env: StrategicBiddingEnv,
-    act_fn,
+    policy,
     start: int | None = None,
-    rng: np.random.Generator | None = None,
+    shaping: ShapingParams | None = None,
 ) -> EpisodeLedger:
-    """Roll one episode of a single policy. ``act_fn(obs, env)`` returns the
-    raw action; pass ``start`` for the paired contiguous evaluation pass."""
-    ledger = EpisodeLedger()
-    obs = env.reset(start=start, rng=rng)
+    """Roll one episode; pass ``start`` for the paired contiguous
+    evaluation pass.
+
+    ``policy(obs, env)`` returns the raw action, or a :class:`Blend`, whose
+    weights and proposals are recorded along with ``r_meta``, the meta
+    reward of each hour's profit under ``shaping``. A policy that returns
+    blends names their columns with its ``roles``, one per weight.
+    """
+    shaping = shaping or ShapingParams()
+    ledger = EpisodeLedger(roles=getattr(policy, "roles", ()))
+    obs = env.reset(start=start)
     done = False
     while not done:
         record = env.current_record()
         vol = env.volatility_at(env.current_index)
-        out = env.step(float(act_fn(obs, env)))
-        ledger.append(record, out, volatility=vol)
+        act = policy(obs, env)
+        if isinstance(act, Blend):
+            if len(act.weights) != len(ledger.roles):
+                raise ValueError(f"{len(act.weights)} blend weights for roles {ledger.roles}")
+            out = env.step(act.action)
+            r_meta = reward_meta(out.reward_raw, shaping)
+            ledger.append(record, out, vol, act.weights, act.proposals, r_meta)
+        else:
+            out = env.step(float(act))
+            ledger.append(record, out, volatility=vol)
         obs = out.observation_next
         done = out.done
     return ledger

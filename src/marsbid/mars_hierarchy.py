@@ -12,10 +12,11 @@ realized profit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .bidding_env import EpisodeLedger, StepOutcome, StrategicBiddingEnv
+from .bidding_env import StepOutcome, StrategicBiddingEnv
 from .policy_net import PolicyNetwork
 from .ppo_trainer import PpoConfig, TrainingLog, train
 from .reward_shaping import (
@@ -90,26 +91,37 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum()
 
 
-def meta_weights(
-    meta_policy: PolicyNetwork,
-    obs,
-    rng: np.random.Generator | None = None,
-):
-    """Blend weights from the meta policy.
+class Blend(NamedTuple):
+    """One blended step: the executed action, the simplex weights and the
+    worker proposals they combined."""
 
-    Deterministic mode (``rng`` is None) softmaxes the mean logits. Sampling
-    mode draws Gaussian logits and softmaxes them; the returned log-prob is
-    that of the pre-softmax Gaussian draw, which is what PPO updates.
+    action: float
+    weights: np.ndarray
+    proposals: np.ndarray
 
-    Returns ``(weights, logits, log_prob)``; log_prob is None when
-    deterministic.
+
+class BlendPolicy:
+    """The hierarchical policy as one callable ``(obs, env) -> Blend``.
+
+    ``meta`` is a meta :class:`PolicyNetwork`, whose mean logits softmax
+    into the weights, or fixed simplex weights (the static baseline).
     """
-    vec = obs.vector if hasattr(obs, "vector") else np.asarray(obs)
-    if rng is None:
-        mean, _, _ = meta_policy.forward(vec)
-        return softmax(mean), mean, None
-    sample = meta_policy.sample(vec, rng)
-    return softmax(sample.action), sample.action, sample.log_prob
+
+    def __init__(self, ensemble: AgentEnsemble, meta):
+        self.ensemble = ensemble
+        self.meta = meta if isinstance(meta, PolicyNetwork) else np.asarray(meta, dtype=np.float64)
+
+    @property
+    def roles(self) -> tuple:
+        return self.ensemble.roles
+
+    def __call__(self, obs, env) -> Blend:
+        proposals = self.ensemble.proposals(obs)
+        if isinstance(self.meta, PolicyNetwork):
+            weights = softmax(self.meta.forward(obs.vector)[0])
+        else:
+            weights = self.meta
+        return Blend(blend(weights, proposals), weights, proposals)
 
 
 class BlendedActionEnv:
@@ -255,44 +267,3 @@ def train_meta(
         checkpoint_cb=checkpoint_cb,
     )
     return meta, log
-
-
-def run_hierarchical_episode(
-    env: StrategicBiddingEnv,
-    ensemble: AgentEnsemble,
-    meta,
-    shaping: ShapingParams | None = None,
-    deterministic: bool = True,
-    start: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> EpisodeLedger:
-    """Roll one episode, recording weights, proposals and rewards per step.
-
-    ``meta`` is either a trained meta :class:`PolicyNetwork` or a callable
-    ``obs -> weights`` (useful for static or diagnostic weightings).
-    """
-    shaping = shaping or ShapingParams()
-    ledger = EpisodeLedger(roles=ensemble.roles)
-    obs = env.reset(start=start, rng=rng)
-    sample_rng = None if deterministic else (rng or np.random.default_rng(0))
-    done = False
-    while not done:
-        record = env.current_record()
-        vol = env.volatility_at(env.current_index)
-        proposals = ensemble.proposals(obs)
-        if callable(meta) and not isinstance(meta, PolicyNetwork):
-            weights = np.asarray(meta(obs), dtype=np.float64)
-        else:
-            weights, _, _ = meta_weights(meta, obs, rng=sample_rng)
-        out = env.step(blend(weights, proposals))
-        ledger.append(
-            record,
-            out,
-            volatility=vol,
-            weights=weights,
-            proposals=proposals,
-            r_meta=reward_meta(out.reward_raw, shaping),
-        )
-        obs = out.observation_next
-        done = out.done
-    return ledger

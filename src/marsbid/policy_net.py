@@ -89,13 +89,6 @@ def sample_action(mean, log_std, rng: np.random.Generator, squash: bool = True, 
     return ActionSample(action=a, log_prob=log_prob - squash_correction(a), pre_squash=u)
 
 
-def log_prob_of_action(mean, log_std, a_raw) -> np.ndarray:
-    """Log density of a squashed action value in (-1, 1)."""
-    a = np.asarray(a_raw, dtype=np.float64)
-    u = np.arctanh(a)
-    return gaussian_log_prob(u, mean, log_std) - squash_correction(a)
-
-
 class PolicyNetwork:
     """MLP actor-critic with named float64 parameter arrays.
 
@@ -172,17 +165,6 @@ class PolicyNetwork:
 
     def clamp_log_std(self) -> None:
         np.clip(self.params["log_std"], LOG_STD_MIN, LOG_STD_MAX, out=self.params["log_std"])
-
-    def clone(self) -> "PolicyNetwork":
-        return PolicyNetwork(
-            obs_dim=self.layer_dims[0],
-            hidden=self.layer_dims[1:],
-            action_dim=self.action_dim,
-            role=self.role,
-            squash=self.squash,
-            params={k: v.copy() for k, v in self.params.items()},
-            step_count=self.step_count,
-        )
 
     # -- inference -------------------------------------------------------
     def forward(self, obs):

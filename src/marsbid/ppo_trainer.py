@@ -94,15 +94,6 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     return centered / std if std > 0 else centered
 
 
-def ppo_loss(log_prob_new, log_prob_old, advantages_normalized, clip_epsilon: float) -> float:
-    """Clipped-surrogate loss: negative mean of min(ratio * A, clipped
-    ratio * A)."""
-    ratio = np.exp(np.asarray(log_prob_new) - np.asarray(log_prob_old))
-    adv = np.asarray(advantages_normalized)
-    surr = np.minimum(ratio * adv, np.clip(ratio, 1 - clip_epsilon, 1 + clip_epsilon) * adv)
-    return float(-surr.mean())
-
-
 class Adam:
     """Adaptive moment estimation over a dict of named parameter arrays."""
 

@@ -36,14 +36,14 @@ from marsbid.market_data import (
     write_csv,
 )
 from marsbid.mars_hierarchy import (
+    BlendPolicy,
     blend,
-    meta_weights,
-    run_hierarchical_episode,
+    softmax,
     train_meta,
     train_university,
 )
 from marsbid.policy_net import PolicyNetwork
-from marsbid.ppo_trainer import PpoConfig, loss_and_grads, ppo_loss, train
+from marsbid.ppo_trainer import PpoConfig, loss_and_grads, train
 from marsbid.reward_shaping import (
     ShapingParams,
     reward_meta,
@@ -52,6 +52,7 @@ from marsbid.reward_shaping import (
 )
 
 from conftest import BanditEnv, make_series, premium_series, spike_series
+from oracles import ppo_loss
 
 N_CHECKS = 200
 SEEDS = (0, 1, 2, 3, 4)
@@ -282,7 +283,7 @@ def test_criterion_05_hierarchy_invariants():
     done = False
     while not done:
         proposals = ensemble.proposals(obs)
-        w, _, _ = meta_weights(meta, obs, rng=rng)  # sampled: exercises the full simplex
+        w = softmax(meta.sample(obs.vector, rng).action)  # sampled: the full simplex
         assert abs(float(w.sum()) - 1.0) <= 1e-9
         assert np.all(w >= -1e-9)
         a = blend(w, proposals)
@@ -325,9 +326,9 @@ def regime_runs():
         meta, _ = train_meta(factory, ens, meta_cfg, shaping, seed=seed)
 
         env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
-        mars = run_hierarchical_episode(env, ens, meta, shaping=shaping, start=24)
-        static = run_hierarchical_episode(
-            env, ens, lambda obs: np.array([0.5, 0.5]), shaping=shaping, start=24
+        mars = run_policy_episode(env, BlendPolicy(ens, meta), start=24, shaping=shaping)
+        static = run_policy_episode(
+            env, BlendPolicy(ens, np.array([0.5, 0.5])), start=24, shaping=shaping
         )
         spec_net = dict(ens.workers)["spec"]
         solo_spec = run_policy_episode(

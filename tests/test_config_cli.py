@@ -187,6 +187,19 @@ def test_workers_out_of_range_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_workers_on_commands_without_rollouts_exits_2(tmp_path):
+    out = str(tmp_path)
+    assert run_cli("generate-data", "--workers", "0", "--out", out, *TINY) == 2
+    assert not (tmp_path / "data").exists()
+    rc = run_cli("evaluate", "--policy", "rolling_opt", "--split", "test1", "--workers", "-5",
+                 "--out", out, "--seed", "0", *TINY)
+    assert rc == 2
+    # --workers 1 is the default, so it stays accepted everywhere
+    assert run_cli("generate-data", "--workers", "1", "--out", out, *TINY) == 0
+    assert run_cli("evaluate", "--policy", "rolling_opt", "--split", "test1", "--workers", "1",
+                   "--out", out, "--seed", "0", *TINY) == 0
+
+
 def test_periodic_checkpoints(tmp_path):
     # TINY gives every worker two PPO updates and the meta controller one
     def run(every):
@@ -271,6 +284,27 @@ def test_evaluate_aggregate_matches_per_seed_files(pipeline_dir):
     per_seed = json.loads((d / "seed0.metrics.json").read_text())
     agg = json.loads((d / "aggregate.json").read_text())
     assert agg["metrics"]["sharpe"]["mean"] == pytest.approx(per_seed["sharpe"])
+
+
+def test_evaluate_best_single_runs_the_policy_it_picked(pipeline_dir):
+    base = Path(pipeline_dir) / "eval"
+    # best_single ranks the single-policy checkpoints (safe and spec here)
+    # by their Sharpe ratio over the train split
+    train_sharpe = {}
+    for name in ("safe", "spec"):
+        for split in ("train", "test1"):
+            assert run_cli("evaluate", "--policy", name, "--split", split,
+                           "--out", pipeline_dir, "--seed", "0", *TINY) == 0
+        metrics = json.loads((base / name / "train" / "seed0.metrics.json").read_text())
+        train_sharpe[name] = metrics["sharpe"]
+    assert train_sharpe["safe"] != train_sharpe["spec"]
+    picked = max(train_sharpe, key=train_sharpe.get)
+    other = min(train_sharpe, key=train_sharpe.get)
+    assert run_cli("evaluate", "--policy", "best_single", "--split", "test1",
+                   "--out", pipeline_dir, "--seed", "0", *TINY) == 0
+    ledger = lambda name: (base / name / "test1" / "seed0.ledger.csv").read_bytes()
+    assert ledger("best_single") == ledger(picked)
+    assert ledger("best_single") != ledger(other)
 
 
 def test_evaluate_unknown_policy(pipeline_dir):

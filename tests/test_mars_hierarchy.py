@@ -6,18 +6,18 @@ from hypothesis import strategies as st
 from marsbid.bidding_env import StrategicBiddingEnv
 from marsbid.mars_hierarchy import (
     AgentEnsemble,
+    Blend,
     BlendedActionEnv,
+    BlendPolicy,
     blend,
-    meta_weights,
-    run_hierarchical_episode,
     softmax,
     train_meta,
     train_university,
 )
 from marsbid.policy_net import PolicyNetwork
 from marsbid.ppo_trainer import PpoConfig
-from marsbid.reward_shaping import ShapingParams
-from marsbid.evaluation import run_policy_episode
+from marsbid.reward_shaping import ShapingParams, reward_meta
+from marsbid.evaluation import greedy, run_policy_episode
 
 from conftest import make_series, premium_series
 
@@ -91,17 +91,20 @@ def test_softmax_extreme_logits():
     assert w[1] == pytest.approx(0.0, abs=1e-8)
 
 
-def test_meta_weights_deterministic_vs_sampled():
-    meta = PolicyNetwork(obs_dim=5, hidden=(8,), action_dim=2, role="meta", squash=False, seed=3)
-    obs = np.ones(5)
-    w_det, logits, logp = meta_weights(meta, obs)
-    assert logp is None
-    mean, _, _ = meta.forward(obs)
-    np.testing.assert_allclose(w_det, softmax(mean))
-    w_s, logits_s, logp_s = meta_weights(meta, obs, rng=np.random.default_rng(0))
-    assert logp_s is not None
+def test_blend_policy_weights_deterministic_vs_sampled():
+    env = StrategicBiddingEnv(wavy_series(), episode_len=24)
+    obs = env.reset(start=24)
+    meta = PolicyNetwork(
+        obs_dim=env.obs_dim, hidden=(8,), action_dim=2, role="meta", squash=False, seed=3
+    )
+    step = BlendPolicy(small_ensemble(), meta)(obs, env)
+    mean, _, _ = meta.forward(obs.vector)
+    np.testing.assert_allclose(step.weights, softmax(mean))
+    sample = meta.sample(obs.vector, np.random.default_rng(0))
+    assert np.isfinite(sample.log_prob).all()
+    w_s = softmax(sample.action)
     assert abs(w_s.sum() - 1.0) <= 1e-12
-    np.testing.assert_allclose(w_s, softmax(logits_s))
+    assert not np.allclose(w_s, step.weights)
 
 
 # -- ensemble / episodes ------------------------------------------------------------
@@ -121,7 +124,7 @@ def test_hierarchical_episode_ledger_invariants():
     meta = PolicyNetwork(
         obs_dim=env.obs_dim, hidden=(8, 8), action_dim=2, role="meta", squash=False, seed=7
     )
-    ledger = run_hierarchical_episode(env, ens, meta, start=24)
+    ledger = run_policy_episode(env, BlendPolicy(ens, meta), start=24)
     assert len(ledger) == 96
     w = ledger.weight_matrix()
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9)
@@ -139,7 +142,7 @@ def test_hierarchical_episode_deterministic():
 
     def run():
         env = StrategicBiddingEnv(wavy_series(), episode_len=48)
-        led = run_hierarchical_episode(env, ens, meta, start=30)
+        led = run_policy_episode(env, BlendPolicy(ens, meta), start=30)
         return (tuple(led.profit), tuple(map(tuple, led.weights)))
 
     assert run() == run()
@@ -151,13 +154,58 @@ def test_safe_only_weights_match_standalone_safe():
     safe_net = dict(ens.workers)["safe"]
 
     env1 = StrategicBiddingEnv(series, episode_len=72)
-    hier = run_hierarchical_episode(env1, ens, lambda obs: np.array([1.0, 0.0]), start=24)
+    hier = run_policy_episode(env1, BlendPolicy(ens, np.array([1.0, 0.0])), start=24)
     env2 = StrategicBiddingEnv(series, episode_len=72)
     solo = run_policy_episode(
         env2, lambda obs, env: float(safe_net.act_deterministic(obs.vector)[0]), start=24
     )
     np.testing.assert_array_equal(hier.profits, solo.profits)
     np.testing.assert_array_equal(hier.alpha, solo.alpha)
+
+
+def test_blend_policy_ledger_records_weights_proposals_and_meta_reward():
+    env = StrategicBiddingEnv(wavy_series(), episode_len=72, dispatch_mode="economic")
+    ens = small_ensemble()
+    meta = PolicyNetwork(
+        obs_dim=env.obs_dim, hidden=(8, 8), action_dim=2, role="meta", squash=False, seed=11
+    )
+    shaping = ShapingParams(lambda_risk=0.7, s_var=3000.0)
+    ledger = run_policy_episode(env, BlendPolicy(ens, meta), start=24, shaping=shaping)
+    assert ledger.roles == ("safe", "spec")
+    assert len(ledger.weights) == len(ledger.proposals) == len(ledger.r_meta) == len(ledger) == 72
+    # replay the same hours, recomputing every column from its definition
+    obs = env.reset(start=24)
+    for t in range(len(ledger)):
+        mean, _, _ = meta.forward(obs.vector)
+        proposals = ens.proposals(obs)
+        assert ledger.weights[t] == tuple(softmax(mean))
+        assert ledger.proposals[t] == tuple(proposals)
+        assert ledger.r_meta[t] == reward_meta(ledger.profit[t], shaping)
+        out = env.step(blend(softmax(mean), proposals))
+        assert out.reward_raw == ledger.profit[t]
+        obs = out.observation_next
+    # a plain float action records none of the hierarchical columns
+    solo = run_policy_episode(env, greedy(dict(ens.workers)["safe"]), start=24)
+    assert solo.roles == () and solo.weights == solo.proposals == solo.r_meta == []
+
+
+def test_blend_policy_fixed_weights_return_a_blend():
+    env = StrategicBiddingEnv(wavy_series(), episode_len=24)
+    obs = env.reset(start=24)
+    ens = small_ensemble()
+    step = BlendPolicy(ens, [0.25, 0.75])(obs, env)
+    assert isinstance(step, Blend)
+    np.testing.assert_array_equal(step.weights, [0.25, 0.75])
+    np.testing.assert_array_equal(step.proposals, ens.proposals(obs))
+    assert step.action == blend([0.25, 0.75], step.proposals)
+
+
+def test_blend_without_matching_roles_is_rejected():
+    env = StrategicBiddingEnv(wavy_series(), episode_len=24)
+    bare = BlendPolicy(small_ensemble(), [0.5, 0.5])
+    # a callable without ``roles`` has no names for the weight columns
+    with pytest.raises(ValueError, match="roles"):
+        run_policy_episode(env, lambda obs, e: bare(obs, e), start=24)
 
 
 def test_blended_env_adapter_executes_blend():
@@ -228,7 +276,7 @@ def test_zero_meta_budget_returns_init_near_uniform(trained_pair):
     assert log.records == []
     env = StrategicBiddingEnv(series, episode_len=48)
     obs = env.reset(start=24)
-    w, _, _ = meta_weights(meta, obs)
+    w = BlendPolicy(ens, meta)(obs, env).weights
     # tiny policy-head init keeps the softmax near uniform
     np.testing.assert_allclose(w, [0.5, 0.5], atol=0.02)
 

@@ -5,11 +5,12 @@ from marsbid.errors import CheckpointError, DivergenceError
 from marsbid.policy_net import (
     PolicyNetwork,
     gaussian_log_prob,
-    log_prob_of_action,
     sample_action,
     squash_correction,
 )
 from marsbid.ppo_trainer import PpoConfig, loss_and_grads
+
+from oracles import log_prob_of_action
 
 
 # -- forward -------------------------------------------------------------------

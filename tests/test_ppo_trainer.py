@@ -12,11 +12,11 @@ from marsbid.ppo_trainer import (
     compute_gae,
     loss_and_grads,
     normalize_advantages,
-    ppo_loss,
     train,
 )
 
 from conftest import BanditEnv
+from oracles import ppo_loss
 
 
 # -- GAE ------------------------------------------------------------------
