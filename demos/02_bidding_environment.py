@@ -11,14 +11,15 @@ series = generate_synthetic(SyntheticConfig(n_hours=400, seed=7))
 env = StrategicBiddingEnv(series, spec=GeneratorSpec(), episode_len=168)
 
 obs = env.reset(start=24)
-print(f"observation dim {obs.dim}: 24 lagged DA prices, 24h volatility, load "
+print(f"observation dim {obs.size}: 24 lagged DA prices, 24h volatility, load "
       "forecast, unit state, time encodings")
 
 # Sweep the allocation over one hour. Profit is linear in alpha with slope
 # p_max * (lmp_da - lmp_rt): positive spread favors the day-ahead market.
-record = env.current_record()
-print(f"\nhour {record.timestamp}: lmp_da {record.lmp_da:.2f}, lmp_rt {record.lmp_rt:.2f}, "
-      f"spread {record.lmp_da - record.lmp_rt:+.2f}")
+i = env.current_index
+lmp_da, lmp_rt = series.fields["lmp_da"][i], series.fields["lmp_rt"][i]
+print(f"\nhour {series.timestamps[i]}: lmp_da {lmp_da:.2f}, lmp_rt {lmp_rt:.2f}, "
+      f"spread {lmp_da - lmp_rt:+.2f}")
 print(f"{'a_raw':>6} {'alpha':>6} {'profit':>10}")
 for a_raw in (-1.0, -0.5, 0.0, 0.5, 1.0):
     probe = StrategicBiddingEnv(series, episode_len=168)

@@ -4,12 +4,10 @@ risk-aware reinforcement learning agents."""
 from .bidding_env import (
     EpisodeLedger,
     GeneratorSpec,
-    Observation,
     StepOutcome,
     StrategicBiddingEnv,
     UnitState,
     map_action,
-    rolling_volatility,
     settle,
 )
 from .market_data import (

@@ -2,9 +2,11 @@
 
 * vanilla PPO on the raw profit (scaled for conditioning),
 * PPO with rolling-tail CVaR shaping,
-* a static equal-weight blend of the frozen workers,
 * a bang-bang moving-average heuristic over the realized DA-RT spread,
 * best-single selection by train-split Sharpe ratio.
+
+The static equal-weight blend of the frozen workers is
+``mars_hierarchy.BlendPolicy`` with uniform weights.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mars_hierarchy import blend, train_worker
+from .mars_hierarchy import train_worker
 from .ppo_trainer import PpoConfig
 from .reward_shaping import CvarRewardShaper, ShapingParams
 
@@ -60,12 +62,6 @@ class RollingOptPolicy:
         spread = env.spread_history(self.cfg.window)
         self.prev_action = rolling_opt_action(spread, self.cfg, self.prev_action)
         return self.prev_action
-
-
-def static_blend_policy(worker_actions) -> float:
-    """Equal-weight ensemble: arithmetic mean of the proposals."""
-    a = np.asarray(worker_actions, dtype=np.float64)
-    return blend(np.full(a.shape, 1.0 / a.size), a)
 
 
 def train_vanilla(

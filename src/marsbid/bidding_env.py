@@ -23,15 +23,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .market_data import (
-    HourlyMarketRecord,
-    MarketSeries,
-    day_of_week,
-    format_timestamp,
-    hour_of_day,
-)
+from .market_data import MarketSeries, day_of_week, format_timestamp, hour_of_day
 
 OBS_HISTORY_HOURS = 24
+# Observation cells of the unit state, written per step after the price
+# window, the volatility and the load forecast.
+UNIT_CELLS = slice(OBS_HISTORY_HOURS + 2, OBS_HISTORY_HOURS + 5)
 
 
 @dataclass(frozen=True)
@@ -81,49 +78,11 @@ class SettlementComponents:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """MDP state vector components.
-
-    ``da_price_history`` holds the 24 DA LMPs preceding the current hour
-    (oldest first), scaled by price_scale; ``volatility_24h`` is their
-    population std, same scaling. Time encodings are sin/cos pairs in
-    [-1, 1]. ``weather`` is empty unless the environment enables the
-    optional temperature/wind extras. ``vector`` concatenates everything in
-    declaration order.
-    """
-
-    da_price_history: np.ndarray
-    volatility_24h: float
-    load_forecast: float
-    unit: tuple  # (u_t, hours_in_state/24 clamped, prev_output/p_max)
-    time_enc: tuple  # (sin hod, cos hod, sin dow, cos dow)
-    weather: tuple = ()
-    vector: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        vec = np.concatenate(
-            [
-                np.asarray(self.da_price_history, dtype=np.float64),
-                [self.volatility_24h, self.load_forecast],
-                self.unit,
-                self.time_enc,
-                self.weather,
-            ]
-        )
-        vec.flags.writeable = False
-        object.__setattr__(self, "vector", vec)
-
-    @property
-    def dim(self) -> int:
-        return int(self.vector.size)
-
-
-@dataclass(frozen=True)
 class StepOutcome:
     """Result of settling one hour."""
 
     reward_raw: float  # profit in $, the decomposition identity holds exactly
-    observation_next: Observation | None
+    observation_next: np.ndarray | None
     done: bool
     components: SettlementComponents
     alpha: float
@@ -140,24 +99,17 @@ def map_action(a_raw: float) -> float:
     return (min(1.0, max(-1.0, a_raw)) + 1.0) / 2.0
 
 
-def rolling_volatility(prices) -> float:
-    """Population standard deviation of a 24-hour price window."""
-    arr = np.asarray(prices, dtype=np.float64)
-    if arr.shape != (OBS_HISTORY_HOURS,):
-        raise ValueError(f"expected exactly {OBS_HISTORY_HOURS} prices, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite price in volatility window")
-    return float(arr.std())
-
-
 def settle(
     alpha: float,
-    record: HourlyMarketRecord,
+    lmp_da: float,
+    lmp_rt: float,
+    gas_price: float,
     spec: GeneratorSpec,
     unit: UnitState,
     dispatch_mode: str = "always_on",
 ):
-    """Clear one hour of the two-settlement market.
+    """Clear one hour of the two-settlement market at the given DA and RT
+    prices ($/MWh) and gas price ($/MMBtu).
 
     Returns ``(StepOutcome, UnitState)``: the financial outcome per the
     profit equation (observation_next/done are filled by the environment)
@@ -165,7 +117,7 @@ def settle(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha} out of [0, 1]")
-    mc = spec.marginal_cost(record.gas_price)
+    mc = spec.marginal_cost(gas_price)
     penalty = 0.0
     startup = False
 
@@ -174,7 +126,7 @@ def settle(
         capacity = spec.p_max
         committed = True
     elif dispatch_mode == "economic":
-        want_on = mc <= max(record.lmp_da, record.lmp_rt)
+        want_on = mc <= max(lmp_da, lmp_rt)
         committed = unit.committed
         if unit.committed and not want_on:
             if unit.hours_in_state < spec.min_up:
@@ -202,8 +154,8 @@ def settle(
 
     q_da = alpha * capacity
     q_rt = capacity - q_da
-    revenue_da = record.lmp_da * q_da
-    revenue_rt = record.lmp_rt * q_rt
+    revenue_da = lmp_da * q_da
+    revenue_rt = lmp_rt * q_rt
     cost_marginal = mc * (q_da + q_rt)
     cost_startup = spec.startup_cost if startup else 0.0
     profit = revenue_da + revenue_rt - cost_marginal - cost_startup - penalty
@@ -235,6 +187,23 @@ class StrategicBiddingEnv:
     An instance is single-threaded; run independent instances over the same
     series for parallel rollout collection. Observation scaling is a fixed
     affine map (price_scale, load_scale) so replays are deterministic.
+
+    The market is exogenous: prices, volatility, load, time and weather
+    never depend on the action, and only the unit state does. So the
+    scaled price series and one read-only hour-feature matrix are built
+    once, and an observation is the 24-hour price window joined to the
+    current hour's feature row with the unit state written in. It is a
+    read-only float64 vector of ``obs_dim`` cells:
+
+    * 0-23: the DA LMPs of the 24 hours before the current one, oldest
+      first, divided by price_scale;
+    * 24: their population std (the 24 h volatility), same scaling;
+    * 25: the load forecast divided by load_scale;
+    * 26-28 (``UNIT_CELLS``): committed (1 or 0), hours in that state / 24
+      clamped to 1, previous output / p_max;
+    * 29-32: sin and cos of the hour of day, sin and cos of the day of week;
+    * 33-34, with ``include_weather`` only: temperature and wind speed
+      divided by ``WEATHER_SCALES``.
     """
 
     WEATHER_SCALES = (20.0, 10.0)  # degC, m/s
@@ -262,27 +231,35 @@ class StrategicBiddingEnv:
         self.spec = spec or GeneratorSpec()
         self.episode_len = int(episode_len)
         self.price_scale = float(price_scale)
+        f = series.fields
         if load_scale is None:
-            load_scale = float(np.max(series.fields["load_forecast"])) or 1.0
+            load_scale = float(np.max(f["load_forecast"])) or 1.0
         self.load_scale = float(load_scale)
         self.dispatch_mode = dispatch_mode
         self.include_weather = bool(include_weather)
 
-        lmp_da = series.fields["lmp_da"]
-        # volatility[i] = population std of the 24 hours preceding index i
-        windows = np.lib.stride_tricks.sliding_window_view(lmp_da, OBS_HISTORY_HOURS)
-        self._vol = np.full(len(series), np.nan)
-        self._vol[OBS_HISTORY_HOURS:] = windows[:-1].std(axis=1)
+        # volatility[i] = population std of the 24 DA prices before index i
+        windows = np.lib.stride_tricks.sliding_window_view(f["lmp_da"], OBS_HISTORY_HOURS)
+        self.volatility = np.full(len(series), np.nan)
+        self.volatility[OBS_HISTORY_HOURS:] = windows[:-1].std(axis=1)
+        self.volatility.flags.writeable = False
+        self._prices = f["lmp_da"] / self.price_scale
         hod = hour_of_day(series.timestamps).astype(np.float64)
         dow = day_of_week(series.timestamps).astype(np.float64)
-        self._time_enc = np.column_stack(
-            [
-                np.sin(2 * np.pi * hod / 24.0),
-                np.cos(2 * np.pi * hod / 24.0),
-                np.sin(2 * np.pi * dow / 7.0),
-                np.cos(2 * np.pi * dow / 7.0),
-            ]
-        )
+        columns = [
+            self.volatility / self.price_scale,
+            f["load_forecast"] / self.load_scale,
+            np.zeros((len(series), 3)),  # unit state, written per step
+            np.sin(2 * np.pi * hod / 24.0),
+            np.cos(2 * np.pi * hod / 24.0),
+            np.sin(2 * np.pi * dow / 7.0),
+            np.cos(2 * np.pi * dow / 7.0),
+        ]
+        if self.include_weather:
+            t_scale, w_scale = self.WEATHER_SCALES
+            columns += [f["temperature"] / t_scale, f["wind_speed"] / w_scale]
+        self._hour_features = np.column_stack(columns)
+        self._hour_features.flags.writeable = False
 
         self._index: int | None = None
         self._steps_left = 0
@@ -290,7 +267,7 @@ class StrategicBiddingEnv:
 
     @property
     def obs_dim(self) -> int:
-        return OBS_HISTORY_HOURS + 2 + 3 + 4 + (2 if self.include_weather else 0)
+        return OBS_HISTORY_HOURS + self._hour_features.shape[1]
 
     @property
     def min_start(self) -> int:
@@ -299,10 +276,6 @@ class StrategicBiddingEnv:
     @property
     def max_start(self) -> int:
         return len(self.series) - self.episode_len
-
-    def volatility_at(self, index: int) -> float:
-        """Unscaled 24h DA volatility observed entering ``index``."""
-        return float(self._vol[index])
 
     def spread_history(self, window: int) -> np.ndarray:
         """Realized (lmp_da - lmp_rt) for the ``window`` hours before now."""
@@ -323,35 +296,23 @@ class StrategicBiddingEnv:
         """Series index of the hour about to be settled."""
         return self._require_index()
 
-    def _observe(self) -> Observation:
+    def _observe(self) -> np.ndarray:
         i = self._require_index()
-        hist = self.series.fields["lmp_da"][i - OBS_HISTORY_HOURS : i]
+        obs = np.concatenate((self._prices[i - OBS_HISTORY_HOURS : i], self._hour_features[i]))
         unit = self._unit
-        weather = ()
-        if self.include_weather:
-            t_scale, w_scale = self.WEATHER_SCALES
-            weather = (
-                float(self.series.fields["temperature"][i]) / t_scale,
-                float(self.series.fields["wind_speed"][i]) / w_scale,
-            )
-        return Observation(
-            da_price_history=hist / self.price_scale,
-            volatility_24h=float(self._vol[i]) / self.price_scale,
-            load_forecast=float(self.series.fields["load_forecast"][i]) / self.load_scale,
-            unit=(
-                1.0 if unit.committed else 0.0,
-                min(1.0, unit.hours_in_state / 24.0),
-                unit.prev_output / self.spec.p_max,
-            ),
-            time_enc=tuple(self._time_enc[i]),
-            weather=weather,
+        obs[UNIT_CELLS] = (
+            1.0 if unit.committed else 0.0,
+            min(1.0, unit.hours_in_state / 24.0),
+            unit.prev_output / self.spec.p_max,
         )
+        obs.flags.writeable = False
+        return obs
 
     def reset(
         self,
         start: int | None = None,
         rng: np.random.Generator | None = None,
-    ) -> Observation:
+    ) -> np.ndarray:
         """Begin an episode at ``start`` (or a uniform random valid index).
 
         The unit starts committed at full output with its minimum-up time
@@ -379,21 +340,18 @@ class StrategicBiddingEnv:
         )
         return self._observe()
 
-    def current_record(self) -> HourlyMarketRecord:
-        return self.series.record(self._require_index())
-
     def step(self, a_raw: float) -> StepOutcome:
         i = self._require_index()
         if self._steps_left <= 0:
             raise RuntimeError("step after episode end")
         alpha = map_action(float(a_raw))
-        outcome, self._unit = settle(
-            alpha, self.series.record(i), self.spec, self._unit, self.dispatch_mode
-        )
+        f = self.series.fields
+        prices = (f["lmp_da"].item(i), f["lmp_rt"].item(i), f["gas_price"].item(i))
+        outcome, self._unit = settle(alpha, *prices, self.spec, self._unit, self.dispatch_mode)
         self._index = i + 1
         self._steps_left -= 1
         done = self._steps_left == 0
-        # An episode may consume the last record of the series, in which
+        # An episode may consume the last hour of the series, in which
         # case there is no next hour to observe; only reachable when done.
         next_obs = self._observe() if self._index < len(self.series) else None
         return replace(outcome, observation_next=next_obs, done=done)
@@ -403,8 +361,11 @@ class StrategicBiddingEnv:
 class EpisodeLedger:
     """Per-step record of an evaluation or diagnostic episode.
 
-    Weight/proposal columns are present only for hierarchical runs; metric
-    code treats their absence as "not applicable".
+    ``append`` records what each action settled. The market columns
+    (timestamps, lmp_da, lmp_rt, volatility) do not depend on the actions,
+    so the episode runner fills them once from the settled hours of the
+    series. Weight/proposal columns are present only for hierarchical
+    runs; metric code treats their absence as "not applicable".
     """
 
     roles: tuple = ()
@@ -423,18 +384,21 @@ class EpisodeLedger:
     proposals: list = field(default_factory=list)
     r_meta: list = field(default_factory=list)
 
-    def append(
-        self,
-        record: HourlyMarketRecord,
-        outcome: StepOutcome,
-        volatility: float,
-        weights=None,
-        proposals=None,
-        r_meta=None,
-    ) -> None:
-        self.timestamps.append(record.timestamp)
-        self.lmp_da.append(record.lmp_da)
-        self.lmp_rt.append(record.lmp_rt)
+    # CSV columns after the timestamp, in order; each names a list field.
+    CSV_COLUMNS = (
+        "lmp_da",
+        "lmp_rt",
+        "alpha",
+        "profit",
+        "revenue_da",
+        "revenue_rt",
+        "cost_marginal",
+        "cost_startup",
+        "penalty",
+        "volatility",
+    )
+
+    def append(self, outcome: StepOutcome, weights=None, proposals=None, r_meta=None) -> None:
         self.alpha.append(outcome.alpha)
         self.profit.append(outcome.reward_raw)
         c = outcome.components
@@ -443,7 +407,6 @@ class EpisodeLedger:
         self.cost_marginal.append(c.cost_marginal)
         self.cost_startup.append(c.cost_startup)
         self.penalty.append(c.penalty)
-        self.volatility.append(volatility)
         if weights is not None:
             self.weights.append(tuple(float(w) for w in weights))
         if proposals is not None:
@@ -452,7 +415,7 @@ class EpisodeLedger:
             self.r_meta.append(float(r_meta))
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.profit)
 
     @property
     def profits(self) -> np.ndarray:
@@ -475,19 +438,7 @@ class EpisodeLedger:
         return w[:, self.roles.index("spec")]
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        cols = [
-            "timestamp",
-            "lmp_da",
-            "lmp_rt",
-            "alpha",
-            "profit",
-            "revenue_da",
-            "revenue_rt",
-            "cost_marginal",
-            "cost_startup",
-            "penalty",
-            "volatility",
-        ]
+        cols = ["timestamp", *self.CSV_COLUMNS]
         has_w = bool(self.weights)
         has_p = bool(self.proposals)
         has_m = bool(self.r_meta)
@@ -497,25 +448,15 @@ class EpisodeLedger:
             cols += [f"prop_{r}" for r in self.roles]
         if has_m:
             cols.append("r_meta")
+        columns = [getattr(self, name) for name in self.CSV_COLUMNS]
         with open(path, "w", newline="") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(cols)
             for i in range(len(self)):
-                row = [
-                    format_timestamp(self.timestamps[i]),
-                    repr(self.lmp_da[i]),
-                    repr(self.lmp_rt[i]),
-                    repr(self.alpha[i]),
-                    repr(self.profit[i]),
-                    repr(self.revenue_da[i]),
-                    repr(self.revenue_rt[i]),
-                    repr(self.cost_marginal[i]),
-                    repr(self.cost_startup[i]),
-                    repr(self.penalty[i]),
-                    repr(self.volatility[i]),
-                ]
+                row = [format_timestamp(self.timestamps[i])]
+                row += [repr(col[i]) for col in columns]
                 if has_w:
                     row += [repr(w) for w in self.weights[i]]
                 if has_p:

@@ -250,7 +250,7 @@ def aggregate_reports(reports: list) -> dict:
 
 def greedy(net):
     """A single policy's deterministic action, as a runner policy."""
-    return lambda obs, env: float(net.act_deterministic(obs.vector)[0])
+    return lambda obs, env: float(net.act_deterministic(obs)[0])
 
 
 def run_policy_episode(
@@ -265,25 +265,29 @@ def run_policy_episode(
     ``policy(obs, env)`` returns the raw action, or a :class:`Blend`, whose
     weights and proposals are recorded along with ``r_meta``, the meta
     reward of each hour's profit under ``shaping``. A policy that returns
-    blends names their columns with its ``roles``, one per weight.
+    blends names their columns with its ``roles``, one per weight. The
+    ledger's market columns are those of the settled hours.
     """
     shaping = shaping or ShapingParams()
     ledger = EpisodeLedger(roles=getattr(policy, "roles", ()))
     obs = env.reset(start=start)
+    first = env.current_index
     done = False
     while not done:
-        record = env.current_record()
-        vol = env.volatility_at(env.current_index)
         act = policy(obs, env)
         if isinstance(act, Blend):
             if len(act.weights) != len(ledger.roles):
                 raise ValueError(f"{len(act.weights)} blend weights for roles {ledger.roles}")
             out = env.step(act.action)
-            r_meta = reward_meta(out.reward_raw, shaping)
-            ledger.append(record, out, vol, act.weights, act.proposals, r_meta)
+            ledger.append(out, act.weights, act.proposals, reward_meta(out.reward_raw, shaping))
         else:
             out = env.step(float(act))
-            ledger.append(record, out, volatility=vol)
+            ledger.append(out)
         obs = out.observation_next
         done = out.done
+    settled = slice(first, env.current_index)
+    ledger.timestamps = env.series.timestamps[settled].tolist()
+    ledger.lmp_da = env.series.fields["lmp_da"][settled].tolist()
+    ledger.lmp_rt = env.series.fields["lmp_rt"][settled].tolist()
+    ledger.volatility = env.volatility[settled].tolist()
     return ledger

@@ -152,16 +152,6 @@ class MarketSeries:
     def __len__(self) -> int:
         return int(self.timestamps.size)
 
-    def record(self, i: int) -> HourlyMarketRecord:
-        return HourlyMarketRecord(
-            timestamp=int(self.timestamps[i]),
-            **{k: float(self.fields[k][i]) for k in FIELD_NAMES},
-        )
-
-    @property
-    def records(self) -> list:
-        return [self.record(i) for i in range(len(self))]
-
     def has_missing(self) -> bool:
         return any(bool(np.isnan(v).any()) for v in self.fields.values())
 

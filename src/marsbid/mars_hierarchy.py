@@ -60,9 +60,7 @@ class AgentEnsemble:
 
     def proposals(self, obs) -> np.ndarray:
         """Deterministic mean action of every worker, shape (K,)."""
-        return np.array(
-            [float(net.act_deterministic(obs.vector)[0]) for _, net in self.workers]
-        )
+        return np.array([float(net.act_deterministic(obs)[0]) for _, net in self.workers])
 
     def param_hashes(self) -> dict:
         return {role: net.param_hash() for role, net in self.workers}
@@ -118,7 +116,7 @@ class BlendPolicy:
     def __call__(self, obs, env) -> Blend:
         proposals = self.ensemble.proposals(obs)
         if isinstance(self.meta, PolicyNetwork):
-            weights = softmax(self.meta.forward(obs.vector)[0])
+            weights = softmax(self.meta.forward(obs)[0])
         else:
             weights = self.meta
         return Blend(blend(weights, proposals), weights, proposals)

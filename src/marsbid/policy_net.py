@@ -69,15 +69,14 @@ def sample_action(mean, log_std, rng: np.random.Generator, squash: bool = True, 
     """Draw a diagonal-Gaussian action, tanh-squashed into (-1, 1) when
     ``squash`` (the meta controller's raw logits are not squashed).
 
-    ``mean``/``log_std`` are action vectors of shape (A,); the draw consumes
+    ``mean``/``log_std`` are float64 arrays of shape (A,), as
+    :meth:`PolicyNetwork.forward` returns them; the draw consumes
     ``rng.standard_normal`` of shape (A,), or (*size, A) with ``size``
     given. Returns an :class:`ActionSample`; ``log_prob`` is summed over
     action components: the Gaussian density of the pre-squash draw, minus
     the tanh change-of-variables term when squashed. A non-finite mean or
     log_std raises :class:`DivergenceError`.
     """
-    mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    log_std = np.broadcast_to(np.asarray(log_std, dtype=np.float64), mean.shape)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(log_std))):
         raise DivergenceError("non-finite policy mean or log_std")
     shape = mean.shape if size is None else tuple(np.atleast_1d(size)) + mean.shape

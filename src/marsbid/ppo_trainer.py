@@ -298,7 +298,7 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     envs = [env_factory() for _ in range(workers)]
-    obs = [envs[i].reset(rng=env_rngs[i]).vector for i in range(workers)]
+    obs = [envs[i].reset(rng=env_rngs[i]) for i in range(workers)]
 
     T = cfg.buffer_size // workers
     A = policy.action_dim
@@ -333,9 +333,9 @@ def train(
                 buf_val[t, i] = value
                 buf_done[t, i] = 1.0 if out.done else 0.0
                 if out.done:
-                    obs[i] = envs[i].reset(rng=env_rngs[i]).vector
+                    obs[i] = envs[i].reset(rng=env_rngs[i])
                 else:
-                    obs[i] = out.observation_next.vector
+                    obs[i] = out.observation_next
 
         bootstrap = np.array([policy.value(obs[i]) for i in range(workers)])
         advantages, returns = compute_gae(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -100,7 +98,8 @@ class BanditEnv:
     obs_dim = 4
 
     def __init__(self):
-        self._obs = SimpleNamespace(vector=np.zeros(self.obs_dim))
+        self._obs = np.zeros(self.obs_dim)
+        self._obs.flags.writeable = False
 
     def reset(self, start=None, rng=None):
         return self._obs

@@ -81,10 +81,7 @@ def test_criterion_01_equation_oracles():
         alpha = rng.uniform(0, 1)
         offline = rng.random() < 0.3
         unit = UnitState(committed=not offline, hours_in_state=5, prev_output=0.0 if offline else 100.0)
-        rec = make_series(
-            lmp_da=np.full(1, lmp_da), lmp_rt=np.full(1, lmp_rt), gas_price=np.full(1, gas)
-        ).record(0)
-        out, _ = settle(alpha, rec, gen, unit)
+        out, _ = settle(alpha, float(lmp_da), float(lmp_rt), float(gas), gen, unit)
         q_da = alpha * gen.p_max
         q_rt = gen.p_max - q_da
         expected = (
@@ -234,7 +231,7 @@ def specialization_runs():
         def mean_alpha(net, series):
             env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
             led = run_policy_episode(
-                env, lambda obs, e: float(net.act_deterministic(obs.vector)[0]), start=24
+                env, lambda obs, e: float(net.act_deterministic(obs)[0]), start=24
             )
             return float(np.mean(led.alpha))
 
@@ -283,7 +280,7 @@ def test_criterion_05_hierarchy_invariants():
     done = False
     while not done:
         proposals = ensemble.proposals(obs)
-        w = softmax(meta.sample(obs.vector, rng).action)  # sampled: the full simplex
+        w = softmax(meta.sample(obs, rng).action)  # sampled: the full simplex
         assert abs(float(w.sum()) - 1.0) <= 1e-9
         assert np.all(w >= -1e-9)
         a = blend(w, proposals)
@@ -332,7 +329,7 @@ def regime_runs():
         )
         spec_net = dict(ens.workers)["spec"]
         solo_spec = run_policy_episode(
-            env, lambda obs, e: float(spec_net.act_deterministic(obs.vector)[0]), start=24
+            env, lambda obs, e: float(spec_net.act_deterministic(obs)[0]), start=24
         )
         runs.append(
             {

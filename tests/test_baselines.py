@@ -8,14 +8,14 @@ from marsbid.baselines import (
     RollingOptPolicy,
     rolling_opt_action,
     select_best_single,
-    static_blend_policy,
     train_cvar,
     train_vanilla,
 )
-from marsbid.bidding_env import StrategicBiddingEnv
+from marsbid.bidding_env import StrategicBiddingEnv, map_action
 from marsbid.evaluation import max_drawdown, run_policy_episode
 from marsbid.market_data import MarketSeries, SyntheticConfig, generate_synthetic
-from marsbid.mars_hierarchy import blend
+from marsbid.mars_hierarchy import AgentEnsemble, BlendPolicy, blend
+from marsbid.policy_net import PolicyNetwork
 from marsbid.ppo_trainer import PpoConfig
 from marsbid.reward_shaping import ShapingParams
 
@@ -79,17 +79,43 @@ def test_rolling_opt_policy_over_env():
 
 
 def test_static_blend_symmetry():
-    assert static_blend_policy([-1.0, 1.0]) == 0.0
+    assert blend(np.full(2, 0.5), [-1.0, 1.0]) == 0.0
 
 
 def test_static_blend_mean():
-    assert static_blend_policy([0.2, 0.8]) == pytest.approx(0.5)
+    assert blend(np.full(2, 0.5), [0.2, 0.8]) == pytest.approx(0.5)
 
 
-@given(st.lists(st.floats(-1, 1), min_size=2, max_size=4))
-def test_static_blend_equals_uniform_blend(actions):
+def _constant_worker(role, action, obs_dim):
+    """A frozen worker whose deterministic action is ``action`` on every
+    observation: zero weights, output bias arctanh(action)."""
+    net = PolicyNetwork(obs_dim=obs_dim, hidden=(4,), role=role, seed=0)
+    for p in net.params.values():
+        p[...] = 0.0
+    net.params["bp"][...] = np.arctanh(action)
+    net.freeze()
+    return net
+
+
+_STATIC_ENV = StrategicBiddingEnv(
+    make_series(lmp_da=np.linspace(30, 70, 60), lmp_rt=np.linspace(45, 55, 60)), episode_len=6
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-0.99, 0.99), min_size=2, max_size=4))
+def test_static_blend_executes_mean_of_proposals(actions):
+    roles = ("safe", "spec", "neutral", "vanilla")[: len(actions)]
+    ensemble = AgentEnsemble(
+        workers=tuple(
+            (r, _constant_worker(r, a, _STATIC_ENV.obs_dim)) for r, a in zip(roles, actions)
+        )
+    )
     k = len(actions)
-    assert static_blend_policy(actions) == blend(np.full(k, 1.0 / k), actions)
+    ledger = run_policy_episode(_STATIC_ENV, BlendPolicy(ensemble, np.full(k, 1.0 / k)), start=24)
+    for alpha, proposals in zip(ledger.alpha, ledger.proposals):
+        np.testing.assert_allclose(proposals, actions, atol=1e-12)
+        assert alpha == pytest.approx(map_action(float(np.mean(proposals))), abs=1e-12)
 
 
 # -- learned baselines --------------------------------------------------------------
@@ -107,7 +133,7 @@ def test_vanilla_learns_da_premium(premium_env_factory):
     net, log = train_vanilla(factory, cfg, ShapingParams(), seed=2)
     env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
     led = run_policy_episode(
-        env, lambda obs, e: float(net.act_deterministic(obs.vector)[0]), start=24
+        env, lambda obs, e: float(net.act_deterministic(obs)[0]), start=24
     )
     assert float(np.mean(led.alpha)) > 0.8
     assert net.role == "vanilla"
@@ -171,7 +197,7 @@ def test_cvar_drawdown_not_worse_than_vanilla_majority():
         mdds = {}
         for name, net in (("vanilla", vanilla_net), ("cvar", cvar_net)):
             led = run_policy_episode(
-                env, lambda o, e, n=net: float(n.act_deterministic(o.vector)[0]), start=24
+                env, lambda o, e, n=net: float(n.act_deterministic(o)[0]), start=24
             )
             mdds[name] = max_drawdown(led.equity)[0]
         wins += mdds["cvar"] <= mdds["vanilla"]

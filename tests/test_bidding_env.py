@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marsbid.bidding_env import (
+    OBS_HISTORY_HOURS,
     GeneratorSpec,
     StrategicBiddingEnv,
     UnitState,
     map_action,
-    rolling_volatility,
     settle,
 )
 
 from conftest import make_series
+from oracles import observation, rolling_volatility
 
 SPEC = GeneratorSpec()  # p_max 100, heat_rate 7.5
 ON = UnitState(committed=True, hours_in_state=4, prev_output=100.0)
@@ -20,8 +21,8 @@ OFF = UnitState(committed=False, hours_in_state=4, prev_output=0.0)
 
 
 def rec(lmp_da=50.0, lmp_rt=60.0, gas=4.0):
-    return make_series(lmp_da=np.full(1, lmp_da), lmp_rt=np.full(1, lmp_rt),
-                       gas_price=np.full(1, gas)).record(0)
+    """One hour's (lmp_da, lmp_rt, gas_price), the market inputs of settle."""
+    return float(lmp_da), float(lmp_rt), float(gas)
 
 
 # -- map_action --------------------------------------------------------------
@@ -58,7 +59,7 @@ def test_map_action_range(a):
 
 def test_settle_hand_example():
     # 100 MW at alpha 0.6: 60 MW at 50 $ + 40 MW at 60 $ - 100 MW at 30 $
-    out, nxt = settle(0.6, rec(), SPEC, ON)
+    out, nxt = settle(0.6, *rec(), SPEC, ON)
     assert out.reward_raw == pytest.approx(2400.0, abs=1e-9)
     assert out.components.revenue_da == pytest.approx(3000.0)
     assert out.components.revenue_rt == pytest.approx(2400.0)
@@ -68,13 +69,13 @@ def test_settle_hand_example():
 
 
 def test_settle_zero_case():
-    out, _ = settle(0.5, rec(lmp_da=0.0, lmp_rt=0.0, gas=0.0),
+    out, _ = settle(0.5, *rec(lmp_da=0.0, lmp_rt=0.0, gas=0.0),
                     GeneratorSpec(startup_cost=0.0), ON)
     assert out.reward_raw == 0.0
 
 
 def test_settle_startup_cost_from_offline():
-    out, nxt = settle(0.6, rec(), SPEC, OFF)
+    out, nxt = settle(0.6, *rec(), SPEC, OFF)
     assert out.reward_raw == pytest.approx(1900.0, abs=1e-9)
     assert out.components.cost_startup == 500.0
     assert nxt.committed and nxt.hours_in_state == 1
@@ -82,7 +83,7 @@ def test_settle_startup_cost_from_offline():
 
 def test_settle_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        settle(1.2, rec(), SPEC, ON)
+        settle(1.2, *rec(), SPEC, ON)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +94,7 @@ def test_settle_rejects_bad_alpha():
     alpha=st.floats(0, 1),
 )
 def test_settle_decomposition_identity(lmp_da, lmp_rt, gas, alpha):
-    out, _ = settle(alpha, rec(lmp_da, lmp_rt, gas), SPEC, ON)
+    out, _ = settle(alpha, *rec(lmp_da, lmp_rt, gas), SPEC, ON)
     c = out.components
     total = c.revenue_da + c.revenue_rt - c.cost_marginal - c.cost_startup - c.penalty
     assert out.reward_raw == pytest.approx(total, abs=1e-9)
@@ -101,7 +102,7 @@ def test_settle_decomposition_identity(lmp_da, lmp_rt, gas, alpha):
 
 @given(alpha=st.floats(0, 1))
 def test_settle_capacity_identity(alpha):
-    out, _ = settle(alpha, rec(), SPEC, ON)
+    out, _ = settle(alpha, *rec(), SPEC, ON)
     q_da = out.components.revenue_da / 50.0
     q_rt = out.components.revenue_rt / 60.0
     assert q_da + q_rt == pytest.approx(SPEC.p_max, abs=1e-9)
@@ -109,7 +110,7 @@ def test_settle_capacity_identity(alpha):
 
 def test_settle_alpha_irrelevant_when_prices_equal():
     pis = [
-        settle(a, rec(lmp_da=47.0, lmp_rt=47.0), SPEC, ON)[0].reward_raw
+        settle(a, *rec(lmp_da=47.0, lmp_rt=47.0), SPEC, ON)[0].reward_raw
         for a in (0.0, 0.3, 0.9, 1.0)
     ]
     assert max(pis) - min(pis) < 1e-9
@@ -118,15 +119,15 @@ def test_settle_alpha_irrelevant_when_prices_equal():
 def test_settle_economic_shutdown_and_blocked_restart():
     # marginal cost above both prices: unit wants off
     expensive = rec(lmp_da=10.0, lmp_rt=12.0, gas=10.0)  # mc = 75
-    out, nxt = settle(0.5, expensive, SPEC, ON, dispatch_mode="economic")
+    out, nxt = settle(0.5, *expensive, SPEC, ON, dispatch_mode="economic")
     assert not nxt.committed and out.reward_raw == 0.0
     # still in min_down: restart blocked and fined
     cheap = rec(lmp_da=80.0, lmp_rt=70.0, gas=4.0)
-    out2, nxt2 = settle(0.5, cheap, SPEC, UnitState(False, 1, 0.0), dispatch_mode="economic")
+    out2, nxt2 = settle(0.5, *cheap, SPEC, UnitState(False, 1, 0.0), dispatch_mode="economic")
     assert not nxt2.committed
     assert out2.components.penalty == SPEC.mutd_penalty
     # min_down served: restart happens, startup cost paid, output ramp-limited
-    out3, nxt3 = settle(0.5, cheap, SPEC, UnitState(False, 4, 0.0), dispatch_mode="economic")
+    out3, nxt3 = settle(0.5, *cheap, SPEC, UnitState(False, 4, 0.0), dispatch_mode="economic")
     assert nxt3.committed
     assert out3.components.cost_startup == SPEC.startup_cost
     assert nxt3.prev_output == 50.0  # ramp_rate-limited startup
@@ -134,14 +135,14 @@ def test_settle_economic_shutdown_and_blocked_restart():
 
 def test_settle_economic_blocked_shutdown_fined():
     expensive = rec(lmp_da=10.0, lmp_rt=12.0, gas=10.0)
-    out, nxt = settle(0.5, expensive, SPEC, UnitState(True, 2, 100.0), dispatch_mode="economic")
+    out, nxt = settle(0.5, *expensive, SPEC, UnitState(True, 2, 100.0), dispatch_mode="economic")
     assert nxt.committed  # min_up not served
     assert out.components.penalty == SPEC.mutd_penalty
 
 
 def test_settle_economic_ramp_clamp_fined():
     spec = GeneratorSpec(ramp_rate=30.0)
-    out, nxt = settle(0.5, rec(), spec, UnitState(True, 10, 40.0), dispatch_mode="economic")
+    out, nxt = settle(0.5, *rec(), spec, UnitState(True, 10, 40.0), dispatch_mode="economic")
     assert nxt.prev_output == 70.0  # 40 + 30
     assert out.components.penalty == pytest.approx(spec.ramp_penalty * 30.0)
 
@@ -180,8 +181,8 @@ def test_reset_builds_history_from_preceding_hours():
     da = np.arange(200.0)
     env = StrategicBiddingEnv(make_series(lmp_da=da), episode_len=24)
     obs = env.reset(start=24)
-    np.testing.assert_allclose(obs.da_price_history * env.price_scale, da[:24])
-    assert obs.dim == env.obs_dim == 33
+    np.testing.assert_allclose(obs[:OBS_HISTORY_HOURS] * env.price_scale, da[:24])
+    assert obs.size == env.obs_dim == 33
 
 
 def test_reset_insufficient_history():
@@ -199,9 +200,9 @@ def test_reset_overrun():
 def test_constant_series_observation():
     env = StrategicBiddingEnv(make_series(lmp_da=np.full(100, 42.0)), episode_len=24)
     obs = env.reset(start=24)
-    assert obs.volatility_24h == 0.0
-    np.testing.assert_allclose(obs.da_price_history, 0.42)
-    assert all(-1.0 <= t <= 1.0 for t in obs.time_enc)
+    assert obs[OBS_HISTORY_HOURS] == 0.0  # volatility
+    np.testing.assert_allclose(obs[:OBS_HISTORY_HOURS], 0.42)
+    assert np.all(np.abs(obs[-4:]) <= 1.0)  # time encodings
 
 
 def test_episode_len_one_is_done_immediately():
@@ -241,11 +242,11 @@ def test_step_deterministic_replay():
 def test_observation_dim_constant_across_steps():
     env = StrategicBiddingEnv(make_series(lmp_da=np.arange(300.0)), episode_len=48)
     obs = env.reset(start=40)
-    dims = {obs.dim}
+    dims = {obs.size}
     for _ in range(48):
         out = env.step(0.3)
         if out.observation_next is not None:
-            dims.add(out.observation_next.dim)
+            dims.add(out.observation_next.size)
     assert dims == {env.obs_dim}
 
 
@@ -254,9 +255,10 @@ def test_env_volatility_matches_rolling_volatility():
     da = rng.normal(50, 12, 300)
     env = StrategicBiddingEnv(make_series(lmp_da=da), episode_len=24)
     for i in (24, 100, 276):
-        assert env.volatility_at(i) == pytest.approx(
+        assert env.volatility[i] == pytest.approx(
             rolling_volatility(da[i - 24 : i]), abs=1e-12
         )
+    assert not env.volatility.flags.writeable
 
 
 def test_env_requires_repaired_series():
@@ -279,8 +281,56 @@ def test_optional_weather_extras():
     )
     env = StrategicBiddingEnv(series, episode_len=24, include_weather=True)
     obs = env.reset(start=24)
-    assert env.obs_dim == 35 and obs.dim == 35
+    assert env.obs_dim == 35 and obs.size == 35
     t_scale, w_scale = StrategicBiddingEnv.WEATHER_SCALES
-    assert obs.weather == (14.0 / t_scale, 6.0 / w_scale)
+    assert tuple(obs[-2:]) == (14.0 / t_scale, 6.0 / w_scale)
     # off by default
     assert StrategicBiddingEnv(series, episode_len=24).obs_dim == 33
+
+
+# -- observations against the field-by-field oracle ------------------------------
+
+_RNG = np.random.default_rng(21)
+_N = 240
+# DA/RT prices straddle the marginal cost (30 $/MWh), so economic dispatch
+# shuts the unit down, blocks restarts and clamps ramps.
+_SERIES = make_series(
+    lmp_da=_RNG.normal(35.0, 20.0, _N),
+    lmp_rt=_RNG.normal(35.0, 25.0, _N),
+    load_forecast=_RNG.uniform(800.0, 1200.0, _N),
+    temperature=_RNG.normal(12.0, 8.0, _N),
+    wind_speed=_RNG.uniform(0.0, 15.0, _N),
+    gas_price=_RNG.uniform(3.0, 5.0, _N),
+)
+_ENVS = {
+    (mode, weather): StrategicBiddingEnv(
+        _SERIES, episode_len=48, dispatch_mode=mode, include_weather=weather
+    )
+    for mode in ("always_on", "economic")
+    for weather in (False, True)
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["always_on", "economic"]),
+    weather=st.booleans(),
+    start=st.integers(OBS_HISTORY_HOURS, _N - 48),
+    actions=st.lists(st.floats(-1.5, 1.5), min_size=48, max_size=48),
+)
+def test_observations_equal_field_by_field_oracle(mode, weather, start, actions):
+    env = _ENVS[(mode, weather)]
+    f = _SERIES.fields
+    unit = UnitState(committed=True, hours_in_state=env.spec.min_up, prev_output=env.spec.p_max)
+    obs = env.reset(start=start)
+    for t, a in enumerate(actions):
+        i = start + t
+        assert obs.size == env.obs_dim
+        assert np.array_equal(obs, observation(env, i, unit))
+        assert not obs.flags.writeable
+        out = env.step(a)
+        _, unit = settle(
+            map_action(a), f["lmp_da"][i], f["lmp_rt"][i], f["gas_price"][i], env.spec, unit, mode
+        )
+        obs = out.observation_next
+    assert out.done

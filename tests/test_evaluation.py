@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marsbid.bidding_env import EpisodeLedger, SettlementComponents, StepOutcome
+from marsbid.bidding_env import (
+    EpisodeLedger,
+    SettlementComponents,
+    StepOutcome,
+    StrategicBiddingEnv,
+)
 from marsbid.evaluation import (
     aggregate_reports,
     allocation_entropy,
@@ -15,11 +20,15 @@ from marsbid.evaluation import (
     regime_alignment,
     regime_alignment_expost,
     rolling_metrics,
+    run_policy_episode,
     sharpe,
     sortino,
     write_reports_csv,
 )
-from marsbid.market_data import HourlyMarketRecord
+from marsbid.market_data import format_timestamp
+
+from conftest import make_series
+from oracles import rolling_volatility
 
 
 # -- brute-force oracles (independent reimplementation) -------------------------
@@ -230,13 +239,15 @@ def test_rolling_too_short():
 
 
 def _ledger_with(profits, weights=None, roles=()):
-    led = EpisodeLedger(roles=roles)
+    n = len(profits)
+    led = EpisodeLedger(
+        roles=roles,
+        timestamps=[447072 + i for i in range(n)],
+        lmp_da=[50.0] * n,
+        lmp_rt=[45.0 + (i % 3) * 5.0 for i in range(n)],
+        volatility=[float(i % 7) for i in range(n)],
+    )
     for i, pi in enumerate(profits):
-        rec = HourlyMarketRecord(
-            timestamp=447072 + i, lmp_da=50.0, lmp_rt=45.0 + (i % 3) * 5.0,
-            load_actual=1.0, load_forecast=1.0, temperature=0.0, wind_speed=0.0,
-            gas_price=4.0,
-        )
         out = StepOutcome(
             reward_raw=float(pi),
             observation_next=None,
@@ -244,8 +255,7 @@ def _ledger_with(profits, weights=None, roles=()):
             components=SettlementComponents(pi, 0.0, 0.0, 0.0, 0.0),
             alpha=0.5,
         )
-        led.append(rec, out, volatility=float(i % 7),
-                   weights=None if weights is None else weights[i])
+        led.append(out, weights=None if weights is None else weights[i])
     return led
 
 
@@ -295,3 +305,31 @@ def test_aggregate_mean_equals_mean_of_reports():
     # None metrics aggregated over no values
     assert agg["allocation_entropy"]["mean"] is None
     assert agg["allocation_entropy"]["n"] == 0
+
+
+# -- ledger market columns ------------------------------------------------------------
+
+
+def test_ledger_market_columns_are_the_settled_hours(tmp_path):
+    rng = np.random.default_rng(8)
+    series = make_series(lmp_da=rng.normal(50, 15, 200), lmp_rt=rng.normal(50, 20, 200))
+    env = StrategicBiddingEnv(series, episode_len=48)
+    ledger = run_policy_episode(env, lambda obs, e: 0.3, start=30)
+    hours = range(30, 78)
+    assert len(ledger) == 48
+    da, rt = series.fields["lmp_da"], series.fields["lmp_rt"]
+    assert ledger.timestamps == [int(series.timestamps[i]) for i in hours]
+    assert ledger.lmp_da == [float(da[i]) for i in hours]
+    assert ledger.lmp_rt == [float(rt[i]) for i in hours]
+    for i, vol in zip(hours, ledger.volatility):
+        assert vol == pytest.approx(rolling_volatility(da[i - 24 : i]), abs=1e-12)
+    # plain Python numbers, so the CSV writes repr(float), never numpy reprs
+    cells = ledger.timestamps + ledger.lmp_da + ledger.lmp_rt + ledger.volatility
+    assert {type(v) for v in cells} == {int, float}
+    path = tmp_path / "ledger.csv"
+    ledger.to_csv(path)
+    header, first = path.read_text().splitlines()[:2]
+    assert header.split(",") == ["timestamp", *EpisodeLedger.CSV_COLUMNS]
+    row = first.split(",")
+    assert row[0] == format_timestamp(series.timestamps[30])
+    assert row[1:3] == [repr(float(da[30])), repr(float(rt[30]))]

@@ -98,9 +98,9 @@ def test_blend_policy_weights_deterministic_vs_sampled():
         obs_dim=env.obs_dim, hidden=(8,), action_dim=2, role="meta", squash=False, seed=3
     )
     step = BlendPolicy(small_ensemble(), meta)(obs, env)
-    mean, _, _ = meta.forward(obs.vector)
+    mean, _, _ = meta.forward(obs)
     np.testing.assert_allclose(step.weights, softmax(mean))
-    sample = meta.sample(obs.vector, np.random.default_rng(0))
+    sample = meta.sample(obs, np.random.default_rng(0))
     assert np.isfinite(sample.log_prob).all()
     w_s = softmax(sample.action)
     assert abs(w_s.sum() - 1.0) <= 1e-12
@@ -157,7 +157,7 @@ def test_safe_only_weights_match_standalone_safe():
     hier = run_policy_episode(env1, BlendPolicy(ens, np.array([1.0, 0.0])), start=24)
     env2 = StrategicBiddingEnv(series, episode_len=72)
     solo = run_policy_episode(
-        env2, lambda obs, env: float(safe_net.act_deterministic(obs.vector)[0]), start=24
+        env2, lambda obs, env: float(safe_net.act_deterministic(obs)[0]), start=24
     )
     np.testing.assert_array_equal(hier.profits, solo.profits)
     np.testing.assert_array_equal(hier.alpha, solo.alpha)
@@ -176,7 +176,7 @@ def test_blend_policy_ledger_records_weights_proposals_and_meta_reward():
     # replay the same hours, recomputing every column from its definition
     obs = env.reset(start=24)
     for t in range(len(ledger)):
-        mean, _, _ = meta.forward(obs.vector)
+        mean, _, _ = meta.forward(obs)
         proposals = ens.proposals(obs)
         assert ledger.weights[t] == tuple(softmax(mean))
         assert ledger.proposals[t] == tuple(proposals)
@@ -244,7 +244,7 @@ def test_university_specializes_and_freezes(trained_pair):
     for role, net in ens.workers:
         assert net.frozen
         led = run_policy_episode(
-            env, lambda obs, e, n=net: float(n.act_deterministic(obs.vector)[0]), start=24
+            env, lambda obs, e, n=net: float(n.act_deterministic(obs)[0]), start=24
         )
         alphas[role] = float(np.mean(led.alpha))
     assert alphas["safe"] > 0.8
