@@ -4,15 +4,15 @@ risk-aware reinforcement learning agents."""
 from .bidding_env import (
     EpisodeLedger,
     GeneratorSpec,
-    StepOutcome,
+    Settlement,
     StrategicBiddingEnv,
+    Tape,
     UnitState,
     map_action,
     settle,
 )
 from .market_data import (
     DateRange,
-    HourlyMarketRecord,
     MarketSeries,
     SplitSpec,
     SyntheticConfig,

@@ -52,16 +52,22 @@ def rolling_opt_action(history, cfg: RollingOptConfig, prev_action: float = 0.0)
 
 
 class RollingOptPolicy:
-    """Stateful wrapper holding the previous action between steps."""
+    """:func:`rolling_opt_action` as a runner policy: it scans the realized
+    spreads before each hour of the tape, starting from a neutral action."""
 
     def __init__(self, cfg: RollingOptConfig | None = None):
         self.cfg = cfg or RollingOptConfig()
-        self.prev_action = 0.0
 
-    def __call__(self, obs, env) -> float:
-        spread = env.spread_history(self.cfg.window)
-        self.prev_action = rolling_opt_action(spread, self.cfg, self.prev_action)
-        return self.prev_action
+    def __call__(self, tape) -> np.ndarray:
+        w = self.cfg.window
+        if tape.start < w:
+            raise ValueError(f"only {tape.start} hours of history before the tape, need {w}")
+        f = tape.series.fields
+        spread = f["lmp_da"] - f["lmp_rt"]
+        actions = [0.0]
+        for i in range(tape.start, tape.start + len(tape)):
+            actions.append(rolling_opt_action(spread[i - w : i], self.cfg, actions[-1]))
+        return np.array(actions[1:])
 
 
 def train_vanilla(
@@ -72,7 +78,11 @@ def train_vanilla(
     workers: int = 1,
     checkpoint_cb=None,
 ):
-    """Monolithic PPO agent on raw profit divided by s_linear."""
+    """Monolithic PPO agent on raw profit divided by s_linear.
+
+    Its seeds are :func:`train_cvar`'s (common random numbers): at one seed
+    both start from the same parameters and roll out over the same episode
+    starts and noise, so their comparison differs only in the reward."""
     return train_worker(
         env_factory,
         cfg,
@@ -94,7 +104,8 @@ def train_cvar(
 ):
     """PPO with rolling-quantile tail-penalty shaping (risk-averse
     baseline). The quantile window sees raw dollars; the shaped reward is
-    scaled like the vanilla agent's."""
+    scaled like the vanilla agent's, and so are the seeds (common random
+    numbers, see :func:`train_vanilla`)."""
     shaper = CvarRewardShaper(shaping)
     return train_worker(
         env_factory,
@@ -107,20 +118,18 @@ def train_cvar(
     )
 
 
-def select_best_single(candidates: dict, sharpe_by_name: dict) -> str:
-    """Pick the candidate with the highest train-split Sharpe.
+def select_best_single(sharpe_by_name: dict) -> str:
+    """Pick the name with the highest train-split Sharpe.
 
-    ``candidates`` maps name -> policy; ``sharpe_by_name`` maps name -> the
-    train-split Sharpe ratio (None counts as worst). Ties break on name
-    order for determinism.
+    ``sharpe_by_name`` maps candidate name -> the train-split Sharpe ratio
+    (None counts as worst). Ties break on name order for determinism.
     """
-    if not candidates:
+    if not sharpe_by_name:
         raise ValueError("no candidates to select from")
-    ranked = sorted(
-        candidates,
+    return min(
+        sharpe_by_name,
         key=lambda name: (
-            -(sharpe_by_name.get(name) if sharpe_by_name.get(name) is not None else -np.inf),
+            -(sharpe_by_name[name] if sharpe_by_name[name] is not None else -np.inf),
             name,
         ),
     )
-    return ranked[0]

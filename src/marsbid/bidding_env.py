@@ -13,21 +13,30 @@ Two dispatch modes:
 * ``economic``: the unit shuts down when marginal cost exceeds both LMPs,
   subject to minimum up/down times (infeasible transitions are blocked and
   fined) and ramp limits (clamped to feasibility and fined per MW clamped).
+
+The dynamics are exogenous: :func:`dispatch`, the unit-state transition,
+reads the prices and the unit but never alpha. So when an episode resets,
+one scan of the unit state fixes the whole episode as a :class:`Tape`: its
+observations and, per hour, the capacity, marginal cost, startup cost and
+fines. :func:`settle` is then elementwise arithmetic in alpha, for one hour
+or for every hour of the tape at once, and ``step`` is a cursor over the
+tape. This needs dynamics that do not depend on the action; a storage
+unit, whose state of charge follows its bids, would need a stepwise scan.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .market_data import MarketSeries, day_of_week, format_timestamp, hour_of_day
 
 OBS_HISTORY_HOURS = 24
-# Observation cells of the unit state, written per step after the price
-# window, the volatility and the load forecast.
+# Observation cells of the unit state, after the price window, the
+# volatility and the load forecast.
 UNIT_CELLS = slice(OBS_HISTORY_HOURS + 2, OBS_HISTORY_HOURS + 5)
 
 
@@ -59,8 +68,7 @@ class GeneratorSpec:
         return self.heat_rate * gas_price
 
 
-@dataclass(frozen=True)
-class UnitState:
+class UnitState(NamedTuple):
     """Commitment status and ramp memory of the unit."""
 
     committed: bool
@@ -68,8 +76,12 @@ class UnitState:
     prev_output: float
 
 
-@dataclass(frozen=True)
-class SettlementComponents:
+class Settlement(NamedTuple):
+    """What alpha settled: floats for one hour, arrays over a tape. The
+    profit decomposes exactly into the other money fields."""
+
+    alpha: float
+    profit: float
     revenue_da: float
     revenue_rt: float
     cost_marginal: float
@@ -77,47 +89,38 @@ class SettlementComponents:
     penalty: float
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of settling one hour."""
-
-    reward_raw: float  # profit in $, the decomposition identity holds exactly
-    observation_next: np.ndarray | None
-    done: bool
-    components: SettlementComponents
-    alpha: float
+def _holds(cond) -> bool:
+    """A condition that holds for one hour (a bool) or for every hour (a
+    bool array); the scalar case skips numpy's per-call overhead."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
 
 
-def map_action(a_raw: float) -> float:
-    """Map a raw action in [-1, 1] to the DA allocation ratio (a+1)/2.
+def map_action(a_raw):
+    """Map raw actions in [-1, 1] to DA allocation ratios (a+1)/2,
+    elementwise.
 
     Out-of-range finite values are clamped; stochastic policies routinely
     emit samples beyond the nominal bounds.
     """
-    if not math.isfinite(a_raw):
+    if not _holds(np.isfinite(a_raw)):
         raise ValueError(f"non-finite action {a_raw!r}")
-    return (min(1.0, max(-1.0, a_raw)) + 1.0) / 2.0
+    return (np.minimum(np.maximum(a_raw, -1.0), 1.0) + 1.0) / 2.0
 
 
-def settle(
-    alpha: float,
+def dispatch(
+    unit: UnitState,
     lmp_da: float,
     lmp_rt: float,
-    gas_price: float,
+    marginal_cost: float,
     spec: GeneratorSpec,
-    unit: UnitState,
     dispatch_mode: str = "always_on",
 ):
-    """Clear one hour of the two-settlement market at the given DA and RT
-    prices ($/MWh) and gas price ($/MMBtu).
+    """Run the unit through one hour at the given prices and marginal cost
+    ($/MWh); alpha plays no part.
 
-    Returns ``(StepOutcome, UnitState)``: the financial outcome per the
-    profit equation (observation_next/done are filled by the environment)
-    and the advanced unit state.
+    Returns ``(capacity, cost_startup, penalty, next_unit)``: the MW to
+    settle, the startup cost and fines in $, and the advanced unit state.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} out of [0, 1]")
-    mc = spec.marginal_cost(gas_price)
     penalty = 0.0
     startup = False
 
@@ -126,7 +129,7 @@ def settle(
         capacity = spec.p_max
         committed = True
     elif dispatch_mode == "economic":
-        want_on = mc <= max(lmp_da, lmp_rt)
+        want_on = marginal_cost <= max(lmp_da, lmp_rt)
         committed = unit.committed
         if unit.committed and not want_on:
             if unit.hours_in_state < spec.min_up:
@@ -152,33 +155,46 @@ def settle(
     else:
         raise ValueError(f"unknown dispatch mode {dispatch_mode!r}")
 
-    q_da = alpha * capacity
-    q_rt = capacity - q_da
-    revenue_da = lmp_da * q_da
-    revenue_rt = lmp_rt * q_rt
-    cost_marginal = mc * (q_da + q_rt)
-    cost_startup = spec.startup_cost if startup else 0.0
-    profit = revenue_da + revenue_rt - cost_marginal - cost_startup - penalty
-
     next_unit = UnitState(
         committed=committed,
         hours_in_state=unit.hours_in_state + 1 if committed == unit.committed else 1,
         prev_output=capacity,
     )
-    outcome = StepOutcome(
-        reward_raw=profit,
-        observation_next=None,
-        done=False,
-        components=SettlementComponents(
-            revenue_da=revenue_da,
-            revenue_rt=revenue_rt,
-            cost_marginal=cost_marginal,
-            cost_startup=cost_startup,
-            penalty=penalty,
-        ),
-        alpha=alpha,
-    )
-    return outcome, next_unit
+    return capacity, spec.startup_cost if startup else 0.0, penalty, next_unit
+
+
+def settle(alpha, lmp_da, lmp_rt, marginal_cost, capacity, cost_startup, penalty) -> Settlement:
+    """Clear the two-settlement market per the profit equation, elementwise:
+    one hour's floats, or an alpha per hour and the rows of a tape's
+    ``dispatch``."""
+    if not _holds((0.0 <= alpha) & (alpha <= 1.0)):
+        raise ValueError(f"alpha {alpha} out of [0, 1]")
+    q_da = alpha * capacity
+    q_rt = capacity - q_da
+    revenue_da = lmp_da * q_da
+    revenue_rt = lmp_rt * q_rt
+    cost_marginal = marginal_cost * (q_da + q_rt)
+    profit = revenue_da + revenue_rt - cost_marginal - cost_startup - penalty
+    return Settlement(alpha, profit, revenue_da, revenue_rt, cost_marginal, cost_startup, penalty)
+
+
+@dataclass(frozen=True)
+class Tape:
+    """One episode's exogenous hours, fixed when the episode resets.
+
+    ``obs[t]`` is the read-only observation entering series hour
+    ``start + t``. ``dispatch`` is a read-only (6, T) array whose rows are
+    the hour arguments of :func:`settle`: lmp_da, lmp_rt, marginal cost,
+    capacity, startup cost and fines.
+    """
+
+    series: MarketSeries
+    start: int
+    obs: np.ndarray
+    dispatch: np.ndarray
+
+    def __len__(self) -> int:
+        return self.obs.shape[0]
 
 
 class StrategicBiddingEnv:
@@ -189,11 +205,11 @@ class StrategicBiddingEnv:
     affine map (price_scale, load_scale) so replays are deterministic.
 
     The market is exogenous: prices, volatility, load, time and weather
-    never depend on the action, and only the unit state does. So the
-    scaled price series and one read-only hour-feature matrix are built
-    once, and an observation is the 24-hour price window joined to the
-    current hour's feature row with the unit state written in. It is a
-    read-only float64 vector of ``obs_dim`` cells:
+    never depend on the action. So the 24-hour DA price windows and one
+    read-only hour-feature matrix are built once, and ``reset`` builds the
+    episode's :class:`Tape` (``env.tape``) from them and one scan of the
+    unit state. An observation is a read-only float64 vector of ``obs_dim``
+    cells:
 
     * 0-23: the DA LMPs of the 24 hours before the current one, oldest
       first, divided by price_scale;
@@ -238,18 +254,18 @@ class StrategicBiddingEnv:
         self.dispatch_mode = dispatch_mode
         self.include_weather = bool(include_weather)
 
-        # volatility[i] = population std of the 24 DA prices before index i
-        windows = np.lib.stride_tricks.sliding_window_view(f["lmp_da"], OBS_HISTORY_HOURS)
+        # row j: the DA prices of hours j .. j + 23; volatility[i] = population
+        # std of the 24 DA prices before index i
+        self._windows = np.lib.stride_tricks.sliding_window_view(f["lmp_da"], OBS_HISTORY_HOURS)
         self.volatility = np.full(len(series), np.nan)
-        self.volatility[OBS_HISTORY_HOURS:] = windows[:-1].std(axis=1)
+        self.volatility[OBS_HISTORY_HOURS:] = self._windows[:-1].std(axis=1)
         self.volatility.flags.writeable = False
-        self._prices = f["lmp_da"] / self.price_scale
         hod = hour_of_day(series.timestamps).astype(np.float64)
         dow = day_of_week(series.timestamps).astype(np.float64)
         columns = [
             self.volatility / self.price_scale,
             f["load_forecast"] / self.load_scale,
-            np.zeros((len(series), 3)),  # unit state, written per step
+            np.zeros((len(series), 3)),  # unit state, written per tape
             np.sin(2 * np.pi * hod / 24.0),
             np.cos(2 * np.pi * hod / 24.0),
             np.sin(2 * np.pi * dow / 7.0),
@@ -261,9 +277,8 @@ class StrategicBiddingEnv:
         self._hour_features = np.column_stack(columns)
         self._hour_features.flags.writeable = False
 
-        self._index: int | None = None
-        self._steps_left = 0
-        self._unit: UnitState | None = None
+        self.tape: Tape | None = None
+        self._t = 0
 
     @property
     def obs_dim(self) -> int:
@@ -277,47 +292,43 @@ class StrategicBiddingEnv:
     def max_start(self) -> int:
         return len(self.series) - self.episode_len
 
-    def spread_history(self, window: int) -> np.ndarray:
-        """Realized (lmp_da - lmp_rt) for the ``window`` hours before now."""
-        i = self._require_index()
-        if i < window:
-            raise ValueError(f"only {i} hours of history before index {i}, need {window}")
-        da = self.series.fields["lmp_da"][i - window : i]
-        rt = self.series.fields["lmp_rt"][i - window : i]
-        return da - rt
+    def _build_tape(self, start: int) -> Tape:
+        """Scan the unit through the episode's hours and lay out its tape.
 
-    def _require_index(self) -> int:
-        if self._index is None:
-            raise RuntimeError("environment not reset")
-        return self._index
-
-    @property
-    def current_index(self) -> int:
-        """Series index of the hour about to be settled."""
-        return self._require_index()
-
-    def _observe(self) -> np.ndarray:
-        i = self._require_index()
-        obs = np.concatenate((self._prices[i - OBS_HISTORY_HOURS : i], self._hour_features[i]))
-        unit = self._unit
-        obs[UNIT_CELLS] = (
-            1.0 if unit.committed else 0.0,
-            min(1.0, unit.hours_in_state / 24.0),
-            unit.prev_output / self.spec.p_max,
+        The unit starts committed at full output with its minimum-up time
+        already served, so the default mode never pays a startup cost.
+        """
+        hours = slice(start, start + self.episode_len)
+        f = self.series.fields
+        spec = self.spec
+        lmp_da, lmp_rt = f["lmp_da"][hours], f["lmp_rt"][hours]
+        mc = spec.marginal_cost(f["gas_price"][hours])
+        unit = UnitState(committed=True, hours_in_state=spec.min_up, prev_output=spec.p_max)
+        rows = []  # the unit entering each hour, then the hour's dispatch
+        for prices in zip(lmp_da.tolist(), lmp_rt.tolist(), mc.tolist()):
+            *hour, next_unit = dispatch(unit, *prices, spec, self.dispatch_mode)
+            rows.append((*unit, *hour))
+            unit = next_unit
+        committed, hours_in_state, prev_output, *hour_columns = np.array(rows, dtype=np.float64).T
+        obs = np.empty((self.episode_len, self.obs_dim))
+        windows = self._windows[start - OBS_HISTORY_HOURS : hours.stop - OBS_HISTORY_HOURS]
+        np.divide(windows, self.price_scale, out=obs[:, :OBS_HISTORY_HOURS])
+        obs[:, OBS_HISTORY_HOURS:] = self._hour_features[hours]
+        obs[:, UNIT_CELLS] = np.column_stack(
+            (committed, np.minimum(1.0, hours_in_state / 24.0), prev_output / spec.p_max)
         )
-        obs.flags.writeable = False
-        return obs
+        table = np.vstack((lmp_da, lmp_rt, mc, *hour_columns))
+        for arr in (obs, table):
+            arr.flags.writeable = False
+        return Tape(series=self.series, start=start, obs=obs, dispatch=table)
 
     def reset(
         self,
         start: int | None = None,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
-        """Begin an episode at ``start`` (or a uniform random valid index).
-
-        The unit starts committed at full output with its minimum-up time
-        already served, so the default mode never pays a startup cost.
-        """
+        """Begin an episode at ``start`` (or a uniform random valid index),
+        build its tape, and return the first observation."""
         if start is None:
             if rng is None:
                 start = self.min_start
@@ -331,41 +342,35 @@ class StrategicBiddingEnv:
             raise ValueError(
                 f"episode of {self.episode_len}h starting at {start} overruns the series"
             )
-        self._index = int(start)
-        self._steps_left = self.episode_len
-        self._unit = UnitState(
-            committed=True,
-            hours_in_state=self.spec.min_up,
-            prev_output=self.spec.p_max,
-        )
-        return self._observe()
+        self.tape = self._build_tape(int(start))
+        self._t = 0
+        return self.tape.obs[0]
 
-    def step(self, a_raw: float) -> StepOutcome:
-        i = self._require_index()
-        if self._steps_left <= 0:
+    def step(self, a_raw: float):
+        """Settle the tape's next hour at action ``a_raw``.
+
+        Returns ``(next_obs, settlement, done)``; ``next_obs`` is None once
+        the episode is done.
+        """
+        if self.tape is None:
+            raise RuntimeError("environment not reset")
+        t = self._t
+        if t >= len(self.tape):
             raise RuntimeError("step after episode end")
-        alpha = map_action(float(a_raw))
-        f = self.series.fields
-        prices = (f["lmp_da"].item(i), f["lmp_rt"].item(i), f["gas_price"].item(i))
-        outcome, self._unit = settle(alpha, *prices, self.spec, self._unit, self.dispatch_mode)
-        self._index = i + 1
-        self._steps_left -= 1
-        done = self._steps_left == 0
-        # An episode may consume the last hour of the series, in which
-        # case there is no next hour to observe; only reachable when done.
-        next_obs = self._observe() if self._index < len(self.series) else None
-        return replace(outcome, observation_next=next_obs, done=done)
+        settlement = settle(map_action(float(a_raw)), *self.tape.dispatch[:, t].tolist())
+        self._t = t + 1
+        done = self._t == len(self.tape)
+        return (None if done else self.tape.obs[self._t]), settlement, done
 
 
 @dataclass
 class EpisodeLedger:
-    """Per-step record of an evaluation or diagnostic episode.
+    """Per-hour record of an evaluation or diagnostic episode, one list
+    per column.
 
-    ``append`` records what each action settled. The market columns
-    (timestamps, lmp_da, lmp_rt, volatility) do not depend on the actions,
-    so the episode runner fills them once from the settled hours of the
-    series. Weight/proposal columns are present only for hierarchical
-    runs; metric code treats their absence as "not applicable".
+    The episode runner fills every column at once from the settled tape.
+    Weight/proposal columns are present only for hierarchical runs; metric
+    code treats their absence as "not applicable".
     """
 
     roles: tuple = ()
@@ -397,22 +402,6 @@ class EpisodeLedger:
         "penalty",
         "volatility",
     )
-
-    def append(self, outcome: StepOutcome, weights=None, proposals=None, r_meta=None) -> None:
-        self.alpha.append(outcome.alpha)
-        self.profit.append(outcome.reward_raw)
-        c = outcome.components
-        self.revenue_da.append(c.revenue_da)
-        self.revenue_rt.append(c.revenue_rt)
-        self.cost_marginal.append(c.cost_marginal)
-        self.cost_startup.append(c.cost_startup)
-        self.penalty.append(c.penalty)
-        if weights is not None:
-            self.weights.append(tuple(float(w) for w in weights))
-        if proposals is not None:
-            self.proposals.append(tuple(float(p) for p in proposals))
-        if r_meta is not None:
-            self.r_meta.append(float(r_meta))
 
     def __len__(self) -> int:
         return len(self.profit)

@@ -214,16 +214,11 @@ def cmd_train(cfg: RunConfig, args) -> int:
             workers=args.workers,
             checkpoint_cb=checkpoint_cb,
         )
-        for role, net in ensemble.workers:
-            net.save(_ckpt_path(out_dir, seed, role), config_hash=cfg.config_hash)
-            logs[role].to_csv(
-                os.path.join(logs_dir, f"university_{role}_seed{seed}.csv"),
-                header_comment=_stamp(cfg, seed),
-            )
-        print(f"university phase done: {len(ensemble.workers)} workers -> {out_dir}")
+        # (checkpoint name, net, log, log name), saved in this order
+        trained = [(role, net, logs[role], f"university_{role}") for role, net in ensemble.workers]
+        done = f"university phase done: {len(ensemble.workers)} workers"
     elif args.phase == "meta":
-        probe = factory()
-        ensemble = _load_ensemble(cfg, out_dir, seed, probe.obs_dim)
+        ensemble = _load_ensemble(cfg, out_dir, seed, factory().obs_dim)
         meta, log = train_meta(
             factory,
             ensemble,
@@ -233,12 +228,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
             workers=args.workers,
             checkpoint_cb=checkpoint_cb,
         )
-        meta.save(_ckpt_path(out_dir, seed, "meta"), config_hash=cfg.config_hash)
-        log.to_csv(
-            os.path.join(logs_dir, f"meta_seed{seed}.csv"), header_comment=_stamp(cfg, seed)
-        )
-        print(f"meta phase done -> {out_dir}")
-    elif args.phase in ("vanilla", "cvar"):
+        trained = [("meta", meta, log, "meta")]
+        done = "meta phase done"
+    else:  # vanilla or cvar
         trainer = train_vanilla if args.phase == "vanilla" else train_cvar
         net, log = trainer(
             factory,
@@ -248,14 +240,14 @@ def cmd_train(cfg: RunConfig, args) -> int:
             workers=args.workers,
             checkpoint_cb=checkpoint_cb,
         )
-        net.save(_ckpt_path(out_dir, seed, args.phase), config_hash=cfg.config_hash)
+        trained = [(args.phase, net, log, args.phase)]
+        done = f"{args.phase} training done"
+    for name, net, log, log_name in trained:
+        net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)
         log.to_csv(
-            os.path.join(logs_dir, f"{args.phase}_seed{seed}.csv"),
-            header_comment=_stamp(cfg, seed),
+            os.path.join(logs_dir, f"{log_name}_seed{seed}.csv"), header_comment=_stamp(cfg, seed)
         )
-        print(f"{args.phase} training done -> {out_dir}")
-    else:
-        raise ConfigError(f"unknown phase {args.phase!r}")
+    print(f"{done} -> {out_dir}")
     return 0
 
 
@@ -275,21 +267,17 @@ def _eval_policy(cfg, out_dir, policy, series_by_split, load_scale, seed, obs_di
 
 def _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed) -> str:
     """Train-split Sharpe selection among available single-policy checkpoints."""
-    candidates = {}
-    for name in SINGLE_POLICIES:
-        if os.path.exists(_ckpt_path(out_dir, seed, name)):
-            candidates[name] = name
-    if not candidates:
+    names = [n for n in SINGLE_POLICIES if os.path.exists(_ckpt_path(out_dir, seed, n))]
+    if not names:
         raise MissingPrerequisiteError(
             f"best_single: no single-policy checkpoints for seed {seed}"
         )
     env = eval_env(cfg, series_by_split["train"], load_scale)
     sharpes = {}
-    for name in candidates:
+    for name in names:
         policy = greedy(_load_ckpt(out_dir, seed, name, env.obs_dim))
-        ledger = run_policy_episode(env, policy, start=env.min_start)
-        sharpes[name] = sharpe(ledger.profits)
-    return select_best_single(candidates, sharpes)
+        sharpes[name] = sharpe(run_policy_episode(env, policy, start=env.min_start).profits)
+    return select_best_single(sharpes)
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
@@ -389,25 +377,23 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
             factory, cfg.ppo_base, cfg.shaping, roles=("safe", "spec", "neutral"),
             seed=seed, workers=workers,
         )
-        for role, net in ens_k3.workers:
-            net.save(_ckpt_path(out_dir, seed, role), config_hash=cfg.config_hash)
         ens2 = AgentEnsemble(workers=ens_k3.workers[:2])
 
+        # both meta controllers take this seed (common random numbers for
+        # the K=2 vs K=3 comparison): the same body weights at init and the
+        # same episode starts
         meta2, _ = train_meta(
             factory, ens2, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers
         )
-        meta2.save(_ckpt_path(out_dir, seed, "meta"), config_hash=cfg.config_hash)
         meta3, _ = train_meta(
             factory, ens_k3, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers
         )
-        vanilla_net, _ = train_vanilla(
-            factory, cfg.ppo_base, cfg.shaping, seed=seed, workers=workers
-        )
-        vanilla_net.save(_ckpt_path(out_dir, seed, "vanilla"), config_hash=cfg.config_hash)
-        cvar_net, _ = train_cvar(
-            factory, cfg.ppo_base, cfg.shaping, seed=seed, workers=workers
-        )
-        cvar_net.save(_ckpt_path(out_dir, seed, "cvar"), config_hash=cfg.config_hash)
+        singles = {
+            name: trainer(factory, cfg.ppo_base, cfg.shaping, seed=seed, workers=workers)[0]
+            for name, trainer in (("vanilla", train_vanilla), ("cvar", train_cvar))
+        }
+        for name, net in (*ens_k3.workers, ("meta", meta2), *singles.items()):
+            net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)
 
         # one env per seed, reset at the same contiguous start for every
         # configuration: the paired design
@@ -417,8 +403,8 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
             "mars_k2": BlendPolicy(ens2, meta2),
             "mars_k3_neutral": BlendPolicy(ens_k3, meta3),
             "static_5050": BlendPolicy(ens2, np.full(2, 0.5)),
-            "vanilla": greedy(vanilla_net),
-            "cvar": greedy(cvar_net),
+            "vanilla": greedy(singles["vanilla"]),
+            "cvar": greedy(singles["cvar"]),
             "rolling_opt": RollingOptPolicy(),
             "best_single": greedy(_load_ckpt(out_dir, seed, best_name, env.obs_dim)),
         }

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bidding_env import EpisodeLedger, StrategicBiddingEnv
+from .bidding_env import EpisodeLedger, StrategicBiddingEnv, map_action, settle
 from .mars_hierarchy import Blend
 from .reward_shaping import ShapingParams, reward_meta
 
@@ -249,8 +249,9 @@ def aggregate_reports(reports: list) -> dict:
 
 
 def greedy(net):
-    """A single policy's deterministic action, as a runner policy."""
-    return lambda obs, env: float(net.act_deterministic(obs)[0])
+    """A single policy's deterministic action per tape hour, as a runner
+    policy."""
+    return lambda tape: np.array([net.act_deterministic(obs)[0] for obs in tape.obs])
 
 
 def run_policy_episode(
@@ -259,35 +260,38 @@ def run_policy_episode(
     start: int | None = None,
     shaping: ShapingParams | None = None,
 ) -> EpisodeLedger:
-    """Roll one episode; pass ``start`` for the paired contiguous
-    evaluation pass.
+    """Reset ``env`` and settle the whole episode in one call; pass
+    ``start`` for the paired contiguous evaluation pass.
 
-    ``policy(obs, env)`` returns the raw action, or a :class:`Blend`, whose
-    weights and proposals are recorded along with ``r_meta``, the meta
-    reward of each hour's profit under ``shaping``. A policy that returns
-    blends names their columns with its ``roles``, one per weight. The
-    ledger's market columns are those of the settled hours.
+    ``policy(tape)`` maps the episode's tape to its raw actions, one per
+    hour, or to a :class:`Blend`, whose weights and proposals are recorded
+    along with ``r_meta``, the meta reward of each hour's profit under
+    ``shaping``. A policy that returns blends names their columns with its
+    ``roles``, one per weight.
     """
     shaping = shaping or ShapingParams()
-    ledger = EpisodeLedger(roles=getattr(policy, "roles", ()))
-    obs = env.reset(start=start)
-    first = env.current_index
-    done = False
-    while not done:
-        act = policy(obs, env)
-        if isinstance(act, Blend):
-            if len(act.weights) != len(ledger.roles):
-                raise ValueError(f"{len(act.weights)} blend weights for roles {ledger.roles}")
-            out = env.step(act.action)
-            ledger.append(out, act.weights, act.proposals, reward_meta(out.reward_raw, shaping))
-        else:
-            out = env.step(float(act))
-            ledger.append(out)
-        obs = out.observation_next
-        done = out.done
-    settled = slice(first, env.current_index)
-    ledger.timestamps = env.series.timestamps[settled].tolist()
-    ledger.lmp_da = env.series.fields["lmp_da"][settled].tolist()
-    ledger.lmp_rt = env.series.fields["lmp_rt"][settled].tolist()
-    ledger.volatility = env.volatility[settled].tolist()
+    roles = getattr(policy, "roles", ())
+    env.reset(start=start)
+    tape = env.tape
+    act = policy(tape)
+    blended = isinstance(act, Blend)
+    if blended and act.weights.shape[1] != len(roles):
+        raise ValueError(f"{act.weights.shape[1]} blend weights for roles {roles}")
+    alpha = map_action(act.action if blended else act)
+    if np.shape(alpha) != (len(tape),):
+        raise ValueError(f"actions of shape {np.shape(alpha)} for a {len(tape)}-hour tape")
+    settled = settle(alpha, *tape.dispatch)
+    hours = slice(tape.start, tape.start + len(tape))
+    ledger = EpisodeLedger(
+        roles=roles,
+        timestamps=env.series.timestamps[hours].tolist(),
+        lmp_da=env.series.fields["lmp_da"][hours].tolist(),
+        lmp_rt=env.series.fields["lmp_rt"][hours].tolist(),
+        volatility=env.volatility[hours].tolist(),
+        **{name: col.tolist() for name, col in settled._asdict().items()},
+    )
+    if blended:
+        ledger.weights = list(map(tuple, act.weights.tolist()))
+        ledger.proposals = list(map(tuple, act.proposals.tolist()))
+        ledger.r_meta = [reward_meta(pi, shaping) for pi in ledger.profit]
     return ledger

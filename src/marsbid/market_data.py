@@ -12,7 +12,7 @@ step rather than observed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -35,6 +35,9 @@ CSV_COLUMNS = ("timestamp",) + FIELD_NAMES
 _NONNEGATIVE_FIELDS = ("load_actual", "load_forecast", "gas_price")
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+# Hours in the hour-of-week profile that fills long gaps.
+SEASONAL_PERIOD = 168
 
 # Synthetic load (MW) and gas price ($/MMBtu) levels.
 LOAD_BASE = 1000.0
@@ -81,29 +84,6 @@ def day_of_week(epoch_hour) -> np.ndarray:
 
 def hour_of_week(epoch_hour) -> np.ndarray:
     return day_of_week(epoch_hour) * 24 + hour_of_day(epoch_hour)
-
-
-@dataclass(frozen=True)
-class HourlyMarketRecord:
-    """One hour of market truth."""
-
-    timestamp: int  # epoch hours, UTC
-    lmp_da: float
-    lmp_rt: float
-    load_actual: float
-    load_forecast: float
-    temperature: float
-    wind_speed: float
-    gas_price: float
-
-    def __post_init__(self):
-        for name in _NONNEGATIVE_FIELDS:
-            value = getattr(self, name)
-            if np.isfinite(value) and value < 0:
-                raise MarketDataError(
-                    f"{name} must be non-negative, got {value} at "
-                    f"{format_timestamp(self.timestamp)}"
-                )
 
 
 @dataclass(frozen=True)
@@ -229,60 +209,59 @@ class SyntheticConfig:
             raise MarketDataError("rt_spike_prob must be in [0, 1]")
 
 
-def ingest_csv(path, schema: dict | None = None) -> MarketSeries:
+def ingest_csv(path) -> MarketSeries:
     """Read an hourly market CSV into a :class:`MarketSeries`.
 
-    ``schema`` remaps field names to CSV column names (identity by default).
-    Rows may arrive out of order and are re-sorted; duplicate timestamps are
-    rejected. Missing hours and empty cells stay NaN ("gaps recorded, not
-    filled") for :func:`repair_gaps`. Lines starting with ``#`` are ignored.
+    Rows may arrive out of order and are placed by timestamp; duplicate
+    timestamps are rejected. Missing hours and empty cells stay NaN ("gaps
+    recorded, not filled") for :func:`repair_gaps`. Lines starting with
+    ``#`` are ignored.
     """
-    schema = dict(schema or {})
-    colmap = {name: schema.get(name, name) for name in FIELD_NAMES}
-    ts_col = schema.get("timestamp", "timestamp")
-
     with open(path, "r", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise MarketDataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
-    required = [ts_col] + [colmap[name] for name in FIELD_NAMES]
-    missing_cols = [c for c in required if c not in header]
+    missing_cols = [c for c in CSV_COLUMNS if c not in header]
     if missing_cols:
         raise MarketDataError(f"{path}: header missing columns {missing_cols}")
-    idx = {c: header.index(c) for c in required}
+    ts_idx = header.index("timestamp")
+    field_idx = [(name, header.index(name)) for name in FIELD_NAMES]
 
-    parsed: dict[int, dict] = {}
+    stamps: dict[int, None] = {}  # file order
+    columns: dict[str, list] = {name: [] for name in FIELD_NAMES}
     for rownum, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise MarketDataError(f"{path}: malformed row {rownum}: wrong field count")
-        ts = parse_timestamp(row[idx[ts_col]])
-        if ts in parsed:
+        ts = parse_timestamp(row[ts_idx])
+        if ts in stamps:
             raise MarketDataError(
                 f"{path}: duplicate timestamp {format_timestamp(ts)} at row {rownum}"
             )
-        values = {}
-        for name in FIELD_NAMES:
-            cell = row[idx[colmap[name]]].strip()
-            if cell == "":
-                values[name] = np.nan
-                continue
+        stamps[ts] = None
+        for name, i in field_idx:
+            cell = row[i].strip()
             try:
-                values[name] = float(cell)
+                columns[name].append(float(cell) if cell else np.nan)
             except ValueError as exc:
                 raise MarketDataError(
                     f"{path}: malformed row {rownum}: bad value {cell!r} for {name}"
                 ) from exc
         # Fail fast on invariant violations in observed data.
-        HourlyMarketRecord(timestamp=ts, **values)
-        parsed[ts] = values
+        for name in _NONNEGATIVE_FIELDS:
+            value = columns[name][-1]
+            if value < 0:
+                raise MarketDataError(
+                    f"{name} must be non-negative, got {value} at {format_timestamp(ts)}"
+                )
 
-    hours = np.array(sorted(parsed), dtype=np.int64)
-    timeline = np.arange(hours[0], hours[-1] + 1, dtype=np.int64)
+    if not stamps:
+        raise MarketDataError(f"{path}: no data rows")
+    hours = np.fromiter(stamps, dtype=np.int64, count=len(stamps))
+    timeline = np.arange(hours.min(), hours.max() + 1, dtype=np.int64)
     fields = {name: np.full(timeline.size, np.nan) for name in FIELD_NAMES}
-    pos = hours - hours[0]
     for name in FIELD_NAMES:
-        fields[name][pos] = [parsed[int(h)][name] for h in hours]
+        fields[name][hours - timeline[0]] = columns[name]
     return MarketSeries(timestamps=timeline, fields=fields, provenance="ingested")
 
 
@@ -304,22 +283,11 @@ def write_csv(series: MarketSeries, path, header_comment: str | None = None) -> 
 
 def _nan_runs(isnan: np.ndarray) -> list:
     """Contiguous runs of True as (start, stop) half-open index pairs."""
-    runs = []
-    n = isnan.size
-    i = 0
-    while i < n:
-        if isnan[i]:
-            j = i
-            while j < n and isnan[j]:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    return runs
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], isnan.view(np.int8), [0]))))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
-def repair_gaps(series: MarketSeries, seasonal_period: int = 168) -> MarketSeries:
+def repair_gaps(series: MarketSeries) -> MarketSeries:
     """Fill missing values: gaps shorter than 4 hours by linear interpolation
     between the bracketing observations, longer gaps (and gaps touching a
     series boundary) by the hour-of-week seasonal mean of the observed data.
@@ -340,9 +308,9 @@ def repair_gaps(series: MarketSeries, seasonal_period: int = 168) -> MarketSerie
 
         # Hour-of-week means over observed values only; overall mean fallback
         # covers hour-of-week buckets with no observations.
-        seasonal = np.full(seasonal_period, np.nan)
-        for h in range(seasonal_period):
-            sel = known & (how % seasonal_period == h)
+        seasonal = np.full(SEASONAL_PERIOD, np.nan)
+        for h in range(SEASONAL_PERIOD):
+            sel = known & (how % SEASONAL_PERIOD == h)
             if sel.any():
                 seasonal[h] = values[sel].mean()
         overall = values[known].mean()
@@ -350,17 +318,17 @@ def repair_gaps(series: MarketSeries, seasonal_period: int = 168) -> MarketSerie
         for start, stop in _nan_runs(isnan):
             length = stop - start
             at_boundary = start == 0 or stop == len(values)
-            if at_boundary and length > seasonal_period:
+            if at_boundary and length > SEASONAL_PERIOD:
                 raise MarketDataError(
                     f"field {name}: {length}h gap at series boundary exceeds "
-                    f"seasonal period {seasonal_period}"
+                    f"seasonal period {SEASONAL_PERIOD}"
                 )
             if length < 4 and not at_boundary:
                 left, right = values[start - 1], values[stop]
                 steps = np.arange(1, length + 1, dtype=np.float64)
                 values[start:stop] = left + (right - left) * steps / (length + 1)
             else:
-                hw = how[start:stop] % seasonal_period
+                hw = how[start:stop] % SEASONAL_PERIOD
                 fill = seasonal[hw]
                 fill = np.where(np.isnan(fill), overall, fill)
                 values[start:stop] = fill

@@ -2,7 +2,7 @@
 softmax meta controller.
 
 Phase 1 ("university") trains each worker with its role reward and freezes
-it. Phase 2 trains the meta controller: at every step the workers propose
+it. Phase 2 trains the meta controller: at every hour the workers propose
 their deterministic mean actions, the meta policy emits Gaussian logits that
 softmax into simplex weights, and the executed action is the weighted linear
 combination of the proposals. The meta reward is the concave utility of the
@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bidding_env import StepOutcome, StrategicBiddingEnv
 from .policy_net import PolicyNetwork
 from .ppo_trainer import PpoConfig, TrainingLog, train
 from .reward_shaping import (
@@ -62,9 +61,6 @@ class AgentEnsemble:
         """Deterministic mean action of every worker, shape (K,)."""
         return np.array([float(net.act_deterministic(obs)[0]) for _, net in self.workers])
 
-    def param_hashes(self) -> dict:
-        return {role: net.param_hash() for role, net in self.workers}
-
 
 def blend(weights, worker_actions) -> float:
     """Weighted linear combination of worker proposals.
@@ -90,19 +86,20 @@ def softmax(logits) -> np.ndarray:
 
 
 class Blend(NamedTuple):
-    """One blended step: the executed action, the simplex weights and the
-    worker proposals they combined."""
+    """An episode of blended hours: the executed actions (T,), the simplex
+    weights (T, K) and the worker proposals (T, K) they combined."""
 
-    action: float
+    action: np.ndarray
     weights: np.ndarray
     proposals: np.ndarray
 
 
 class BlendPolicy:
-    """The hierarchical policy as one callable ``(obs, env) -> Blend``.
+    """The hierarchical policy as one runner policy ``tape -> Blend``.
 
     ``meta`` is a meta :class:`PolicyNetwork`, whose mean logits softmax
-    into the weights, or fixed simplex weights (the static baseline).
+    into the weights, or fixed simplex weights (the static baseline). The
+    forward passes run one tape row at a time.
     """
 
     def __init__(self, ensemble: AgentEnsemble, meta):
@@ -113,42 +110,14 @@ class BlendPolicy:
     def roles(self) -> tuple:
         return self.ensemble.roles
 
-    def __call__(self, obs, env) -> Blend:
-        proposals = self.ensemble.proposals(obs)
+    def __call__(self, tape) -> Blend:
+        proposals = np.array([self.ensemble.proposals(obs) for obs in tape.obs])
         if isinstance(self.meta, PolicyNetwork):
-            weights = softmax(self.meta.forward(obs)[0])
+            weights = np.array([softmax(self.meta.forward(obs)[0]) for obs in tape.obs])
         else:
-            weights = self.meta
-        return Blend(blend(weights, proposals), weights, proposals)
-
-
-class BlendedActionEnv:
-    """Adapter that lets the PPO trainer drive the meta controller.
-
-    Presents the base environment's observations but takes K-dimensional
-    logit actions: logits softmax into weights, workers propose their mean
-    actions, and the blend is executed downstream.
-    """
-
-    def __init__(self, env: StrategicBiddingEnv, ensemble: AgentEnsemble):
-        self.env = env
-        self.ensemble = ensemble
-        self._obs = None
-
-    @property
-    def obs_dim(self) -> int:
-        return self.env.obs_dim
-
-    def reset(self, start=None, rng=None):
-        self._obs = self.env.reset(start=start, rng=rng)
-        return self._obs
-
-    def step(self, logits) -> StepOutcome:
-        weights = softmax(np.asarray(logits, dtype=np.float64))
-        proposals = self.ensemble.proposals(self._obs)
-        out = self.env.step(blend(weights, proposals))
-        self._obs = out.observation_next
-        return out
+            weights = np.tile(self.meta, (len(tape), 1))
+        actions = np.array([blend(w, p) for w, p in zip(weights, proposals)])
+        return Blend(actions, weights, proposals)
 
 
 def train_worker(
@@ -243,7 +212,10 @@ def train_meta(
     """Phase 2: train the meta controller over the frozen ensemble.
 
     Returns ``(meta_policy, log)``. With ``cfg.total_steps == 0`` the meta
-    policy is returned at initialization (near-uniform weights).
+    policy is returned at initialization (near-uniform weights). The seeds
+    depend on ``seed`` alone, so meta controllers over ensembles of
+    different sizes share their init and rollout seeds (common random
+    numbers): the same body weights at init and the same episode starts.
     """
     ss = np.random.SeedSequence(seed)
     init_seed, train_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
@@ -256,12 +228,13 @@ def train_meta(
         seed=init_seed,
     )
     log = train(
-        lambda: BlendedActionEnv(env_factory(), ensemble),
+        env_factory,
         meta,
         lambda pi, alpha: reward_meta(pi, shaping),
         cfg,
         seed=train_seed,
         workers=workers,
         checkpoint_cb=checkpoint_cb,
+        env_action=lambda logits, obs: blend(softmax(logits), ensemble.proposals(obs)),
     )
     return meta, log

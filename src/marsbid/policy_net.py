@@ -197,10 +197,6 @@ class PolicyNetwork:
         mean, _, _ = self.forward(obs)
         return np.tanh(mean) if self.squash else mean
 
-    def sample(self, obs, rng: np.random.Generator) -> ActionSample:
-        mean, log_std, _ = self.forward(obs)
-        return sample_action(mean, log_std, rng, squash=self.squash)
-
     def value(self, obs) -> float:
         _, _, v = self.forward(np.asarray(obs))
         return float(v) if np.ndim(v) == 0 else v

@@ -269,6 +269,11 @@ def loss_and_grads(
     )
 
 
+def scalar_action(action, obs) -> float:
+    """The environment action of a one-action policy: its sampled scalar."""
+    return float(action[0])
+
+
 def train(
     env_factory,
     policy: PolicyNetwork,
@@ -277,14 +282,17 @@ def train(
     seed: int = 0,
     workers: int = 1,
     checkpoint_cb=None,
+    env_action=scalar_action,
 ) -> TrainingLog:
     """Run PPO until ``cfg.total_steps`` environment steps.
 
     ``env_factory`` builds a fresh environment per rollout worker;
-    ``reward_fn(profit, alpha)`` shapes the raw settlement profit into the
-    training reward. The policy is updated in place. Raises
-    :class:`DivergenceError` if policy outputs, losses or parameters go
-    non-finite.
+    ``env_action(action, obs)`` maps a sampled action and the observation
+    it was sampled at to the environment's raw action (the meta controller
+    blends the workers' proposals there); ``reward_fn(profit, alpha)``
+    shapes the raw settlement profit into the training reward. The policy
+    is updated in place. Raises :class:`DivergenceError` if policy outputs,
+    losses or parameters go non-finite.
     """
     if policy.frozen:
         raise ValueError("cannot train a frozen policy")
@@ -322,20 +330,16 @@ def train(
                 x = obs[i]
                 mean, log_std, value = policy.forward(x)
                 s = sample_action(mean, log_std, sample_rng, squash=policy.squash)
-                out = envs[i].step(s.action if A > 1 else float(s.action[0]))
-                shaped = float(reward_fn(out.reward_raw, out.alpha))
+                next_obs, settled, done = envs[i].step(env_action(s.action, x))
 
                 buf_obs[t, i] = x
                 buf_pre[t, i] = s.pre_squash
                 buf_logp[t, i] = s.log_prob
-                buf_rew[t, i] = shaped
-                buf_raw[t, i] = out.reward_raw
+                buf_rew[t, i] = float(reward_fn(settled.profit, settled.alpha))
+                buf_raw[t, i] = settled.profit
                 buf_val[t, i] = value
-                buf_done[t, i] = 1.0 if out.done else 0.0
-                if out.done:
-                    obs[i] = envs[i].reset(rng=env_rngs[i])
-                else:
-                    obs[i] = out.observation_next
+                buf_done[t, i] = 1.0 if done else 0.0
+                obs[i] = envs[i].reset(rng=env_rngs[i]) if done else next_obs
 
         bootstrap = np.array([policy.value(obs[i]) for i in range(workers)])
         advantages, returns = compute_gae(

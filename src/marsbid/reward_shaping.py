@@ -114,6 +114,3 @@ class CvarRewardShaper:
         if len(self._window) > self.params.cvar_window:
             del self._window[0]
         return shaped
-
-    def reset(self) -> None:
-        self._window.clear()

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from marsbid.bidding_env import SettlementComponents, StepOutcome, map_action
+from marsbid.bidding_env import Settlement, map_action
 from marsbid.market_data import FIELD_NAMES, MarketSeries, SyntheticConfig, generate_synthetic
+from marsbid.policy_net import sample_action
 
 START_2021 = 447072  # epoch hours of 2021-01-01T00:00Z
 
@@ -106,13 +107,18 @@ class BanditEnv:
 
     def step(self, a_raw):
         a = float(np.clip(a_raw, -1.0, 1.0))
-        return StepOutcome(
-            reward_raw=a,
-            observation_next=self._obs,
-            done=True,
-            components=SettlementComponents(a, 0.0, 0.0, 0.0, 0.0),
-            alpha=map_action(a),
-        )
+        return None, Settlement(map_action(a), a, a, 0.0, 0.0, 0.0, 0.0), True
+
+
+def policy_sample(net, obs, rng):
+    """One action drawn from ``net``'s policy at ``obs``."""
+    mean, log_std, _ = net.forward(obs)
+    return sample_action(mean, log_std, rng, squash=net.squash)
+
+
+def param_hashes(ensemble) -> dict:
+    """Role -> parameter hash of every worker of an ensemble."""
+    return {role: net.param_hash() for role, net in ensemble.workers}
 
 
 @pytest.fixture

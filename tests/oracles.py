@@ -2,12 +2,13 @@
 
 They live here, not in ``marsbid``, because the program itself never calls
 them: training uses ``ppo_trainer.loss_and_grads``, and the environment
-builds its observations from per-hour arrays computed once.
+settles and observes an episode from a tape built once per reset, not hour
+by hour as :func:`stepwise_episode` does.
 """
 
 import numpy as np
 
-from marsbid.bidding_env import OBS_HISTORY_HOURS
+from marsbid.bidding_env import OBS_HISTORY_HOURS, UnitState
 from marsbid.market_data import day_of_week, hour_of_day
 from marsbid.policy_net import gaussian_log_prob, squash_correction
 
@@ -75,3 +76,83 @@ def observation(env, i: int, unit) -> np.ndarray:
             weather,
         ]
     )
+
+
+def settle_hour(alpha, lmp_da, lmp_rt, gas_price, spec, unit, dispatch_mode="always_on"):
+    """Clear one hour at the given DA and RT prices ($/MWh) and gas price
+    ($/MMBtu) and advance the unit, all in one step.
+
+    Returns ``((alpha, profit, revenue_da, revenue_rt, cost_marginal,
+    cost_startup, penalty), next_unit)``.
+    """
+    mc = spec.heat_rate * gas_price
+    penalty = 0.0
+    startup = False
+    if dispatch_mode == "always_on":
+        startup = not unit.committed
+        capacity = spec.p_max
+        committed = True
+    else:
+        want_on = mc <= max(lmp_da, lmp_rt)
+        committed = unit.committed
+        if unit.committed and not want_on:
+            if unit.hours_in_state < spec.min_up:
+                penalty += spec.mutd_penalty
+            else:
+                committed = False
+        elif not unit.committed and want_on:
+            if unit.hours_in_state < spec.min_down:
+                penalty += spec.mutd_penalty
+            else:
+                committed = True
+                startup = True
+        if not committed:
+            capacity = 0.0
+        elif startup:
+            capacity = min(spec.p_max, max(spec.p_min, spec.ramp_rate))
+        else:
+            lo = max(spec.p_min, unit.prev_output - spec.ramp_rate)
+            hi = min(spec.p_max, unit.prev_output + spec.ramp_rate)
+            capacity = min(max(spec.p_max, lo), hi)
+            penalty += spec.ramp_penalty * (spec.p_max - capacity)
+
+    q_da = alpha * capacity
+    q_rt = capacity - q_da
+    revenue_da = lmp_da * q_da
+    revenue_rt = lmp_rt * q_rt
+    cost_marginal = mc * (q_da + q_rt)
+    cost_startup = spec.startup_cost if startup else 0.0
+    profit = revenue_da + revenue_rt - cost_marginal - cost_startup - penalty
+    next_unit = UnitState(
+        committed=committed,
+        hours_in_state=unit.hours_in_state + 1 if committed == unit.committed else 1,
+        prev_output=capacity,
+    )
+    return (alpha, profit, revenue_da, revenue_rt, cost_marginal, cost_startup, penalty), next_unit
+
+
+def stepwise_episode(env, start: int, actions):
+    """An episode of ``env`` from ``start`` under raw ``actions``, hour by
+    hour: observe, clamp and map the action, settle, advance the unit.
+
+    Returns ``(obs, columns)``: the (T, obs_dim) observations and a (7, T)
+    array of the settled columns in ``Settlement`` field order.
+    """
+    f = env.series.fields
+    unit = UnitState(committed=True, hours_in_state=env.spec.min_up, prev_output=env.spec.p_max)
+    obs, rows = [], []
+    for t, a in enumerate(actions):
+        i = start + t
+        obs.append(observation(env, i, unit))
+        alpha = (min(1.0, max(-1.0, a)) + 1.0) / 2.0
+        row, unit = settle_hour(
+            alpha,
+            f["lmp_da"].item(i),
+            f["lmp_rt"].item(i),
+            f["gas_price"].item(i),
+            env.spec,
+            unit,
+            env.dispatch_mode,
+        )
+        rows.append(row)
+    return np.array(obs), np.array(rows).T

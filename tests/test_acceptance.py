@@ -16,11 +16,13 @@ from marsbid.bidding_env import (
     GeneratorSpec,
     StrategicBiddingEnv,
     UnitState,
+    dispatch,
     settle,
 )
 from marsbid.cli import main as cli_main
 from marsbid.evaluation import (
     allocation_entropy,
+    greedy,
     max_drawdown,
     regime_alignment,
     rolling_metrics,
@@ -51,7 +53,14 @@ from marsbid.reward_shaping import (
     reward_spec,
 )
 
-from conftest import BanditEnv, make_series, premium_series, spike_series
+from conftest import (
+    BanditEnv,
+    make_series,
+    param_hashes,
+    policy_sample,
+    premium_series,
+    spike_series,
+)
 from oracles import ppo_loss
 
 N_CHECKS = 200
@@ -81,7 +90,9 @@ def test_criterion_01_equation_oracles():
         alpha = rng.uniform(0, 1)
         offline = rng.random() < 0.3
         unit = UnitState(committed=not offline, hours_in_state=5, prev_output=0.0 if offline else 100.0)
-        out, _ = settle(alpha, float(lmp_da), float(lmp_rt), float(gas), gen, unit)
+        lmp_da, lmp_rt, mc = float(lmp_da), float(lmp_rt), gen.marginal_cost(float(gas))
+        capacity, cost_startup, penalty, _ = dispatch(unit, lmp_da, lmp_rt, mc, gen)
+        out = settle(alpha, lmp_da, lmp_rt, mc, capacity, cost_startup, penalty)
         q_da = alpha * gen.p_max
         q_rt = gen.p_max - q_da
         expected = (
@@ -90,7 +101,7 @@ def test_criterion_01_equation_oracles():
             - gen.heat_rate * gas * (q_da + q_rt)
             - (gen.startup_cost if offline else 0.0)
         )
-        assert close(out.reward_raw, expected)
+        assert close(out.profit, expected)
 
     # blending: weighted combination of proposals
     for _ in range(N_CHECKS):
@@ -230,9 +241,7 @@ def specialization_runs():
 
         def mean_alpha(net, series):
             env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
-            led = run_policy_episode(
-                env, lambda obs, e: float(net.act_deterministic(obs)[0]), start=24
-            )
+            led = run_policy_episode(env, greedy(net), start=24)
             return float(np.mean(led.alpha))
 
         workers = dict(ens.workers)
@@ -280,18 +289,16 @@ def test_criterion_05_hierarchy_invariants():
     done = False
     while not done:
         proposals = ensemble.proposals(obs)
-        w = softmax(meta.sample(obs, rng).action)  # sampled: the full simplex
+        w = softmax(policy_sample(meta, obs, rng).action)  # sampled: the full simplex
         assert abs(float(w.sum()) - 1.0) <= 1e-9
         assert np.all(w >= -1e-9)
         a = blend(w, proposals)
         assert proposals.min() <= a <= proposals.max()
-        out = env.step(a)
-        obs = out.observation_next
-        done = out.done
+        obs, _, done = env.step(a)
         steps += 1
     assert steps >= 10_000
 
-    hashes_before = ensemble.param_hashes()
+    hashes_before = param_hashes(ensemble)
     cfg = PpoConfig(total_steps=2048, buffer_size=1024, learning_rate=1e-3, hidden=(8, 8))
     train_meta(
         lambda: StrategicBiddingEnv(series, episode_len=168),
@@ -300,7 +307,7 @@ def test_criterion_05_hierarchy_invariants():
         ShapingParams(),
         seed=1,
     )
-    assert ensemble.param_hashes() == hashes_before
+    assert param_hashes(ensemble) == hashes_before
     report(
         f"criterion 5 PASS: {steps} blended steps inside the hull, simplex at 1e-9, "
         "worker hashes unchanged through a meta-training phase"
@@ -328,9 +335,7 @@ def regime_runs():
             env, BlendPolicy(ens, np.array([0.5, 0.5])), start=24, shaping=shaping
         )
         spec_net = dict(ens.workers)["spec"]
-        solo_spec = run_policy_episode(
-            env, lambda obs, e: float(spec_net.act_deterministic(obs)[0]), start=24
-        )
+        solo_spec = run_policy_episode(env, greedy(spec_net), start=24)
         runs.append(
             {
                 "entropy": allocation_entropy(mars.weight_matrix()),

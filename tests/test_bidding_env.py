@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 from marsbid.bidding_env import (
     OBS_HISTORY_HOURS,
     GeneratorSpec,
+    Settlement,
     StrategicBiddingEnv,
     UnitState,
+    dispatch,
     map_action,
     settle,
 )
 
 from conftest import make_series
-from oracles import observation, rolling_volatility
+from oracles import rolling_volatility, stepwise_episode
 
 SPEC = GeneratorSpec()  # p_max 100, heat_rate 7.5
 ON = UnitState(committed=True, hours_in_state=4, prev_output=100.0)
@@ -21,8 +23,15 @@ OFF = UnitState(committed=False, hours_in_state=4, prev_output=0.0)
 
 
 def rec(lmp_da=50.0, lmp_rt=60.0, gas=4.0):
-    """One hour's (lmp_da, lmp_rt, gas_price), the market inputs of settle."""
+    """One hour's market inputs: (lmp_da, lmp_rt, gas_price)."""
     return float(lmp_da), float(lmp_rt), float(gas)
+
+
+def settle_at(alpha, lmp_da, lmp_rt, gas, spec, unit, dispatch_mode="always_on"):
+    """One hour through the program: dispatch the unit, then settle alpha."""
+    mc = spec.marginal_cost(gas)
+    capacity, cost_startup, penalty, nxt = dispatch(unit, lmp_da, lmp_rt, mc, spec, dispatch_mode)
+    return settle(alpha, lmp_da, lmp_rt, mc, capacity, cost_startup, penalty), nxt
 
 
 # -- map_action --------------------------------------------------------------
@@ -59,31 +68,31 @@ def test_map_action_range(a):
 
 def test_settle_hand_example():
     # 100 MW at alpha 0.6: 60 MW at 50 $ + 40 MW at 60 $ - 100 MW at 30 $
-    out, nxt = settle(0.6, *rec(), SPEC, ON)
-    assert out.reward_raw == pytest.approx(2400.0, abs=1e-9)
-    assert out.components.revenue_da == pytest.approx(3000.0)
-    assert out.components.revenue_rt == pytest.approx(2400.0)
-    assert out.components.cost_marginal == pytest.approx(3000.0)
-    assert out.components.cost_startup == 0.0
+    out, nxt = settle_at(0.6, *rec(), SPEC, ON)
+    assert out.profit == pytest.approx(2400.0, abs=1e-9)
+    assert out.revenue_da == pytest.approx(3000.0)
+    assert out.revenue_rt == pytest.approx(2400.0)
+    assert out.cost_marginal == pytest.approx(3000.0)
+    assert out.cost_startup == 0.0
     assert nxt.committed and nxt.hours_in_state == 5 and nxt.prev_output == 100.0
 
 
 def test_settle_zero_case():
-    out, _ = settle(0.5, *rec(lmp_da=0.0, lmp_rt=0.0, gas=0.0),
-                    GeneratorSpec(startup_cost=0.0), ON)
-    assert out.reward_raw == 0.0
+    out, _ = settle_at(0.5, *rec(lmp_da=0.0, lmp_rt=0.0, gas=0.0),
+                       GeneratorSpec(startup_cost=0.0), ON)
+    assert out.profit == 0.0
 
 
 def test_settle_startup_cost_from_offline():
-    out, nxt = settle(0.6, *rec(), SPEC, OFF)
-    assert out.reward_raw == pytest.approx(1900.0, abs=1e-9)
-    assert out.components.cost_startup == 500.0
+    out, nxt = settle_at(0.6, *rec(), SPEC, OFF)
+    assert out.profit == pytest.approx(1900.0, abs=1e-9)
+    assert out.cost_startup == 500.0
     assert nxt.committed and nxt.hours_in_state == 1
 
 
 def test_settle_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        settle(1.2, *rec(), SPEC, ON)
+        settle_at(1.2, *rec(), SPEC, ON)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,23 +103,22 @@ def test_settle_rejects_bad_alpha():
     alpha=st.floats(0, 1),
 )
 def test_settle_decomposition_identity(lmp_da, lmp_rt, gas, alpha):
-    out, _ = settle(alpha, *rec(lmp_da, lmp_rt, gas), SPEC, ON)
-    c = out.components
-    total = c.revenue_da + c.revenue_rt - c.cost_marginal - c.cost_startup - c.penalty
-    assert out.reward_raw == pytest.approx(total, abs=1e-9)
+    out, _ = settle_at(alpha, *rec(lmp_da, lmp_rt, gas), SPEC, ON)
+    total = out.revenue_da + out.revenue_rt - out.cost_marginal - out.cost_startup - out.penalty
+    assert out.profit == pytest.approx(total, abs=1e-9)
 
 
 @given(alpha=st.floats(0, 1))
 def test_settle_capacity_identity(alpha):
-    out, _ = settle(alpha, *rec(), SPEC, ON)
-    q_da = out.components.revenue_da / 50.0
-    q_rt = out.components.revenue_rt / 60.0
+    out, _ = settle_at(alpha, *rec(), SPEC, ON)
+    q_da = out.revenue_da / 50.0
+    q_rt = out.revenue_rt / 60.0
     assert q_da + q_rt == pytest.approx(SPEC.p_max, abs=1e-9)
 
 
 def test_settle_alpha_irrelevant_when_prices_equal():
     pis = [
-        settle(a, *rec(lmp_da=47.0, lmp_rt=47.0), SPEC, ON)[0].reward_raw
+        settle_at(a, *rec(lmp_da=47.0, lmp_rt=47.0), SPEC, ON)[0].profit
         for a in (0.0, 0.3, 0.9, 1.0)
     ]
     assert max(pis) - min(pis) < 1e-9
@@ -119,32 +127,32 @@ def test_settle_alpha_irrelevant_when_prices_equal():
 def test_settle_economic_shutdown_and_blocked_restart():
     # marginal cost above both prices: unit wants off
     expensive = rec(lmp_da=10.0, lmp_rt=12.0, gas=10.0)  # mc = 75
-    out, nxt = settle(0.5, *expensive, SPEC, ON, dispatch_mode="economic")
-    assert not nxt.committed and out.reward_raw == 0.0
+    out, nxt = settle_at(0.5, *expensive, SPEC, ON, dispatch_mode="economic")
+    assert not nxt.committed and out.profit == 0.0
     # still in min_down: restart blocked and fined
     cheap = rec(lmp_da=80.0, lmp_rt=70.0, gas=4.0)
-    out2, nxt2 = settle(0.5, *cheap, SPEC, UnitState(False, 1, 0.0), dispatch_mode="economic")
+    out2, nxt2 = settle_at(0.5, *cheap, SPEC, UnitState(False, 1, 0.0), dispatch_mode="economic")
     assert not nxt2.committed
-    assert out2.components.penalty == SPEC.mutd_penalty
+    assert out2.penalty == SPEC.mutd_penalty
     # min_down served: restart happens, startup cost paid, output ramp-limited
-    out3, nxt3 = settle(0.5, *cheap, SPEC, UnitState(False, 4, 0.0), dispatch_mode="economic")
+    out3, nxt3 = settle_at(0.5, *cheap, SPEC, UnitState(False, 4, 0.0), dispatch_mode="economic")
     assert nxt3.committed
-    assert out3.components.cost_startup == SPEC.startup_cost
+    assert out3.cost_startup == SPEC.startup_cost
     assert nxt3.prev_output == 50.0  # ramp_rate-limited startup
 
 
 def test_settle_economic_blocked_shutdown_fined():
     expensive = rec(lmp_da=10.0, lmp_rt=12.0, gas=10.0)
-    out, nxt = settle(0.5, *expensive, SPEC, UnitState(True, 2, 100.0), dispatch_mode="economic")
+    out, nxt = settle_at(0.5, *expensive, SPEC, UnitState(True, 2, 100.0), dispatch_mode="economic")
     assert nxt.committed  # min_up not served
-    assert out.components.penalty == SPEC.mutd_penalty
+    assert out.penalty == SPEC.mutd_penalty
 
 
 def test_settle_economic_ramp_clamp_fined():
     spec = GeneratorSpec(ramp_rate=30.0)
-    out, nxt = settle(0.5, *rec(), spec, UnitState(True, 10, 40.0), dispatch_mode="economic")
+    out, nxt = settle_at(0.5, *rec(), spec, UnitState(True, 10, 40.0), dispatch_mode="economic")
     assert nxt.prev_output == 70.0  # 40 + 30
-    assert out.components.penalty == pytest.approx(spec.ramp_penalty * 30.0)
+    assert out.penalty == pytest.approx(spec.ramp_penalty * 30.0)
 
 
 # -- rolling volatility --------------------------------------------------------
@@ -208,8 +216,8 @@ def test_constant_series_observation():
 def test_episode_len_one_is_done_immediately():
     env = StrategicBiddingEnv(make_series(lmp_da=np.arange(100.0)), episode_len=1)
     env.reset(start=24)
-    out = env.step(0.0)
-    assert out.done
+    next_obs, _, done = env.step(0.0)
+    assert done and next_obs is None
     with pytest.raises(RuntimeError):
         env.step(0.0)
 
@@ -220,7 +228,7 @@ def test_step_scripted_replay_matches_hand_profit():
     env = StrategicBiddingEnv(make_series(lmp_da=da, lmp_rt=rt), episode_len=4)
     env.reset(start=24)
     actions = [-1.0, 0.0, 0.2, 1.0]
-    profits = [env.step(a).reward_raw for a in actions]
+    profits = [env.step(a)[1].profit for a in actions]
     for a, pi in zip(actions, profits):
         alpha = (np.clip(a, -1, 1) + 1) / 2
         expected = 50.0 * alpha * 100 + 60.0 * (1 - alpha) * 100 - 30.0 * 100
@@ -234,7 +242,7 @@ def test_step_deterministic_replay():
     def run():
         env = StrategicBiddingEnv(series, episode_len=48)
         env.reset(start=30)
-        return [env.step(a).reward_raw for a in actions]
+        return [env.step(a)[1].profit for a in actions]
 
     assert run() == run()
 
@@ -244,9 +252,9 @@ def test_observation_dim_constant_across_steps():
     obs = env.reset(start=40)
     dims = {obs.size}
     for _ in range(48):
-        out = env.step(0.3)
-        if out.observation_next is not None:
-            dims.add(out.observation_next.size)
+        next_obs, _, _ = env.step(0.3)
+        if next_obs is not None:
+            dims.add(next_obs.size)
     assert dims == {env.obs_dim}
 
 
@@ -272,7 +280,7 @@ def test_random_start_stays_valid(rng):
     env = StrategicBiddingEnv(make_series(lmp_da=np.arange(400.0)), episode_len=100)
     for _ in range(50):
         env.reset(rng=rng)
-        assert env.min_start <= env.current_index <= env.max_start
+        assert env.min_start <= env.tape.start <= env.max_start
 
 
 def test_optional_weather_extras():
@@ -288,7 +296,7 @@ def test_optional_weather_extras():
     assert StrategicBiddingEnv(series, episode_len=24).obs_dim == 33
 
 
-# -- observations against the field-by-field oracle ------------------------------
+# -- the tape against the stepwise oracle ------------------------------------------
 
 _RNG = np.random.default_rng(21)
 _N = 240
@@ -318,19 +326,25 @@ _ENVS = {
     start=st.integers(OBS_HISTORY_HOURS, _N - 48),
     actions=st.lists(st.floats(-1.5, 1.5), min_size=48, max_size=48),
 )
-def test_observations_equal_field_by_field_oracle(mode, weather, start, actions):
+def test_tape_and_step_equal_stepwise_oracle(mode, weather, start, actions):
     env = _ENVS[(mode, weather)]
-    f = _SERIES.fields
-    unit = UnitState(committed=True, hours_in_state=env.spec.min_up, prev_output=env.spec.p_max)
-    obs = env.reset(start=start)
+    want_obs, want = stepwise_episode(env, start, actions)
+    if mode == "economic":  # every 48-hour window pays a startup and a fine
+        assert want[5].any() and want[6].any()
+    # the tape's observation block, read-only
+    first = env.reset(start=start)
+    tape = env.tape
+    assert tape.obs.shape == (48, env.obs_dim) and not tape.obs.flags.writeable
+    assert np.array_equal(tape.obs, want_obs) and np.array_equal(first, want_obs[0])
+    # the whole episode settled in one call
+    settled = settle(map_action(actions), *tape.dispatch)
+    assert np.array_equal(np.array(settled), want)
+    # the step cursor over the same tape
     for t, a in enumerate(actions):
-        i = start + t
-        assert obs.size == env.obs_dim
-        assert np.array_equal(obs, observation(env, i, unit))
-        assert not obs.flags.writeable
-        out = env.step(a)
-        _, unit = settle(
-            map_action(a), f["lmp_da"][i], f["lmp_rt"][i], f["gas_price"][i], env.spec, unit, mode
-        )
-        obs = out.observation_next
-    assert out.done
+        next_obs, one, done = env.step(a)
+        assert isinstance(one, Settlement) and np.array_equal(np.array(one), want[:, t])
+        assert done == (t == 47)
+        if done:
+            assert next_obs is None
+        else:
+            assert np.array_equal(next_obs, want_obs[t + 1]) and not next_obs.flags.writeable

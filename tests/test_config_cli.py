@@ -3,13 +3,16 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from marsbid import cli
 from marsbid.bidding_env import GeneratorSpec
 from marsbid.cli import main
 from marsbid.config import DEFAULTS, build_config, config_hash, load_raw
 from marsbid.errors import ConfigError
 from marsbid.market_data import SyntheticConfig, format_timestamp, ingest_csv
+from marsbid.mars_hierarchy import train_meta
 from marsbid.policy_net import PolicyNetwork
 from marsbid.ppo_trainer import PpoConfig
 from marsbid.reward_shaping import ShapingParams
@@ -383,3 +386,24 @@ def test_ablate_neutral_worker_has_its_own_seeds(tmp_path):
     ckpt = Path(out) / "checkpoints" / "seed0"
     init = {r: PolicyNetwork.load(ckpt / f"{r}.ckpt").param_hash() for r in ("safe", "spec", "neutral")}
     assert len(set(init.values())) == 3
+
+
+def test_ablate_paired_roles_share_seeds_as_common_random_numbers(tmp_path, monkeypatch):
+    # zero training budget: every trained net is its initial parameters
+    metas = []
+
+    def recording_train_meta(*args, **kwargs):
+        meta, log = train_meta(*args, **kwargs)
+        metas.append(meta)
+        return meta, log
+
+    monkeypatch.setattr(cli, "train_meta", recording_train_meta)
+    out = str(tmp_path)
+    args = TINY + ["--set", "ppo.base.total_steps=0", "--set", "ppo.meta.total_steps=0"]
+    assert run_cli("ablate", "--out", out, *args) == 0
+    ckpt = Path(out) / "checkpoints" / "seed0"
+    init = {r: PolicyNetwork.load(ckpt / f"{r}.ckpt") for r in ("vanilla", "cvar")}
+    assert init["vanilla"].param_hash() == init["cvar"].param_hash()
+    meta2, meta3 = metas
+    assert (meta2.action_dim, meta3.action_dim) == (2, 3)
+    assert np.array_equal(meta2.params["W0"], meta3.params["W0"])

@@ -1,22 +1,26 @@
-"""The demos stay in step with the library: every name a demo imports from
-marsbid resolves, and the three fast demos run to completion."""
+"""The demos and the README stay in step with the library: every name a
+demo or a README ``python`` block imports from marsbid resolves, and the
+three fast demos run to completion."""
 
 import ast
 import importlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
 FAST_DEMOS = ("01_synthetic_market", "02_bidding_environment", "03_reward_shaping")
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
 
 
-def marsbid_imports(path):
+def marsbid_imports(source, filename="<source>"):
     """``(module, name)`` for every ``from marsbid... import name`` and
-    ``(module, None)`` for every ``import marsbid...`` in the file."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    ``(module, None)`` for every ``import marsbid...`` in the source."""
+    for node in ast.walk(ast.parse(source, filename=filename)):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "marsbid":
             yield from ((node.module, alias.name) for alias in node.names)
         elif isinstance(node, ast.Import):
@@ -29,13 +33,23 @@ def test_all_demos_found():
     assert len(DEMOS) == 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_imports_resolve(demo):
-    imports = list(marsbid_imports(demo))
-    assert imports, f"{demo.name} imports nothing from marsbid"
+def assert_imports_resolve(source, label):
+    imports = list(marsbid_imports(source, label))
+    assert imports, f"{label} imports nothing from marsbid"
     for module, name in imports:
         mod = importlib.import_module(module)
-        assert name is None or hasattr(mod, name), f"{demo.name}: {module} has no {name}"
+        assert name is None or hasattr(mod, name), f"{label}: {module} has no {name}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_imports_resolve(demo):
+    assert_imports_resolve(demo.read_text(), demo.name)
+
+
+def test_readme_python_blocks_imports_resolve():
+    assert README_BLOCKS
+    for i, block in enumerate(README_BLOCKS):
+        assert_imports_resolve(block, f"README python block {i}")
 
 
 @pytest.mark.parametrize("stem", FAST_DEMOS)

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marsbid.bidding_env import (
-    EpisodeLedger,
-    SettlementComponents,
-    StepOutcome,
-    StrategicBiddingEnv,
-)
+from marsbid.bidding_env import EpisodeLedger, StrategicBiddingEnv
 from marsbid.evaluation import (
     aggregate_reports,
     allocation_entropy,
@@ -240,23 +235,21 @@ def test_rolling_too_short():
 
 def _ledger_with(profits, weights=None, roles=()):
     n = len(profits)
-    led = EpisodeLedger(
+    return EpisodeLedger(
         roles=roles,
         timestamps=[447072 + i for i in range(n)],
         lmp_da=[50.0] * n,
         lmp_rt=[45.0 + (i % 3) * 5.0 for i in range(n)],
         volatility=[float(i % 7) for i in range(n)],
+        alpha=[0.5] * n,
+        profit=[float(pi) for pi in profits],
+        revenue_da=[float(pi) for pi in profits],
+        cost_marginal=[0.0] * n,
+        revenue_rt=[0.0] * n,
+        cost_startup=[0.0] * n,
+        penalty=[0.0] * n,
+        weights=[] if weights is None else [tuple(map(float, w)) for w in weights],
     )
-    for i, pi in enumerate(profits):
-        out = StepOutcome(
-            reward_raw=float(pi),
-            observation_next=None,
-            done=False,
-            components=SettlementComponents(pi, 0.0, 0.0, 0.0, 0.0),
-            alpha=0.5,
-        )
-        led.append(out, weights=None if weights is None else weights[i])
-    return led
 
 
 def test_compute_report_and_json_na_markers(tmp_path):
@@ -314,7 +307,7 @@ def test_ledger_market_columns_are_the_settled_hours(tmp_path):
     rng = np.random.default_rng(8)
     series = make_series(lmp_da=rng.normal(50, 15, 200), lmp_rt=rng.normal(50, 20, 200))
     env = StrategicBiddingEnv(series, episode_len=48)
-    ledger = run_policy_episode(env, lambda obs, e: 0.3, start=30)
+    ledger = run_policy_episode(env, lambda tape: np.full(len(tape), 0.3), start=30)
     hours = range(30, 78)
     assert len(ledger) == 48
     da, rt = series.fields["lmp_da"], series.fields["lmp_rt"]
@@ -325,6 +318,7 @@ def test_ledger_market_columns_are_the_settled_hours(tmp_path):
         assert vol == pytest.approx(rolling_volatility(da[i - 24 : i]), abs=1e-12)
     # plain Python numbers, so the CSV writes repr(float), never numpy reprs
     cells = ledger.timestamps + ledger.lmp_da + ledger.lmp_rt + ledger.volatility
+    cells += [v for name in EpisodeLedger.CSV_COLUMNS for v in getattr(ledger, name)]
     assert {type(v) for v in cells} == {int, float}
     path = tmp_path / "ledger.csv"
     ledger.to_csv(path)

@@ -119,6 +119,26 @@ def test_ingest_negative_load_rejected(tmp_path):
         ingest_csv(_write(tmp_path, ["2021-01-01T00:00:00Z,40,40,-5,1000,10,5,4"]))
 
 
+def test_ingest_header_without_rows_rejected(tmp_path):
+    with pytest.raises(MarketDataError, match="no data rows"):
+        ingest_csv(_write(tmp_path, []))
+
+
+def test_ingest_reports_the_first_negative_in_file_order(tmp_path):
+    # a later hour with a negative gas price comes first in the file, an
+    # earlier hour with a negative load forecast second
+    rows = [
+        "2021-01-01T03:00:00Z,40,40,1000,1000,10,5,-2.5",
+        "2021-01-01T00:00:00Z,40,40,1000,-7,10,5,4",
+    ]
+    with pytest.raises(MarketDataError) as err:
+        ingest_csv(_write(tmp_path, rows))
+    assert str(err.value) == "gas_price must be non-negative, got -2.5 at 2021-01-01T03:00:00Z"
+    # within one row the fields are checked load_actual, load_forecast, gas_price
+    with pytest.raises(MarketDataError, match="^load_forecast must be non-negative, got -7.0 at"):
+        ingest_csv(_write(tmp_path, ["2021-01-01T00:00:00Z,40,40,1000,-7,10,5,-1"]))
+
+
 def test_csv_round_trip_exact(tmp_path):
     series = generate_synthetic(SyntheticConfig(n_hours=200, seed=3))
     p1 = tmp_path / "a.csv"

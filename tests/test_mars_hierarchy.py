@@ -7,7 +7,6 @@ from marsbid.bidding_env import StrategicBiddingEnv
 from marsbid.mars_hierarchy import (
     AgentEnsemble,
     Blend,
-    BlendedActionEnv,
     BlendPolicy,
     blend,
     softmax,
@@ -19,7 +18,7 @@ from marsbid.ppo_trainer import PpoConfig
 from marsbid.reward_shaping import ShapingParams, reward_meta
 from marsbid.evaluation import greedy, run_policy_episode
 
-from conftest import make_series, premium_series
+from conftest import make_series, param_hashes, policy_sample, premium_series
 
 
 def frozen_worker(role, seed, obs_dim=33):
@@ -97,14 +96,14 @@ def test_blend_policy_weights_deterministic_vs_sampled():
     meta = PolicyNetwork(
         obs_dim=env.obs_dim, hidden=(8,), action_dim=2, role="meta", squash=False, seed=3
     )
-    step = BlendPolicy(small_ensemble(), meta)(obs, env)
+    weights = BlendPolicy(small_ensemble(), meta)(env.tape).weights[0]
     mean, _, _ = meta.forward(obs)
-    np.testing.assert_allclose(step.weights, softmax(mean))
-    sample = meta.sample(obs, np.random.default_rng(0))
+    np.testing.assert_allclose(weights, softmax(mean))
+    sample = policy_sample(meta, obs, np.random.default_rng(0))
     assert np.isfinite(sample.log_prob).all()
     w_s = softmax(sample.action)
     assert abs(w_s.sum() - 1.0) <= 1e-12
-    assert not np.allclose(w_s, step.weights)
+    assert not np.allclose(w_s, weights)
 
 
 # -- ensemble / episodes ------------------------------------------------------------
@@ -156,9 +155,7 @@ def test_safe_only_weights_match_standalone_safe():
     env1 = StrategicBiddingEnv(series, episode_len=72)
     hier = run_policy_episode(env1, BlendPolicy(ens, np.array([1.0, 0.0])), start=24)
     env2 = StrategicBiddingEnv(series, episode_len=72)
-    solo = run_policy_episode(
-        env2, lambda obs, env: float(safe_net.act_deterministic(obs)[0]), start=24
-    )
+    solo = run_policy_episode(env2, greedy(safe_net), start=24)
     np.testing.assert_array_equal(hier.profits, solo.profits)
     np.testing.assert_array_equal(hier.alpha, solo.alpha)
 
@@ -173,7 +170,8 @@ def test_blend_policy_ledger_records_weights_proposals_and_meta_reward():
     ledger = run_policy_episode(env, BlendPolicy(ens, meta), start=24, shaping=shaping)
     assert ledger.roles == ("safe", "spec")
     assert len(ledger.weights) == len(ledger.proposals) == len(ledger.r_meta) == len(ledger) == 72
-    # replay the same hours, recomputing every column from its definition
+    # replay the same hours step by step, recomputing every column from its
+    # definition
     obs = env.reset(start=24)
     for t in range(len(ledger)):
         mean, _, _ = meta.forward(obs)
@@ -181,9 +179,8 @@ def test_blend_policy_ledger_records_weights_proposals_and_meta_reward():
         assert ledger.weights[t] == tuple(softmax(mean))
         assert ledger.proposals[t] == tuple(proposals)
         assert ledger.r_meta[t] == reward_meta(ledger.profit[t], shaping)
-        out = env.step(blend(softmax(mean), proposals))
-        assert out.reward_raw == ledger.profit[t]
-        obs = out.observation_next
+        obs, settled, _ = env.step(blend(softmax(mean), proposals))
+        assert settled.profit == ledger.profit[t]
     # a plain float action records none of the hierarchical columns
     solo = run_policy_episode(env, greedy(dict(ens.workers)["safe"]), start=24)
     assert solo.roles == () and solo.weights == solo.proposals == solo.r_meta == []
@@ -191,13 +188,15 @@ def test_blend_policy_ledger_records_weights_proposals_and_meta_reward():
 
 def test_blend_policy_fixed_weights_return_a_blend():
     env = StrategicBiddingEnv(wavy_series(), episode_len=24)
-    obs = env.reset(start=24)
+    env.reset(start=24)
     ens = small_ensemble()
-    step = BlendPolicy(ens, [0.25, 0.75])(obs, env)
-    assert isinstance(step, Blend)
-    np.testing.assert_array_equal(step.weights, [0.25, 0.75])
-    np.testing.assert_array_equal(step.proposals, ens.proposals(obs))
-    assert step.action == blend([0.25, 0.75], step.proposals)
+    episode = BlendPolicy(ens, [0.25, 0.75])(env.tape)
+    assert isinstance(episode, Blend)
+    assert episode.action.shape == (24,) and episode.weights.shape == (24, 2)
+    for t, obs in enumerate(env.tape.obs):
+        np.testing.assert_array_equal(episode.weights[t], [0.25, 0.75])
+        np.testing.assert_array_equal(episode.proposals[t], ens.proposals(obs))
+        assert episode.action[t] == blend([0.25, 0.75], episode.proposals[t])
 
 
 def test_blend_without_matching_roles_is_rejected():
@@ -205,17 +204,44 @@ def test_blend_without_matching_roles_is_rejected():
     bare = BlendPolicy(small_ensemble(), [0.5, 0.5])
     # a callable without ``roles`` has no names for the weight columns
     with pytest.raises(ValueError, match="roles"):
-        run_policy_episode(env, lambda obs, e: bare(obs, e), start=24)
+        run_policy_episode(env, lambda tape: bare(tape), start=24)
+    # one action per tape hour, not one for the episode
+    with pytest.raises(ValueError, match="24-hour tape"):
+        run_policy_episode(env, lambda tape: 0.5, start=24)
 
 
-def test_blended_env_adapter_executes_blend():
-    series = wavy_series()
+class _RecordingEnv(StrategicBiddingEnv):
+    """Records every observation and the raw action stepped at it."""
+
+    def __init__(self, *args, log, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = log
+
+    def step(self, a_raw):
+        self.log.append((self.tape.obs[self._t], a_raw))
+        return super().step(a_raw)
+
+
+def test_meta_rollouts_execute_a_blend_of_the_proposals():
     ens = small_ensemble()
-    adapter = BlendedActionEnv(StrategicBiddingEnv(series, episode_len=24), ens)
-    obs = adapter.reset(start=24)
-    proposals = ens.proposals(obs)
-    out = adapter.step(np.array([50.0, -50.0]))  # all weight on the first worker
-    assert out.alpha == pytest.approx((proposals[0] + 1) / 2, abs=1e-9)
+    log = []
+    cfg = PpoConfig(total_steps=64, buffer_size=64, epochs_per_update=1, hidden=(8,))
+    train_meta(
+        lambda: _RecordingEnv(wavy_series(), episode_len=24, log=log),
+        ens,
+        cfg,
+        ShapingParams(),
+        seed=4,
+    )
+    assert len(log) == 64
+    spreads = []
+    for obs, a_raw in log:
+        proposals = ens.proposals(obs)
+        assert isinstance(a_raw, float)
+        assert proposals.min() <= a_raw <= proposals.max()
+        spreads.append((a_raw - proposals.min()) / (proposals.max() - proposals.min()))
+    # sampled logits: the blend moves inside the hull, not pinned to a vertex
+    assert 0.05 < np.std(spreads)
 
 
 # -- training phases -----------------------------------------------------------------
@@ -243,9 +269,7 @@ def test_university_specializes_and_freezes(trained_pair):
     alphas = {}
     for role, net in ens.workers:
         assert net.frozen
-        led = run_policy_episode(
-            env, lambda obs, e, n=net: float(n.act_deterministic(obs)[0]), start=24
-        )
+        led = run_policy_episode(env, greedy(net), start=24)
         alphas[role] = float(np.mean(led.alpha))
     assert alphas["safe"] > 0.8
     assert alphas["spec"] < 0.2
@@ -253,7 +277,7 @@ def test_university_specializes_and_freezes(trained_pair):
 
 def test_meta_phase_keeps_workers_frozen(trained_pair):
     series, ens, _ = trained_pair
-    hashes_before = ens.param_hashes()
+    hashes_before = param_hashes(ens)
     cfg = PpoConfig(total_steps=2048, buffer_size=1024, learning_rate=1e-3, hidden=(16, 16))
     meta, log = train_meta(
         lambda: StrategicBiddingEnv(series, episode_len=168),
@@ -262,7 +286,7 @@ def test_meta_phase_keeps_workers_frozen(trained_pair):
         ShapingParams(),
         seed=3,
     )
-    assert ens.param_hashes() == hashes_before
+    assert param_hashes(ens) == hashes_before
     assert meta.action_dim == 2 and not meta.squash
     assert len(log.records) == 2
 
@@ -275,8 +299,8 @@ def test_zero_meta_budget_returns_init_near_uniform(trained_pair):
     )
     assert log.records == []
     env = StrategicBiddingEnv(series, episode_len=48)
-    obs = env.reset(start=24)
-    w = BlendPolicy(ens, meta)(obs, env).weights
+    env.reset(start=24)
+    w = BlendPolicy(ens, meta)(env.tape).weights[0]
     # tiny policy-head init keeps the softmax near uniform
     np.testing.assert_allclose(w, [0.5, 0.5], atol=0.02)
 
@@ -290,13 +314,13 @@ def test_university_third_role_keeps_first_two_workers():
     ens3, _ = train_university(
         factory, cfg, ShapingParams(), roles=("safe", "spec", "neutral"), seed=3
     )
-    h2, h3 = ens2.param_hashes(), ens3.param_hashes()
+    h2, h3 = param_hashes(ens2), param_hashes(ens3)
     assert (h3["safe"], h3["spec"]) == (h2["safe"], h2["spec"])
     init = PpoConfig(total_steps=0, hidden=(8,))
     ens0, _ = train_university(
         factory, init, ShapingParams(), roles=("safe", "spec", "neutral"), seed=3
     )
-    h0 = ens0.param_hashes()
+    h0 = param_hashes(ens0)
     assert h0["neutral"] != h0["safe"]
 
 

@@ -10,6 +10,7 @@ from marsbid.policy_net import (
 )
 from marsbid.ppo_trainer import PpoConfig, loss_and_grads
 
+from conftest import policy_sample
 from oracles import log_prob_of_action
 
 
@@ -105,7 +106,7 @@ def test_sample_rejects_non_finite():
 
 def test_policy_sample_unsquashed_gaussian(rng):
     net = PolicyNetwork(obs_dim=4, hidden=(8,), action_dim=3, squash=False, role="meta", seed=2)
-    s = net.sample(np.zeros(4), rng)
+    s = policy_sample(net, np.zeros(4), rng)
     mean, log_std, _ = net.forward(np.zeros(4))
     assert s.log_prob == pytest.approx(float(gaussian_log_prob(s.pre_squash, mean, log_std)))
     np.testing.assert_array_equal(s.action, s.pre_squash)
