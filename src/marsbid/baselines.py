@@ -32,6 +32,14 @@ class RollingOptConfig:
             raise ValueError("hysteresis must be >= 0")
 
 
+def _bang_bang(mean_spread: float, hysteresis: float, prev_action: float) -> float:
+    if mean_spread > hysteresis:
+        return 1.0
+    if mean_spread < -hysteresis:
+        return -1.0
+    return prev_action
+
+
 def rolling_opt_action(history, cfg: RollingOptConfig, prev_action: float = 0.0) -> float:
     """Bang-bang rule on the trailing mean DA-RT spread.
 
@@ -43,17 +51,12 @@ def rolling_opt_action(history, cfg: RollingOptConfig, prev_action: float = 0.0)
     spreads = np.asarray(history, dtype=np.float64)
     if spreads.size < cfg.window:
         raise ValueError(f"need {cfg.window} hours of history, got {spreads.size}")
-    s = float(spreads[-cfg.window :].mean())
-    if s > cfg.hysteresis:
-        return 1.0
-    if s < -cfg.hysteresis:
-        return -1.0
-    return prev_action
+    return _bang_bang(float(spreads[-cfg.window :].mean()), cfg.hysteresis, prev_action)
 
 
 class RollingOptPolicy:
-    """:func:`rolling_opt_action` as a runner policy: it scans the realized
-    spreads before each hour of the tape, starting from a neutral action."""
+    """:func:`rolling_opt_action` as a runner policy: one sliding-window mean
+    of the spreads before each tape hour, then a scan from a neutral action."""
 
     def __init__(self, cfg: RollingOptConfig | None = None):
         self.cfg = cfg or RollingOptConfig()
@@ -63,10 +66,12 @@ class RollingOptPolicy:
         if tape.start < w:
             raise ValueError(f"only {tape.start} hours of history before the tape, need {w}")
         f = tape.series.fields
-        spread = f["lmp_da"] - f["lmp_rt"]
+        hours = slice(tape.start - w, tape.start + len(tape) - 1)
+        spread = f["lmp_da"][hours] - f["lmp_rt"][hours]
+        means = np.lib.stride_tricks.sliding_window_view(spread, w).mean(axis=1)
         actions = [0.0]
-        for i in range(tape.start, tape.start + len(tape)):
-            actions.append(rolling_opt_action(spread[i - w : i], self.cfg, actions[-1]))
+        for s in means.tolist():
+            actions.append(_bang_bang(s, self.cfg.hysteresis, actions[-1]))
         return np.array(actions[1:])
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market_data import MarketSeries, day_of_week, format_timestamp, hour_of_day
+from .market_data import CSV_BLOCK_ROWS, MarketSeries, day_of_week, format_timestamps, hour_of_day
 
 OBS_HISTORY_HOURS = 24
 # Observation cells of the unit state, after the price window, the
@@ -89,12 +89,6 @@ class Settlement(NamedTuple):
     penalty: float
 
 
-def _holds(cond) -> bool:
-    """A condition that holds for one hour (a bool) or for every hour (a
-    bool array); the scalar case skips numpy's per-call overhead."""
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
 def map_action(a_raw):
     """Map raw actions in [-1, 1] to DA allocation ratios (a+1)/2,
     elementwise.
@@ -102,7 +96,7 @@ def map_action(a_raw):
     Out-of-range finite values are clamped; stochastic policies routinely
     emit samples beyond the nominal bounds.
     """
-    if not _holds(np.isfinite(a_raw)):
+    if not np.all(np.isfinite(a_raw)):
         raise ValueError(f"non-finite action {a_raw!r}")
     return (np.minimum(np.maximum(a_raw, -1.0), 1.0) + 1.0) / 2.0
 
@@ -167,7 +161,7 @@ def settle(alpha, lmp_da, lmp_rt, marginal_cost, capacity, cost_startup, penalty
     """Clear the two-settlement market per the profit equation, elementwise:
     one hour's floats, or an alpha per hour and the rows of a tape's
     ``dispatch``."""
-    if not _holds((0.0 <= alpha) & (alpha <= 1.0)):
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
         raise ValueError(f"alpha {alpha} out of [0, 1]")
     q_da = alpha * capacity
     q_rt = capacity - q_da
@@ -428,14 +422,11 @@ class EpisodeLedger:
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
         cols = ["timestamp", *self.CSV_COLUMNS]
-        has_w = bool(self.weights)
-        has_p = bool(self.proposals)
-        has_m = bool(self.r_meta)
-        if has_w:
+        if self.weights:
             cols += [f"w_{r}" for r in self.roles]
-        if has_p:
+        if self.proposals:
             cols += [f"prop_{r}" for r in self.roles]
-        if has_m:
+        if self.r_meta:
             cols.append("r_meta")
         columns = [getattr(self, name) for name in self.CSV_COLUMNS]
         with open(path, "w", newline="") as fh:
@@ -443,13 +434,13 @@ class EpisodeLedger:
                 fh.write(f"# {header_comment}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(cols)
-            for i in range(len(self)):
-                row = [format_timestamp(self.timestamps[i])]
-                row += [repr(col[i]) for col in columns]
-                if has_w:
-                    row += [repr(w) for w in self.weights[i]]
-                if has_p:
-                    row += [repr(p) for p in self.proposals[i]]
-                if has_m:
-                    row.append(repr(self.r_meta[i]))
-                writer.writerow(row)
+            for lo in range(0, len(self), CSV_BLOCK_ROWS):
+                block = slice(lo, lo + CSV_BLOCK_ROWS)
+                cells = [format_timestamps(self.timestamps[block])]
+                cells += [map(repr, col[block]) for col in columns]
+                # the weight and proposal blocks, transposed into columns
+                cells += [map(repr, c) for c in zip(*self.weights[block])]
+                cells += [map(repr, c) for c in zip(*self.proposals[block])]
+                if self.r_meta:
+                    cells.append(map(repr, self.r_meta[block]))
+                writer.writerows(zip(*cells))

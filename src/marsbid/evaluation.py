@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bidding_env import EpisodeLedger, StrategicBiddingEnv, map_action, settle
+from .market_data import CSV_BLOCK_ROWS, float_cells
 from .mars_hierarchy import Blend
 from .reward_shaping import ShapingParams, reward_meta
 
@@ -220,14 +221,10 @@ def write_rolling_csv(path, means, sharpes, header_comment: str | None = None) -
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "rolling_mean", "rolling_sharpe"])
-        for i, (m, s) in enumerate(zip(means, sharpes)):
-            writer.writerow(
-                [
-                    i,
-                    "NA" if np.isnan(m) else repr(float(m)),
-                    "NA" if np.isnan(s) else repr(float(s)),
-                ]
-            )
+        for lo in range(0, len(means), CSV_BLOCK_ROWS):
+            block = slice(lo, lo + CSV_BLOCK_ROWS)
+            cells = (float_cells(col[block], "NA") for col in (means, sharpes))
+            writer.writerows(zip(range(lo, block.stop), *cells))
 
 
 def aggregate_reports(reports: list) -> dict:
@@ -251,7 +248,7 @@ def aggregate_reports(reports: list) -> dict:
 def greedy(net):
     """A single policy's deterministic action per tape hour, as a runner
     policy."""
-    return lambda tape: np.array([net.act_deterministic(obs)[0] for obs in tape.obs])
+    return lambda tape: net.act_deterministic(tape.obs)[:, 0]
 
 
 def run_policy_episode(

@@ -12,6 +12,7 @@ step rather than observed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -30,6 +31,7 @@ FIELD_NAMES = (
 )
 
 CSV_COLUMNS = ("timestamp",) + FIELD_NAMES
+CSV_BLOCK_ROWS = 512  # rows a CSV writer formats at once: no whole column of strings is held
 
 # Fields that real markets never clear negative (prices can be negative).
 _NONNEGATIVE_FIELDS = ("load_actual", "load_forecast", "gas_price")
@@ -67,10 +69,21 @@ def parse_timestamp(text: str) -> int:
     return int((dt - _EPOCH).total_seconds()) // 3600
 
 
+def format_timestamps(epoch_hours) -> list:
+    """Epoch hours to ISO-8601 UTC strings, e.g. ``2021-01-01T05:00:00Z``."""
+    hours = np.asarray(epoch_hours, dtype=np.int64).astype("datetime64[h]")
+    return np.datetime_as_string(hours, unit="s", timezone="UTC").tolist()
+
+
 def format_timestamp(epoch_hour: int) -> str:
-    """Epoch hours back to ISO-8601 UTC, e.g. ``2021-01-01T05:00:00Z``."""
-    dt = datetime.fromtimestamp(int(epoch_hour) * 3600, tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """One epoch hour as :func:`format_timestamps` writes it."""
+    return format_timestamps([epoch_hour])[0]
+
+
+def float_cells(values, missing: str) -> list:
+    """CSV cells of floats: ``repr``, exact under a write/read round trip,
+    and ``missing`` for NaN."""
+    return [missing if math.isnan(v) else repr(v) for v in np.asarray(values, np.float64).tolist()]
 
 
 def hour_of_day(epoch_hour) -> np.ndarray:
@@ -273,12 +286,11 @@ def write_csv(series: MarketSeries, path, header_comment: str | None = None) -> 
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for i in range(len(series)):
-            row = [format_timestamp(series.timestamps[i])]
-            for name in FIELD_NAMES:
-                v = series.fields[name][i]
-                row.append("" if np.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+        for lo in range(0, len(series), CSV_BLOCK_ROWS):
+            block = slice(lo, lo + CSV_BLOCK_ROWS)
+            cells = [format_timestamps(series.timestamps[block])]
+            cells += [float_cells(series.fields[name][block], "") for name in FIELD_NAMES]
+            writer.writerows(zip(*cells))
 
 
 def _nan_runs(isnan: np.ndarray) -> list:

@@ -58,31 +58,37 @@ class AgentEnsemble:
         return tuple(r for r, _ in self.workers)
 
     def proposals(self, obs) -> np.ndarray:
-        """Deterministic mean action of every worker, shape (K,)."""
-        return np.array([float(net.act_deterministic(obs)[0]) for _, net in self.workers])
+        """Every worker's deterministic mean action, one forward each: shape
+        (K,) for one observation, (N, K) for an (N, obs_dim) block."""
+        return np.stack([net.act_deterministic(obs)[..., 0] for _, net in self.workers], axis=-1)
 
 
-def blend(weights, worker_actions) -> float:
-    """Weighted linear combination of worker proposals.
+def blend(weights, worker_actions):
+    """Weighted linear combination of worker proposals, row by row over the
+    last axis: a float for (K,) inputs, (N,) for (N, K) ones.
 
-    Validates the simplex constraint to 1e-9 and pins the result inside
-    [min, max] of the proposals, which the exact convex combination can
-    leave only by float rounding.
+    Validates the simplex constraint to 1e-9 and pins each result inside
+    [min, max] of its proposals, which the exact convex combination can
+    leave only by float rounding. The stacked matmul matches ``w @ a`` of
+    each row bit for bit; einsum and ``(w * a).sum(-1)`` do not.
     """
     w = np.asarray(weights, dtype=np.float64)
     a = np.asarray(worker_actions, dtype=np.float64)
     if w.shape != a.shape:
         raise ValueError(f"weights shape {w.shape} != actions shape {a.shape}")
-    if np.any(w < -SIMPLEX_TOL) or abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"weights {w} violate the simplex beyond {SIMPLEX_TOL}")
-    return float(np.clip(float(w @ a), a.min(), a.max()))
+    bad = np.any(w < -SIMPLEX_TOL, axis=-1) | (np.abs(w.sum(axis=-1) - 1.0) > SIMPLEX_TOL)
+    if np.any(bad):
+        raise ValueError(f"weights {w[bad]} violate the simplex beyond {SIMPLEX_TOL}")
+    dot = (w[..., None, :] @ a[..., :, None])[..., 0, 0]
+    return np.clip(dot, a.min(axis=-1), a.max(axis=-1))
 
 
 def softmax(logits) -> np.ndarray:
+    """Softmax over the last axis, row by row."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Blend(NamedTuple):
@@ -98,8 +104,8 @@ class BlendPolicy:
     """The hierarchical policy as one runner policy ``tape -> Blend``.
 
     ``meta`` is a meta :class:`PolicyNetwork`, whose mean logits softmax
-    into the weights, or fixed simplex weights (the static baseline). The
-    forward passes run one tape row at a time.
+    into the weights, or fixed simplex weights (the static baseline). Each
+    network runs one forward over the whole tape.
     """
 
     def __init__(self, ensemble: AgentEnsemble, meta):
@@ -111,13 +117,12 @@ class BlendPolicy:
         return self.ensemble.roles
 
     def __call__(self, tape) -> Blend:
-        proposals = np.array([self.ensemble.proposals(obs) for obs in tape.obs])
+        proposals = self.ensemble.proposals(tape.obs)
         if isinstance(self.meta, PolicyNetwork):
-            weights = np.array([softmax(self.meta.forward(obs)[0]) for obs in tape.obs])
+            weights = softmax(self.meta.forward(tape.obs)[0])
         else:
             weights = np.tile(self.meta, (len(tape), 1))
-        actions = np.array([blend(w, p) for w, p in zip(weights, proposals)])
-        return Blend(actions, weights, proposals)
+        return Blend(blend(weights, proposals), weights, proposals)
 
 
 def train_worker(

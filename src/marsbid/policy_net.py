@@ -65,22 +65,21 @@ def squash_correction(a_raw) -> np.ndarray:
     return np.log(1.0 - a**2 + SQUASH_EPS).sum(axis=-1)
 
 
-def sample_action(mean, log_std, rng: np.random.Generator, squash: bool = True, size=None):
+def sample_action(mean, log_std, rng: np.random.Generator, squash: bool = True):
     """Draw a diagonal-Gaussian action, tanh-squashed into (-1, 1) when
     ``squash`` (the meta controller's raw logits are not squashed).
 
-    ``mean``/``log_std`` are float64 arrays of shape (A,), as
-    :meth:`PolicyNetwork.forward` returns them; the draw consumes
-    ``rng.standard_normal`` of shape (A,), or (*size, A) with ``size``
-    given. Returns an :class:`ActionSample`; ``log_prob`` is summed over
-    action components: the Gaussian density of the pre-squash draw, minus
-    the tanh change-of-variables term when squashed. A non-finite mean or
-    log_std raises :class:`DivergenceError`.
+    ``mean`` is a float64 array of shape (..., A) and ``log_std`` of shape
+    (A,), as :meth:`PolicyNetwork.forward` returns them; the draw consumes
+    ``rng.standard_normal(mean.shape)``, which for an (N, A) mean equals N
+    successive (A,) draws. Returns an :class:`ActionSample`; ``log_prob`` is
+    summed over action components: the Gaussian density of the pre-squash
+    draw, minus the tanh change-of-variables term when squashed. A
+    non-finite mean or log_std raises :class:`DivergenceError`.
     """
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(log_std))):
         raise DivergenceError("non-finite policy mean or log_std")
-    shape = mean.shape if size is None else tuple(np.atleast_1d(size)) + mean.shape
-    u = mean + np.exp(log_std) * rng.standard_normal(shape)
+    u = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
     log_prob = gaussian_log_prob(u, mean, log_std)
     if not squash:
         return ActionSample(action=u, log_prob=log_prob, pre_squash=u)
@@ -167,25 +166,27 @@ class PolicyNetwork:
 
     # -- inference -------------------------------------------------------
     def forward(self, obs):
-        """Deterministic forward pass.
+        """Deterministic forward pass over one observation or a block.
 
-        Returns ``(mean, log_std, value)``; for a single observation the
-        mean has shape (action_dim,) and value is a float.
+        Returns ``(mean, log_std, value)``: shapes (action_dim,) and a float
+        for one observation, (N, action_dim) and (N,) for an (N, obs_dim)
+        block. Each layer is the stacked matmul ``(N, 1, D) @ (D, H)``, which
+        numpy runs row by row with a lone row's kernel, so a block forward is
+        bit-identical to N single ones; a plain ``(N, D) @ (D, H)`` goes
+        through gemm and sums in another order.
         """
         x = np.asarray(obs, dtype=np.float64)
         single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.shape[1] != self.layer_dims[0]:
+        if x.shape[-1] != self.layer_dims[0]:
             raise ValueError(
-                f"observation dim {x.shape[1]} does not match network input "
+                f"observation dim {x.shape[-1]} does not match network input "
                 f"dim {self.layer_dims[0]}"
             )
-        h = x
+        h = x.reshape(-1, 1, x.shape[-1])
         for i in range(len(self.layer_dims) - 1):
             h = np.tanh(h @ self.params[f"W{i}"] + self.params[f"b{i}"])
-        mean = h @ self.params["Wp"] + self.params["bp"]
-        value = (h @ self.params["Wv"] + self.params["bv"])[:, 0]
+        mean = (h @ self.params["Wp"] + self.params["bp"])[:, 0]
+        value = (h @ self.params["Wv"] + self.params["bv"])[:, 0, 0]
         log_std = self.params["log_std"].copy()
         if single:
             return mean[0], log_std, float(value[0])
@@ -196,10 +197,6 @@ class PolicyNetwork:
         otherwise."""
         mean, _, _ = self.forward(obs)
         return np.tanh(mean) if self.squash else mean
-
-    def value(self, obs) -> float:
-        _, _, v = self.forward(np.asarray(obs))
-        return float(v) if np.ndim(v) == 0 else v
 
     # -- persistence -------------------------------------------------------
     def save(self, path, config_hash: str = "") -> None:

@@ -2,9 +2,10 @@
 clipped-surrogate updates with value and entropy terms, and an Adam
 optimizer with global gradient-norm clipping.
 
-Rollouts may fan out over N independent environment instances (stepped
-round-robin in-process); the update phase is single-writer. A run with one
-worker and a fixed seed is exactly reproducible.
+Rollouts may fan out over N independent environment instances, read off
+their episode tapes as one block per buffer: one forward, one action draw
+and one settlement. The update phase is single-writer. A run with a fixed
+seed is exactly reproducible.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bidding_env import map_action, settle
 from .errors import DivergenceError
 from .policy_net import HALF_LOG_2PI, PolicyNetwork, sample_action, squash_correction
 
@@ -269,9 +271,10 @@ def loss_and_grads(
     )
 
 
-def scalar_action(action, obs) -> float:
-    """The environment action of a one-action policy: its sampled scalar."""
-    return float(action[0])
+def scalar_action(actions, obs) -> np.ndarray:
+    """The environment actions of a one-action policy: its sampled
+    scalars, one per row."""
+    return actions[:, 0]
 
 
 def train(
@@ -286,13 +289,14 @@ def train(
 ) -> TrainingLog:
     """Run PPO until ``cfg.total_steps`` environment steps.
 
-    ``env_factory`` builds a fresh environment per rollout worker;
-    ``env_action(action, obs)`` maps a sampled action and the observation
-    it was sampled at to the environment's raw action (the meta controller
-    blends the workers' proposals there); ``reward_fn(profit, alpha)``
-    shapes the raw settlement profit into the training reward. The policy
-    is updated in place. Raises :class:`DivergenceError` if policy outputs,
-    losses or parameters go non-finite.
+    ``env_factory`` builds a fresh environment per rollout worker, whose
+    ``env.tape`` is read and ``env.reset(rng=...)`` called at each episode
+    end. ``env_action(actions, obs)`` maps an (N, A) block of sampled
+    actions and their (N, obs_dim) observations to N raw actions (the meta
+    controller blends the workers' proposals there); ``reward_fn(profit,
+    alpha)`` shapes each step's profit, one call per step in (t, worker)
+    order. The policy is updated in place. Raises :class:`DivergenceError` if policy
+    outputs, losses or parameters go non-finite.
     """
     if policy.frozen:
         raise ValueError("cannot train a frozen policy")
@@ -306,10 +310,11 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     envs = [env_factory() for _ in range(workers)]
-    obs = [envs[i].reset(rng=env_rngs[i]) for i in range(workers)]
+    for env, env_rng in zip(envs, env_rngs):
+        env.reset(rng=env_rng)
+    cursors = [0] * workers  # each worker's next row of its tape
 
     T = cfg.buffer_size // workers
-    A = policy.action_dim
     obs_dim = policy.layer_dims[0]
     optimizer = Adam(policy.params, lr=cfg.learning_rate)
     log = TrainingLog()
@@ -318,37 +323,38 @@ def train(
     update = 0
     while steps_done < cfg.total_steps:
         buf_obs = np.empty((T, workers, obs_dim))
-        buf_pre = np.empty((T, workers, A))
-        buf_logp = np.empty((T, workers))
-        buf_rew = np.empty((T, workers))
-        buf_raw = np.empty((T, workers))
-        buf_val = np.empty((T, workers))
+        buf_dispatch = np.empty((6, T, workers))
         buf_done = np.zeros((T, workers))
+        for i, env in enumerate(envs):
+            t = 0
+            while t < T:
+                c = cursors[i]
+                k = min(T - t, len(env.tape) - c)
+                buf_obs[t : t + k, i] = env.tape.obs[c : c + k]
+                buf_dispatch[:, t : t + k, i] = env.tape.dispatch[:, c : c + k]
+                t, cursors[i] = t + k, c + k
+                if cursors[i] == len(env.tape):
+                    buf_done[t - 1, i] = 1.0
+                    env.reset(rng=env_rngs[i])
+                    cursors[i] = 0
 
-        for t in range(T):
-            for i in range(workers):
-                x = obs[i]
-                mean, log_std, value = policy.forward(x)
-                s = sample_action(mean, log_std, sample_rng, squash=policy.squash)
-                next_obs, settled, done = envs[i].step(env_action(s.action, x))
+        # rows in (t, i) order: the draw equals one (A,) draw per step
+        flat_obs = buf_obs.reshape(-1, obs_dim)
+        mean, log_std, flat_val = policy.forward(flat_obs)
+        s = sample_action(mean, log_std, sample_rng, squash=policy.squash)
+        settled = settle(map_action(env_action(s.action, flat_obs)), *buf_dispatch.reshape(6, -1))
+        # per step: a shaper may keep state, and its scalar arithmetic is
+        # not guaranteed to match a vector version bit for bit
+        buf_rew = np.array(
+            [float(reward_fn(pi, alpha)) for pi, alpha in zip(settled.profit, settled.alpha)]
+        ).reshape(T, workers)
+        buf_raw = settled.profit.reshape(T, workers)
 
-                buf_obs[t, i] = x
-                buf_pre[t, i] = s.pre_squash
-                buf_logp[t, i] = s.log_prob
-                buf_rew[t, i] = float(reward_fn(settled.profit, settled.alpha))
-                buf_raw[t, i] = settled.profit
-                buf_val[t, i] = value
-                buf_done[t, i] = 1.0 if done else 0.0
-                obs[i] = envs[i].reset(rng=env_rngs[i]) if done else next_obs
-
-        bootstrap = np.array([policy.value(obs[i]) for i in range(workers)])
+        bootstrap = policy.forward(np.array([env.tape.obs[c] for env, c in zip(envs, cursors)]))[2]
         advantages, returns = compute_gae(
-            buf_rew, buf_val, buf_done, bootstrap, cfg.gamma, cfg.gae_lambda
+            buf_rew, flat_val.reshape(T, workers), buf_done, bootstrap, cfg.gamma, cfg.gae_lambda
         )
 
-        flat_obs = buf_obs.reshape(-1, obs_dim)
-        flat_pre = buf_pre.reshape(-1, A)
-        flat_logp = buf_logp.reshape(-1)
         flat_adv = normalize_advantages(advantages.reshape(-1))
         flat_ret = returns.reshape(-1)
         n = flat_obs.shape[0]
@@ -363,8 +369,8 @@ def train(
                 lg = loss_and_grads(
                     policy,
                     flat_obs[idx],
-                    flat_pre[idx],
-                    flat_logp[idx],
+                    s.pre_squash[idx],
+                    s.log_prob[idx],
                     flat_adv[idx],
                     flat_ret[idx],
                     cfg,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from marsbid.bidding_env import Settlement, map_action
+from marsbid.bidding_env import Tape
 from marsbid.market_data import FIELD_NAMES, MarketSeries, SyntheticConfig, generate_synthetic
 from marsbid.policy_net import sample_action
 
@@ -93,21 +93,21 @@ def spike_series(n_hours: int, seed: int) -> MarketSeries:
 
 
 class BanditEnv:
-    """One-step env with constant observation and reward equal to the raw
-    action; the PPO sanity toy."""
+    """A one-hour episode with a constant observation; its read-only tape
+    settles DA at 1, RT at -1, with capacity 1, no costs and no fines, so
+    the profit is the clipped raw action. The PPO sanity toy."""
 
     obs_dim = 4
 
     def __init__(self):
-        self._obs = np.zeros(self.obs_dim)
-        self._obs.flags.writeable = False
+        obs = np.zeros((1, self.obs_dim))
+        dispatch = np.array([[1.0], [-1.0], [0.0], [1.0], [0.0], [0.0]])
+        for arr in (obs, dispatch):
+            arr.flags.writeable = False
+        self.tape = Tape(series=None, start=0, obs=obs, dispatch=dispatch)
 
     def reset(self, start=None, rng=None):
-        return self._obs
-
-    def step(self, a_raw):
-        a = float(np.clip(a_raw, -1.0, 1.0))
-        return None, Settlement(map_action(a), a, a, 0.0, 0.0, 0.0, 0.0), True
+        return self.tape.obs[0]
 
 
 def policy_sample(net, obs, rng):

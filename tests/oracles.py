@@ -1,16 +1,21 @@
 """Closed-form reference formulas that the tests check the program against.
 
 They live here, not in ``marsbid``, because the program itself never calls
-them: training uses ``ppo_trainer.loss_and_grads``, and the environment
-settles and observes an episode from a tape built once per reset, not hour
-by hour as :func:`stepwise_episode` does.
+them: training uses ``ppo_trainer.loss_and_grads``, the environment settles
+and observes an episode from a tape built once per reset, not hour by hour
+as :func:`stepwise_episode` does, and every policy runs one forward per
+block of rows, not one per hour as :func:`stepwise_rollouts` and the
+``row_*`` functions do.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
+from marsbid.baselines import rolling_opt_action
 from marsbid.bidding_env import OBS_HISTORY_HOURS, UnitState
 from marsbid.market_data import day_of_week, hour_of_day
-from marsbid.policy_net import gaussian_log_prob, squash_correction
+from marsbid.policy_net import gaussian_log_prob, sample_action, squash_correction
 
 
 def ppo_loss(log_prob_new, log_prob_old, advantages_normalized, clip_epsilon: float) -> float:
@@ -156,3 +161,122 @@ def stepwise_episode(env, start: int, actions):
         )
         rows.append(row)
     return np.array(obs), np.array(rows).T
+
+
+# -- one row at a time -----------------------------------------------------------
+
+
+def row_forward(net, x):
+    """``net``'s forward pass of one observation as plain 2-D matmuls of a
+    (1, obs_dim) row: ``(mean, log_std, value)``."""
+    h = np.asarray(x, dtype=np.float64)[None, :]
+    for i in range(len(net.layer_dims) - 1):
+        h = np.tanh(h @ net.params[f"W{i}"] + net.params[f"b{i}"])
+    mean = h @ net.params["Wp"] + net.params["bp"]
+    value = h @ net.params["Wv"] + net.params["bv"]
+    return mean[0], net.params["log_std"].copy(), float(value[0, 0])
+
+
+def row_act(net, x) -> np.ndarray:
+    """Deterministic action of one observation."""
+    mean = row_forward(net, x)[0]
+    return np.tanh(mean) if net.squash else mean
+
+
+def row_softmax(logits) -> np.ndarray:
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def row_blend(weights, actions) -> float:
+    """One hour's blend: the dot of two (K,) vectors, pinned to the hull."""
+    w = np.asarray(weights, dtype=np.float64)
+    a = np.asarray(actions, dtype=np.float64)
+    return float(np.clip(float(w @ a), a.min(), a.max()))
+
+
+def row_proposals(ensemble, x) -> np.ndarray:
+    return np.array([float(row_act(net, x)[0]) for _, net in ensemble.workers])
+
+
+def greedy_rows(net, tape) -> np.ndarray:
+    """A greedy policy's raw actions, one forward per tape row."""
+    return np.array([row_act(net, obs)[0] for obs in tape.obs])
+
+
+def blend_rows(ensemble, meta, tape):
+    """``BlendPolicy`` one tape row at a time: ``(actions, weights,
+    proposals)``."""
+    proposals = np.array([row_proposals(ensemble, obs) for obs in tape.obs])
+    if hasattr(meta, "params"):
+        weights = np.array([row_softmax(row_forward(meta, obs)[0]) for obs in tape.obs])
+    else:
+        weights = np.tile(np.asarray(meta, dtype=np.float64), (len(tape), 1))
+    actions = np.array([row_blend(w, p) for w, p in zip(weights, proposals)])
+    return actions, weights, proposals
+
+
+def rolling_opt_scan(tape, cfg) -> np.ndarray:
+    """The rolling-opt actions of a tape: :func:`rolling_opt_action` on the
+    realized spreads before each hour, from a neutral action."""
+    f = tape.series.fields
+    spread = f["lmp_da"] - f["lmp_rt"]
+    actions = [0.0]
+    for i in range(tape.start, tape.start + len(tape)):
+        actions.append(rolling_opt_action(spread[i - cfg.window : i], cfg, actions[-1]))
+    return np.array(actions[1:])
+
+
+class Buffer(NamedTuple):
+    """One rollout buffer, indexed (t, worker)."""
+
+    obs: np.ndarray
+    pre: np.ndarray
+    logp: np.ndarray
+    rewards: np.ndarray
+    values: np.ndarray
+    dones: np.ndarray
+    bootstrap: np.ndarray
+
+
+def stepwise_rollouts(env_factory, policy, reward_fn, seed, workers, T, n_buffers, row_action):
+    """The rollout buffers ``ppo_trainer.train`` collects with ``seed`` and
+    ``workers``, made step by step with a frozen ``policy``: per step and
+    worker, in round-robin order, one forward, one (A,) action draw and one
+    ``env.step`` at ``row_action(action, obs)``, with a reset at each
+    episode end."""
+    env_seeds, sample_seed, _ = np.random.SeedSequence(seed).spawn(3)
+    env_rngs = [np.random.default_rng(s) for s in env_seeds.spawn(workers)]
+    sample_rng = np.random.default_rng(sample_seed)
+    envs = [env_factory() for _ in range(workers)]
+    obs = [envs[i].reset(rng=env_rngs[i]) for i in range(workers)]
+    A = policy.action_dim
+    buffers = []
+    for _ in range(n_buffers):
+        buf = Buffer(
+            obs=np.empty((T, workers, policy.layer_dims[0])),
+            pre=np.empty((T, workers, A)),
+            logp=np.empty((T, workers)),
+            rewards=np.empty((T, workers)),
+            values=np.empty((T, workers)),
+            dones=np.zeros((T, workers)),
+            bootstrap=np.empty(workers),
+        )
+        for t in range(T):
+            for i in range(workers):
+                x = obs[i]
+                mean, log_std, value = row_forward(policy, x)
+                s = sample_action(mean, log_std, sample_rng, squash=policy.squash)
+                next_obs, settled, done = envs[i].step(row_action(s.action, x))
+                buf.obs[t, i] = x
+                buf.pre[t, i] = s.pre_squash
+                buf.logp[t, i] = s.log_prob
+                buf.rewards[t, i] = float(reward_fn(settled.profit, settled.alpha))
+                buf.values[t, i] = value
+                buf.dones[t, i] = 1.0 if done else 0.0
+                obs[i] = envs[i].reset(rng=env_rngs[i]) if done else next_obs
+        buf.bootstrap[:] = [row_forward(policy, x)[2] for x in obs]
+        buffers.append(buf)
+    return buffers

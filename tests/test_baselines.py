@@ -20,6 +20,7 @@ from marsbid.ppo_trainer import PpoConfig
 from marsbid.reward_shaping import ShapingParams
 
 from conftest import make_series, premium_series
+from oracles import rolling_opt_scan
 
 CFG = RollingOptConfig()
 
@@ -65,6 +66,27 @@ def test_rolling_opt_scale_equivariant(scale, seed):
     base = rolling_opt_action(window, CFG, prev_action=0.0)
     scaled = rolling_opt_action(window * scale, CFG, prev_action=0.0)
     assert base == scaled
+
+
+_SPREAD_RNG = np.random.default_rng(8)
+_SPREAD_ENV = StrategicBiddingEnv(
+    make_series(
+        lmp_da=_SPREAD_RNG.normal(50.0, 2.0, 300), lmp_rt=_SPREAD_RNG.normal(50.0, 2.0, 300)
+    ),
+    episode_len=120,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    window=st.integers(1, 48), hysteresis=st.floats(0.0, 3.0), start=st.integers(48, 180)
+)
+def test_rolling_opt_policy_equals_per_hour_scan(window, hysteresis, start):
+    _SPREAD_ENV.reset(start=start)
+    cfg = RollingOptConfig(window=window, hysteresis=hysteresis)
+    assert np.array_equal(
+        RollingOptPolicy(cfg)(_SPREAD_ENV.tape), rolling_opt_scan(_SPREAD_ENV.tape, cfg)
+    )
 
 
 def test_rolling_opt_policy_over_env():

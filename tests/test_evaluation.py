@@ -11,6 +11,7 @@ from marsbid.evaluation import (
     aggregate_reports,
     allocation_entropy,
     compute_report,
+    greedy,
     max_drawdown,
     regime_alignment,
     regime_alignment_expost,
@@ -21,9 +22,10 @@ from marsbid.evaluation import (
     write_reports_csv,
 )
 from marsbid.market_data import format_timestamp
+from marsbid.policy_net import PolicyNetwork
 
 from conftest import make_series
-from oracles import rolling_volatility
+from oracles import greedy_rows, rolling_volatility
 
 
 # -- brute-force oracles (independent reimplementation) -------------------------
@@ -327,3 +329,15 @@ def test_ledger_market_columns_are_the_settled_hours(tmp_path):
     row = first.split(",")
     assert row[0] == format_timestamp(series.timestamps[30])
     assert row[1:3] == [repr(float(da[30])), repr(float(rt[30]))]
+
+
+def test_greedy_equals_row_by_row_oracle():
+    rng = np.random.default_rng(8)
+    series = make_series(lmp_da=rng.normal(50, 15, 300), lmp_rt=rng.normal(50, 20, 300))
+    env = StrategicBiddingEnv(series, episode_len=250, dispatch_mode="economic")
+    env.reset(start=30)
+    net = PolicyNetwork(env.obs_dim, (16, 16), seed=4)
+    net.params["Wp"] *= 100.0  # spread the actions over (-1, 1)
+    actions = greedy(net)(env.tape)
+    assert actions.shape == (250,) and np.ptp(actions) > 0.5
+    assert np.array_equal(actions, greedy_rows(net, env.tape))

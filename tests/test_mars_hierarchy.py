@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marsbid.bidding_env import StrategicBiddingEnv
+from marsbid import ppo_trainer
+from marsbid.bidding_env import StrategicBiddingEnv, map_action
 from marsbid.mars_hierarchy import (
     AgentEnsemble,
     Blend,
@@ -19,6 +20,7 @@ from marsbid.reward_shaping import ShapingParams, reward_meta
 from marsbid.evaluation import greedy, run_policy_episode
 
 from conftest import make_series, param_hashes, policy_sample, premium_series
+from oracles import blend_rows, row_blend, row_softmax
 
 
 def frozen_worker(role, seed, obs_dim=33):
@@ -59,6 +61,21 @@ def test_blend_rejects_off_simplex():
         blend([0.6, 0.6], [0.0, 0.0])
     with pytest.raises(ValueError):
         blend([-0.1, 1.1], [0.0, 0.0])
+    # one bad row rejects a block
+    with pytest.raises(ValueError, match="simplex"):
+        blend([[0.5, 0.5], [0.6, 0.6], [1.0, 0.0]], np.zeros((3, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), rows=st.integers(1, 30), seed=st.integers(0, 2**16))
+def test_row_wise_softmax_and_blend_equal_scalar_ones(k, rows, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=5.0, size=(rows, k))
+    proposals = rng.uniform(-1.0, 1.0, size=(rows, k))
+    weights = softmax(logits)
+    assert np.array_equal(weights, [row_softmax(z) for z in logits])
+    want = [row_blend(w, a) for w, a in zip(weights, proposals)]
+    assert np.array_equal(blend(weights, proposals), want)
 
 
 @settings(max_examples=100)
@@ -186,6 +203,23 @@ def test_blend_policy_ledger_records_weights_proposals_and_meta_reward():
     assert solo.roles == () and solo.weights == solo.proposals == solo.r_meta == []
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("learned", [True, False])
+def test_blend_policy_equals_row_by_row_oracle(k, learned):
+    env = StrategicBiddingEnv(wavy_series(), episode_len=200, dispatch_mode="economic")
+    env.reset(start=24)
+    roles = ("safe", "spec", "neutral")[:k]
+    ens = AgentEnsemble(workers=tuple(frozen_worker(r, i + 1) for i, r in enumerate(roles)))
+    meta = (
+        PolicyNetwork(env.obs_dim, (8, 8), action_dim=k, role="meta", squash=False, seed=7)
+        if learned
+        else np.full(k, 1.0 / k)
+    )
+    got = BlendPolicy(ens, meta)(env.tape)
+    for column, want in zip(got, blend_rows(ens, meta, env.tape)):
+        assert np.array_equal(column, want)
+
+
 def test_blend_policy_fixed_weights_return_a_blend():
     env = StrategicBiddingEnv(wavy_series(), episode_len=24)
     env.reset(start=24)
@@ -210,32 +244,35 @@ def test_blend_without_matching_roles_is_rejected():
         run_policy_episode(env, lambda tape: 0.5, start=24)
 
 
-class _RecordingEnv(StrategicBiddingEnv):
-    """Records every observation and the raw action stepped at it."""
-
-    def __init__(self, *args, log, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.log = log
-
-    def step(self, a_raw):
-        self.log.append((self.tape.obs[self._t], a_raw))
-        return super().step(a_raw)
-
-
-def test_meta_rollouts_execute_a_blend_of_the_proposals():
+def test_meta_rollouts_execute_a_blend_of_the_proposals(monkeypatch):
     ens = small_ensemble()
-    log = []
+    seen_obs, settled_raw = [], []
+    real_proposals = AgentEnsemble.proposals
+
+    def record_proposals(self, obs):
+        seen_obs.extend(obs)
+        return real_proposals(self, obs)
+
+    def record_raw(a_raw):
+        settled_raw.extend(a_raw)
+        return map_action(a_raw)
+
+    # the observations the meta's rollouts blend at, and the raw actions
+    # its trainer settles
+    monkeypatch.setattr(AgentEnsemble, "proposals", record_proposals)
+    monkeypatch.setattr(ppo_trainer, "map_action", record_raw)
     cfg = PpoConfig(total_steps=64, buffer_size=64, epochs_per_update=1, hidden=(8,))
     train_meta(
-        lambda: _RecordingEnv(wavy_series(), episode_len=24, log=log),
+        lambda: StrategicBiddingEnv(wavy_series(), episode_len=24),
         ens,
         cfg,
         ShapingParams(),
         seed=4,
     )
-    assert len(log) == 64
+    monkeypatch.undo()
+    assert len(seen_obs) == len(settled_raw) == 64
     spreads = []
-    for obs, a_raw in log:
+    for obs, a_raw in zip(seen_obs, settled_raw):
         proposals = ens.proposals(obs)
         assert isinstance(a_raw, float)
         assert proposals.min() <= a_raw <= proposals.max()

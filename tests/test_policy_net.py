@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marsbid.errors import CheckpointError, DivergenceError
 from marsbid.policy_net import (
+    ActionSample,
     PolicyNetwork,
     gaussian_log_prob,
     sample_action,
@@ -11,7 +14,7 @@ from marsbid.policy_net import (
 from marsbid.ppo_trainer import PpoConfig, loss_and_grads
 
 from conftest import policy_sample
-from oracles import log_prob_of_action
+from oracles import log_prob_of_action, row_act, row_forward
 
 
 # -- forward -------------------------------------------------------------------
@@ -57,7 +60,52 @@ def test_forward_dim_mismatch():
         net.forward(np.zeros(9))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    obs_dim=st.integers(1, 40),
+    hidden=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+    action_dim=st.integers(1, 3),
+    squash=st.booleans(),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_block_forward_equals_row_forwards(obs_dim, hidden, action_dim, squash, rows, seed):
+    # bit for bit: the block forward must not sum in another order than a
+    # lone row's (a plain 2-D matmul does)
+    net = PolicyNetwork(obs_dim, tuple(hidden), action_dim, squash=squash, seed=seed)
+    rng = np.random.default_rng(seed)
+    net.params["Wp"] = rng.normal(size=net.params["Wp"].shape)
+    obs = rng.normal(size=(rows, obs_dim))
+    mean, log_std, value = net.forward(obs)
+    want = [row_forward(net, x) for x in obs]
+    assert mean.shape == (rows, action_dim) and value.shape == (rows,)
+    assert np.array_equal(mean, [m for m, _, _ in want])
+    assert np.array_equal(value, [v for _, _, v in want])
+    assert np.array_equal(log_std, net.params["log_std"])
+    assert np.array_equal(net.act_deterministic(obs), [row_act(net, x) for x in obs])
+    one_mean, _, one_value = net.forward(obs[-1])
+    assert np.array_equal(one_mean, mean[-1]) and one_value == value[-1]
+
+
 # -- sampling ----------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    action_dim=st.integers(1, 3),
+    rows=st.integers(1, 50),
+    squash=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_block_sample_equals_row_draws(action_dim, rows, squash, seed):
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(size=(rows, action_dim))
+    log_std = rng.normal(scale=0.5, size=action_dim)
+    block = sample_action(mean, log_std, np.random.default_rng(seed), squash=squash)
+    row_rng = np.random.default_rng(seed)
+    want = [sample_action(m, log_std, row_rng, squash=squash) for m in mean]
+    for name in ActionSample._fields:
+        assert np.array_equal(getattr(block, name), [getattr(s, name) for s in want])
 
 
 def test_sample_low_std_is_deterministic_limit(rng):
@@ -67,7 +115,7 @@ def test_sample_low_std_is_deterministic_limit(rng):
 
 def test_sample_symmetry_monte_carlo():
     rng = np.random.default_rng(77)
-    s = sample_action(np.array([0.0]), np.array([0.0]), rng, size=100_000)
+    s = sample_action(np.zeros((100_000, 1)), np.array([0.0]), rng)
     assert abs(float(s.action.mean())) < 0.01
     assert np.all(np.abs(s.action) <= 1.0)
 
@@ -75,7 +123,7 @@ def test_sample_symmetry_monte_carlo():
 def test_sample_log_prob_matches_histogram_density():
     rng = np.random.default_rng(3)
     mean, log_std = np.array([0.3]), np.array([-0.5])
-    s = sample_action(mean, log_std, rng, size=1_000_000)
+    s = sample_action(np.tile(mean, (1_000_000, 1)), log_std, rng)
     a = s.action[:, 0]
     edges = np.linspace(-0.99, 0.99, 81)
     counts, _ = np.histogram(a, bins=edges)

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marsbid import ppo_trainer
+from marsbid.bidding_env import StrategicBiddingEnv
 from marsbid.errors import DivergenceError
+from marsbid.mars_hierarchy import AgentEnsemble, blend, softmax
 from marsbid.policy_net import PolicyNetwork, gaussian_log_prob, squash_correction
 from marsbid.ppo_trainer import (
     Adam,
@@ -12,11 +15,13 @@ from marsbid.ppo_trainer import (
     compute_gae,
     loss_and_grads,
     normalize_advantages,
+    scalar_action,
     train,
 )
+from marsbid.reward_shaping import CvarRewardShaper, ShapingParams, reward_meta, reward_safe
 
-from conftest import BanditEnv
-from oracles import ppo_loss
+from conftest import BanditEnv, make_series
+from oracles import ppo_loss, row_blend, row_proposals, row_softmax, stepwise_rollouts
 
 
 # -- GAE ------------------------------------------------------------------
@@ -305,3 +310,88 @@ def test_multi_worker_collection_trains():
     assert [r.steps for r in log.records] == [512, 1024]
     with pytest.raises(ValueError):
         train(lambda: BanditEnv(), net, lambda pi, a: pi, cfg, seed=3, workers=0)
+
+
+# -- batched rollouts ------------------------------------------------------------------
+
+
+_ROLL_RNG = np.random.default_rng(17)
+# prices straddle the marginal cost (30 $/MWh): economic dispatch pays
+# startups and fines
+_ROLL_SERIES = make_series(
+    lmp_da=_ROLL_RNG.normal(35.0, 20.0, 200),
+    lmp_rt=_ROLL_RNG.normal(35.0, 25.0, 200),
+    gas_price=_ROLL_RNG.uniform(3.0, 5.0, 200),
+)
+
+
+def _frozen(role, seed, obs_dim):
+    net = PolicyNetwork(obs_dim, (8,), role=role, seed=seed)
+    net.params["Wp"] *= 100.0  # proposals spread over (-1, 1)
+    net.freeze()
+    return role, net
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("role", ["safe", "meta", "cvar"])
+def test_batched_buffers_equal_stepwise_oracle(role, workers, monkeypatch):
+    # 17-hour episodes end inside buffers and straddle them; a zero learning
+    # rate keeps the policy the oracle replays
+    def factory():
+        return StrategicBiddingEnv(_ROLL_SERIES, episode_len=17, dispatch_mode="economic")
+
+    obs_dim = factory().obs_dim
+    shaping = ShapingParams(cvar_window=30)
+    if role == "meta":
+        ens = AgentEnsemble(workers=(_frozen("safe", 1, obs_dim), _frozen("spec", 2, obs_dim)))
+        net = PolicyNetwork(obs_dim, (8,), action_dim=2, role="meta", squash=False, seed=5)
+        make_reward = lambda: (lambda pi, alpha: reward_meta(pi, shaping))
+        env_action = lambda logits, obs: blend(softmax(logits), ens.proposals(obs))
+        row_action = lambda logits, x: row_blend(row_softmax(logits), row_proposals(ens, x))
+    else:
+        net = PolicyNetwork(obs_dim, (8,), role=role, seed=5)
+        if role == "cvar":
+            make_reward = lambda: CvarRewardShaper(shaping)
+        else:
+            make_reward = lambda: (lambda pi, alpha: reward_safe(pi, alpha, shaping))
+        env_action = scalar_action
+        row_action = lambda a, x: float(a[0])
+
+    seen_obs, draws, gae_inputs = [], [], []
+    real_sample, real_gae = ppo_trainer.sample_action, ppo_trainer.compute_gae
+
+    def record_action(actions, obs):
+        seen_obs.append(obs.copy())
+        return env_action(actions, obs)
+
+    def record_sample(*args, **kwargs):
+        draws.append(real_sample(*args, **kwargs))
+        return draws[-1]
+
+    def record_gae(rewards, values, dones, bootstrap, gamma, lam):
+        gae_inputs.append((rewards.copy(), values.copy(), dones.copy(), np.array(bootstrap)))
+        return real_gae(rewards, values, dones, bootstrap, gamma, lam)
+
+    monkeypatch.setattr(ppo_trainer, "sample_action", record_sample)
+    monkeypatch.setattr(ppo_trainer, "compute_gae", record_gae)
+    cfg = PpoConfig(
+        total_steps=120, buffer_size=60, learning_rate=0.0, epochs_per_update=1, hidden=(8,)
+    )
+    before = net.param_hash()
+    train(factory, net, make_reward(), cfg, seed=9, workers=workers, env_action=record_action)
+    monkeypatch.undo()
+    assert net.param_hash() == before
+
+    T = 60 // workers
+    want = stepwise_rollouts(factory, net, make_reward(), 9, workers, T, 2, row_action)
+    assert len(seen_obs) == len(draws) == len(gae_inputs) == 2
+    for buf, obs, draw, (rewards, values, dones, bootstrap) in zip(
+        want, seen_obs, draws, gae_inputs
+    ):
+        assert np.array_equal(obs, buf.obs.reshape(T * workers, obs_dim))
+        assert np.array_equal(draw.pre_squash, buf.pre.reshape(T * workers, -1))
+        assert np.array_equal(draw.log_prob, buf.logp.reshape(-1))
+        assert np.array_equal(rewards, buf.rewards)
+        assert np.array_equal(values, buf.values)
+        assert np.array_equal(dones, buf.dones) and dones.any()
+        assert np.array_equal(bootstrap, buf.bootstrap)
