@@ -290,20 +290,29 @@ class StrategicBiddingEnv:
         """Scan the unit through the episode's hours and lay out its tape.
 
         The unit starts committed at full output with its minimum-up time
-        already served, so the default mode never pays a startup cost.
+        already served, so the default mode never pays a startup cost; there
+        the unit never changes state and its columns need no scan.
         """
         hours = slice(start, start + self.episode_len)
         f = self.series.fields
         spec = self.spec
         lmp_da, lmp_rt = f["lmp_da"][hours], f["lmp_rt"][hours]
         mc = spec.marginal_cost(f["gas_price"][hours])
-        unit = UnitState(committed=True, hours_in_state=spec.min_up, prev_output=spec.p_max)
-        rows = []  # the unit entering each hour, then the hour's dispatch
-        for prices in zip(lmp_da.tolist(), lmp_rt.tolist(), mc.tolist()):
-            *hour, next_unit = dispatch(unit, *prices, spec, self.dispatch_mode)
-            rows.append((*unit, *hour))
-            unit = next_unit
-        committed, hours_in_state, prev_output, *hour_columns = np.array(rows, dtype=np.float64).T
+        if self.dispatch_mode == "always_on":
+            committed = np.ones(self.episode_len)
+            hours_in_state = spec.min_up + np.arange(self.episode_len, dtype=np.float64)
+            prev_output = np.full(self.episode_len, spec.p_max, dtype=np.float64)
+            hour_columns = (prev_output, np.zeros(self.episode_len), np.zeros(self.episode_len))
+        else:
+            unit = UnitState(committed=True, hours_in_state=spec.min_up, prev_output=spec.p_max)
+            rows = []  # the unit entering each hour, then the hour's dispatch
+            for prices in zip(lmp_da.tolist(), lmp_rt.tolist(), mc.tolist()):
+                *hour, next_unit = dispatch(unit, *prices, spec, self.dispatch_mode)
+                rows.append((*unit, *hour))
+                unit = next_unit
+            committed, hours_in_state, prev_output, *hour_columns = np.array(
+                rows, dtype=np.float64
+            ).T
         obs = np.empty((self.episode_len, self.obs_dim))
         windows = self._windows[start - OBS_HISTORY_HOURS : hours.stop - OBS_HISTORY_HOURS]
         np.divide(windows, self.price_scale, out=obs[:, :OBS_HISTORY_HOURS])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -355,73 +356,134 @@ ABLATION_CONFIGS = (
 )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Set only in a forked child, by the pool's initializer. A forked child
+# inherits the initializer's arguments instead of unpickling them, which
+# matters: unpickled MarketSeries arrays would lose their read-only flag.
+_seed_job = None
+
+
+def _set_seed_job(job) -> None:
+    global _seed_job
+    _seed_job = job
+
+
+def _run_seed_job(seed: int):
+    return _seed_job(seed)
+
+
+def _map_seeds(job, seeds):
+    """Yield ``job(seed)`` for each seed, in seed order.
+
+    With more than one seed and CPU, the seeds run in a pool of up to one
+    forked process per CPU; only the seed goes to a child and only the
+    result comes back. An error a job raises reaches the caller unchanged.
+    Otherwise, or without the ``fork`` start method, the jobs run here.
+    """
+    # imported here: the pool machinery costs about 1 MB of RSS that no
+    # other command needs
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
+    processes = min(len(seeds), _usable_cpus())
+    if processes < 2 or "fork" not in mp.get_all_start_methods():
+        yield from map(job, seeds)
+        return
+    with ProcessPoolExecutor(
+        processes,
+        mp_context=mp.get_context("fork"),
+        initializer=_set_seed_job,
+        initargs=(job,),
+    ) as pool:
+        yield from pool.map(_run_seed_job, seeds)
+
+
+def _ablate_seed(cfg: RunConfig, out_dir, series_by_split, load_scale, workers, seed):
+    """Train the ablation's seven networks on one seed, save their
+    checkpoints, and evaluate the seven configurations.
+
+    Writes the seed's checkpoints and ``<configuration>_seed<seed>.metrics.json``
+    files; returns ``(reports by configuration, the lines to print)``.
+    """
+    factory = make_env_factory(cfg, series_by_split["train"], cfg.episode_len, load_scale)
+    _ensure_dir(_ckpt_dir(out_dir, seed))
+    # one call, so the neutral worker gets its own init and rollout
+    # seeds; spawn(3)[:2] == spawn(2) keeps safe and spec unchanged
+    ens_k3, _ = train_university(
+        factory, cfg.ppo_base, cfg.shaping, roles=("safe", "spec", "neutral"),
+        seed=seed, workers=workers,
+    )
+    ens2 = AgentEnsemble(workers=ens_k3.workers[:2])
+
+    # both meta controllers take this seed (common random numbers for
+    # the K=2 vs K=3 comparison): the same body weights at init and the
+    # same episode starts
+    meta2, _ = train_meta(factory, ens2, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
+    meta3, _ = train_meta(factory, ens_k3, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
+    singles = {
+        name: trainer(factory, cfg.ppo_base, cfg.shaping, seed=seed, workers=workers)[0]
+        for name, trainer in (("vanilla", train_vanilla), ("cvar", train_cvar))
+    }
+    for name, net in (*ens_k3.workers, ("meta", meta2), *singles.items()):
+        net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)
+
+    # one env, reset at the same contiguous start for every configuration:
+    # the paired design
+    env = eval_env(cfg, series_by_split[cfg.eval_split], load_scale)
+    best_name = _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed)
+    policies = {
+        "mars_k2": BlendPolicy(ens2, meta2),
+        "mars_k3_neutral": BlendPolicy(ens_k3, meta3),
+        "static_5050": BlendPolicy(ens2, np.full(2, 0.5)),
+        "vanilla": greedy(singles["vanilla"]),
+        "cvar": greedy(singles["cvar"]),
+        "rolling_opt": RollingOptPolicy(),
+        "best_single": greedy(_load_ckpt(out_dir, seed, best_name, env.obs_dim)),
+    }
+    abl_dir = os.path.join(out_dir, "ablation")
+    reports, lines = {}, []
+    for name in ABLATION_CONFIGS:
+        ledger = run_policy_episode(env, policies[name], start=env.min_start, shaping=cfg.shaping)
+        report = compute_report(ledger, config_hash=cfg.config_hash, seed=seed)
+        report.to_json(os.path.join(abl_dir, f"{name}_seed{seed}.metrics.json"))
+        reports[name] = report
+        lines.append(
+            f"ablate seed {seed} {name}: sharpe "
+            f"{'NA' if report.sharpe is None else f'{report.sharpe:.4f}'}, "
+            f"mdd {report.max_drawdown_abs:.0f} $"
+        )
+    return reports, lines
+
+
 def cmd_ablate(cfg: RunConfig, args) -> int:
-    """Train and evaluate the ablation matrix on shared seeds."""
+    """Train and evaluate the ablation matrix on shared seeds.
+
+    The seeds share nothing, so they run in parallel processes
+    (:func:`_map_seeds`); every artifact and line of output is the same
+    whatever the number of processes.
+    """
     _check_workers(args.workers, {"ppo.base": cfg.ppo_base, "ppo.meta": cfg.ppo_meta})
     out_dir = _outdir(cfg, args)
     series, (train_s, test1_s, test2_s) = load_series(cfg, out_dir)
     series_by_split = {"train": train_s, "test1": test1_s, "test2": test2_s}
     load_scale = resolve_load_scale(cfg, train_s)
-    factory = make_env_factory(cfg, train_s, cfg.episode_len, load_scale)
-    split_name = cfg.eval_split
-    workers = args.workers
+    _ensure_dir(os.path.join(out_dir, "ablation"))
 
+    job = functools.partial(
+        _ablate_seed, cfg, out_dir, series_by_split, load_scale, args.workers
+    )
     per_config: dict[str, list] = {name: [] for name in ABLATION_CONFIGS}
-    abl_dir = _ensure_dir(os.path.join(out_dir, "ablation"))
-
-    for seed in cfg.eval_seeds:
-        _ensure_dir(_ckpt_dir(out_dir, seed))
-        # one call, so the neutral worker gets its own init and rollout
-        # seeds; spawn(3)[:2] == spawn(2) keeps safe and spec unchanged
-        ens_k3, _ = train_university(
-            factory, cfg.ppo_base, cfg.shaping, roles=("safe", "spec", "neutral"),
-            seed=seed, workers=workers,
-        )
-        ens2 = AgentEnsemble(workers=ens_k3.workers[:2])
-
-        # both meta controllers take this seed (common random numbers for
-        # the K=2 vs K=3 comparison): the same body weights at init and the
-        # same episode starts
-        meta2, _ = train_meta(
-            factory, ens2, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers
-        )
-        meta3, _ = train_meta(
-            factory, ens_k3, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers
-        )
-        singles = {
-            name: trainer(factory, cfg.ppo_base, cfg.shaping, seed=seed, workers=workers)[0]
-            for name, trainer in (("vanilla", train_vanilla), ("cvar", train_cvar))
-        }
-        for name, net in (*ens_k3.workers, ("meta", meta2), *singles.items()):
-            net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)
-
-        # one env per seed, reset at the same contiguous start for every
-        # configuration: the paired design
-        env = eval_env(cfg, series_by_split[split_name], load_scale)
-        best_name = _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed)
-        policies = {
-            "mars_k2": BlendPolicy(ens2, meta2),
-            "mars_k3_neutral": BlendPolicy(ens_k3, meta3),
-            "static_5050": BlendPolicy(ens2, np.full(2, 0.5)),
-            "vanilla": greedy(singles["vanilla"]),
-            "cvar": greedy(singles["cvar"]),
-            "rolling_opt": RollingOptPolicy(),
-            "best_single": greedy(_load_ckpt(out_dir, seed, best_name, env.obs_dim)),
-        }
+    for reports, lines in _map_seeds(job, cfg.eval_seeds):
+        for line in lines:
+            print(line)
         for name in ABLATION_CONFIGS:
-            ledger = run_policy_episode(
-                env, policies[name], start=env.min_start, shaping=cfg.shaping
-            )
-            report = compute_report(ledger, config_hash=cfg.config_hash, seed=seed)
-            report.to_json(os.path.join(abl_dir, f"{name}_seed{seed}.metrics.json"))
-            per_config[name].append(report)
-            print(
-                f"ablate seed {seed} {name}: sharpe "
-                f"{'NA' if report.sharpe is None else f'{report.sharpe:.4f}'}, "
-                f"mdd {report.max_drawdown_abs:.0f} $"
-            )
-        # this seed's networks are not kept while the next seed trains
-        del policies
+            per_config[name].append(reports[name])
 
     table_path = os.path.join(out_dir, "ablation.csv")
     with open(table_path, "w", newline="") as fh:

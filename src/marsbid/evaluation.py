@@ -103,6 +103,9 @@ def regime_alignment_expost(spec_weights, lmp_da, lmp_rt) -> float | None:
     return regime_alignment(spec_weights, better_rt)
 
 
+ROLLING_BLOCK = 256  # windows per std block in rolling_metrics
+
+
 def rolling_metrics(returns, window: int = 720):
     """Trailing-window mean and Sharpe at every index >= window-1.
 
@@ -115,7 +118,15 @@ def rolling_metrics(returns, window: int = 720):
         raise ValueError(f"series of {r.size} shorter than window {window}")
     views = np.lib.stride_tricks.sliding_window_view(r, window)
     window_means = views.mean(axis=1)
-    window_stds = views.std(axis=1, ddof=1)
+    # std materializes each window's deviations: over all windows at once,
+    # (n - window + 1) x window floats (44 MB for a year at 720 h). Each
+    # row's std is computed alone either way, so blocks give the same bits.
+    window_stds = np.concatenate(
+        [
+            views[i : i + ROLLING_BLOCK].std(axis=1, ddof=1)
+            for i in range(0, len(views), ROLLING_BLOCK)
+        ]
+    )
     means = np.full(r.size, np.nan)
     sharpes = np.full(r.size, np.nan)
     means[window - 1 :] = window_means

@@ -22,6 +22,7 @@ Checkpoint format (little-endian):
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from typing import NamedTuple
 
@@ -87,8 +88,37 @@ def sample_action(mean, log_std, rng: np.random.Generator, squash: bool = True):
     return ActionSample(action=a, log_prob=log_prob - squash_correction(a), pre_squash=u)
 
 
+class ParamVector(dict):
+    """Named parameter arrays that are views into one flat float64 vector.
+
+    ``flat`` holds the arrays of ``shapes`` (name -> shape) back to back, in
+    its order, which is the order a checkpoint stores them in. Assigning a
+    name copies the value into its view, so ``flat`` stays the whole
+    parameter set; the optimizer steps it and ``save`` writes it.
+    """
+
+    def __init__(self, shapes: dict):
+        super().__init__()
+        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        pos = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            super().__setitem__(name, self.flat[pos : pos + size].reshape(shape))
+            pos += size
+
+    def __setitem__(self, name, value) -> None:
+        view = self[name]
+        if np.shape(value) != view.shape:
+            raise ValueError(f"{name}: shape {np.shape(value)}, expected {view.shape}")
+        view[...] = value
+
+    def zeros_like(self) -> "ParamVector":
+        return ParamVector({name: view.shape for name, view in self.items()})
+
+
 class PolicyNetwork:
-    """MLP actor-critic with named float64 parameter arrays.
+    """MLP actor-critic whose named float64 parameter arrays are views
+    into one flat vector (:class:`ParamVector`).
 
     ``layer_dims`` are the body dims, input first (default two hidden layers
     of 64). ``squash=True`` gives a tanh-squashed Gaussian policy for scalar
@@ -104,7 +134,6 @@ class PolicyNetwork:
         role: str = "vanilla",
         squash: bool = True,
         seed: int = 0,
-        params: dict | None = None,
         step_count: int = 0,
     ):
         if role not in ROLES:
@@ -115,24 +144,26 @@ class PolicyNetwork:
         self.squash = bool(squash)
         self.step_count = int(step_count)
         self.frozen = False
-        self.params = params if params is not None else self._init_params(seed)
-        for name in self.param_names():
-            if not np.all(np.isfinite(self.params[name])):
-                raise ValueError(f"non-finite parameter {name}")
+        self.params = self._init_params(seed)
 
     # -- parameters ------------------------------------------------------
     def param_names(self) -> list:
-        names = []
-        for i in range(len(self.layer_dims) - 1):
-            names += [f"W{i}", f"b{i}"]
-        names += ["Wp", "bp", "Wv", "bv", "log_std"]
-        return names
+        return list(self._param_shapes())
 
-    def _init_params(self, seed: int) -> dict:
+    def _param_shapes(self) -> dict:
+        dims, A = self.layer_dims, self.action_dim
+        shapes = {}
+        for i in range(len(dims) - 1):
+            shapes[f"W{i}"] = (dims[i], dims[i + 1])
+            shapes[f"b{i}"] = (dims[i + 1],)
+        shapes.update(Wp=(dims[-1], A), bp=(A,), Wv=(dims[-1], 1), bv=(1,), log_std=(A,))
+        return shapes
+
+    def _init_params(self, seed: int) -> ParamVector:
         # Scaled-uniform init (Glorot-style limits); the tiny policy-head
         # gain keeps early actions near zero while the value head trains.
         rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
+        params = ParamVector(self._param_shapes())
 
         def uniform(fan_in, fan_out, gain):
             limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
@@ -141,24 +172,17 @@ class PolicyNetwork:
         dims = self.layer_dims
         for i in range(len(dims) - 1):
             params[f"W{i}"] = uniform(dims[i], dims[i + 1], 1.0)
-            params[f"b{i}"] = np.zeros(dims[i + 1])
-        body_out = dims[-1]
-        params["Wp"] = uniform(body_out, self.action_dim, 0.01)
-        params["bp"] = np.zeros(self.action_dim)
-        params["Wv"] = uniform(body_out, 1, 1.0)
-        params["bv"] = np.zeros(1)
-        params["log_std"] = np.zeros(self.action_dim)
+        # biases and log_std start at zero
+        params["Wp"] = uniform(dims[-1], self.action_dim, 0.01)
+        params["Wv"] = uniform(dims[-1], 1, 1.0)
         return params
 
     def param_hash(self) -> str:
-        h = hashlib.sha256()
-        for name in self.param_names():
-            h.update(self.params[name].tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.params.flat.tobytes()).hexdigest()
 
     def freeze(self) -> None:
-        for name in self.param_names():
-            self.params[name].flags.writeable = False
+        for arr in (self.params.flat, *self.params.values()):
+            arr.flags.writeable = False
         self.frozen = True
 
     def clamp_log_std(self) -> None:
@@ -184,7 +208,9 @@ class PolicyNetwork:
             )
         h = x.reshape(-1, 1, x.shape[-1])
         for i in range(len(self.layer_dims) - 1):
-            h = np.tanh(h @ self.params[f"W{i}"] + self.params[f"b{i}"])
+            out = h @ self.params[f"W{i}"]
+            out += self.params[f"b{i}"]
+            h = np.tanh(out, out=out)
         mean = (h @ self.params["Wp"] + self.params["bp"])[:, 0]
         value = (h @ self.params["Wv"] + self.params["bv"])[:, 0, 0]
         log_std = self.params["log_std"].copy()
@@ -202,7 +228,7 @@ class PolicyNetwork:
     def save(self, path, config_hash: str = "") -> None:
         role_b = self.role.encode("ascii")
         hash_b = config_hash.encode("ascii")
-        flat = np.concatenate([self.params[n].ravel() for n in self.param_names()])
+        flat = self.params.flat
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -250,7 +276,7 @@ class PolicyNetwork:
         (hash_len,) = struct.unpack("<H", take(2))
         take(hash_len)  # config hash is informational
         (n_params,) = struct.unpack("<Q", take(8))
-        flat = np.frombuffer(take(int(n_params) * 8), dtype="<f8").astype(np.float64)
+        flat = np.frombuffer(take(int(n_params) * 8), dtype="<f8")
         if off != len(data):
             raise CheckpointError(f"{path}: trailing bytes after parameters")
         if expect_obs_dim is not None and dims[0] != expect_obs_dim:
@@ -268,14 +294,10 @@ class PolicyNetwork:
             seed=0,
             step_count=step_count,
         )
-        expected = sum(net.params[n].size for n in net.param_names())
+        expected = net.params.flat.size
         if flat.size != expected:
             raise CheckpointError(
                 f"{path}: {flat.size} parameters for dims {dims}, expected {expected}"
             )
-        pos = 0
-        for name in net.param_names():
-            size = net.params[name].size
-            net.params[name] = flat[pos : pos + size].reshape(net.params[name].shape).copy()
-            pos += size
+        net.params.flat[:] = flat
         return net

@@ -18,7 +18,13 @@ import numpy as np
 
 from .bidding_env import map_action, settle
 from .errors import DivergenceError
-from .policy_net import HALF_LOG_2PI, PolicyNetwork, sample_action, squash_correction
+from .policy_net import (
+    HALF_LOG_2PI,
+    ParamVector,
+    PolicyNetwork,
+    sample_action,
+    squash_correction,
+)
 
 
 @dataclass(frozen=True)
@@ -97,36 +103,52 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Adaptive moment estimation over a dict of named parameter arrays."""
+    """Adaptive moment estimation over one flat float64 parameter vector,
+    updated in place: ``PolicyNetwork.params.flat``, whose named arrays
+    are views into it."""
 
-    def __init__(self, params: dict, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
 
-    def step(self, grads: dict) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        """One update, in the operation order of
+        ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+        params -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, with no temporaries."""
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        for k, g in grads.items():
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g**2
-            update = self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
-            self.params[k] -= update
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= self.b1
+        np.multiply(grad, 1 - self.b1, out=num)
+        m += num
+        v *= self.b2
+        np.multiply(grad, grad, out=num)
+        num *= 1 - self.b2
+        v += num
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, bc1, out=num)
+        num *= self.lr
+        num /= den
+        self.params -= num
 
 
-def clip_grad_norm(grads: dict, max_norm: float) -> float:
+def clip_grad_norm(grads: ParamVector, max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is at most
-    ``max_norm``; returns the pre-clip norm."""
-    total = float(np.sqrt(sum(float((g**2).sum()) for g in grads.values())))
+    ``max_norm``; returns the pre-clip norm, summed array by array in
+    ``param_names()`` order."""
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grads.flat *= max_norm / total
     return total
 
 
@@ -186,7 +208,7 @@ class LossAndGrads(NamedTuple):
     value_loss: float
     entropy: float
     ratio: np.ndarray  # (B,) probability ratio new / old
-    grads: dict  # d total / d parameter, in ``param_names()`` order
+    grads: ParamVector  # d total / d parameter, laid out as ``policy.params``
 
 
 def loss_and_grads(
@@ -247,13 +269,12 @@ def loss_and_grads(
     g_std = (-g_z * diff / std**2).sum(axis=0)
     g_value = cfg.value_coef / B * 2.0 * value_err
 
-    grads = {
-        "Wp": h.T @ g_mean,
-        "bp": g_mean.sum(axis=0),
-        "Wv": h.T @ g_value,
-        "bv": g_value.sum(axis=0),
-        "log_std": g_std * std + (-g_logp).sum() - cfg.entropy_coef,
-    }
+    grads = p.zeros_like()
+    grads["Wp"] = h.T @ g_mean
+    grads["bp"] = g_mean.sum(axis=0)
+    grads["Wv"] = h.T @ g_value
+    grads["bv"] = g_value.sum(axis=0)
+    grads["log_std"] = g_std * std + (-g_logp).sum() - cfg.entropy_coef
     g_h = g_mean @ p["Wp"].T + g_value @ p["Wv"].T
     for i in reversed(range(n_layers)):
         g_pre = g_h * (1.0 - hs[i + 1] * hs[i + 1])
@@ -267,7 +288,7 @@ def loss_and_grads(
         value_loss=float(value_loss),
         entropy=float(entropy),
         ratio=ratio,
-        grads={name: grads[name] for name in policy.param_names()},
+        grads=grads,
     )
 
 
@@ -316,7 +337,7 @@ def train(
 
     T = cfg.buffer_size // workers
     obs_dim = policy.layer_dims[0]
-    optimizer = Adam(policy.params, lr=cfg.learning_rate)
+    optimizer = Adam(policy.params.flat, lr=cfg.learning_rate)
     log = TrainingLog()
 
     steps_done = 0
@@ -378,7 +399,7 @@ def train(
                 if not np.isfinite(lg.total):
                     raise DivergenceError(f"non-finite loss at update {update}")
                 clip_grad_norm(lg.grads, cfg.max_grad_norm)
-                optimizer.step(lg.grads)
+                optimizer.step(lg.grads.flat)
                 policy.clamp_log_std()
 
                 r = lg.ratio

@@ -9,10 +9,10 @@ pure and deterministic.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,26 @@ def reward_neutral(pi: float, alpha: float, p: ShapingParams) -> float:
     return pi - abs(pi) * p.lambda_role * excess / (0.5 - p.neutral_band)
 
 
+def linear_quantile(ascending, q: float) -> float:
+    """The q-quantile of an ascending sequence under numpy's default
+    ("linear") rule, in the operation order of ``np.quantile``."""
+    v = (len(ascending) - 1) * q
+    lo = math.floor(v)
+    t = v - lo
+    a = ascending[lo]
+    b = ascending[min(lo + 1, len(ascending) - 1)]
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
+
+
+def _tail_shaped(pi: float, ascending, p: ShapingParams) -> float:
+    _check_finite(pi=pi)
+    if len(ascending) < 20:
+        return pi
+    return pi - p.lambda_risk * max(0.0, linear_quantile(ascending, p.cvar_alpha) - pi)
+
+
 def reward_cvar_shaped(pi: float, history, p: ShapingParams) -> float:
     """Tail-penalty shaping: fine outcomes that fall below the rolling
     empirical alpha-quantile of recent profits.
@@ -91,26 +111,27 @@ def reward_cvar_shaped(pi: float, history, p: ShapingParams) -> float:
     distributional critic. Passes profit through unchanged until ``history``
     holds at least 20 values.
     """
-    _check_finite(pi=pi)
-    hist = np.asarray(history, dtype=np.float64)
-    if hist.size < 20:
-        return pi
-    q = float(np.quantile(hist, p.cvar_alpha))
-    return pi - p.lambda_risk * max(0.0, q - pi)
+    return _tail_shaped(pi, sorted(map(float, history)), p)
 
 
 class CvarRewardShaper:
-    """Stateful wrapper feeding a rolling profit window into
-    :func:`reward_cvar_shaped`. The current step is shaped against the
-    window of profits strictly before it."""
+    """Stateful :func:`reward_cvar_shaped` over a rolling profit window.
+    The current step is shaped against the window of profits strictly
+    before it, which is kept both in arrival order and sorted, so a step
+    costs one bisect and no sort."""
 
     def __init__(self, params: ShapingParams):
         self.params = params
-        self._window: list[float] = []
+        self._window: deque = deque()
+        self._ascending: list = []
 
     def __call__(self, pi: float, alpha: float) -> float:
-        shaped = reward_cvar_shaped(pi, self._window, self.params)
+        pi = float(pi)
+        shaped = _tail_shaped(pi, self._ascending, self.params)
+        if len(self._window) == self.params.cvar_window:
+            # removes a value equal to the oldest: only 0.0 and -0.0 are
+            # equal yet differ, and a zero's sign cannot change a reward
+            del self._ascending[bisect.bisect_left(self._ascending, self._window.popleft())]
         self._window.append(pi)
-        if len(self._window) > self.params.cvar_window:
-            del self._window[0]
+        bisect.insort(self._ascending, pi)
         return shaped

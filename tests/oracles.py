@@ -1,11 +1,12 @@
 """Closed-form reference formulas that the tests check the program against.
 
 They live here, not in ``marsbid``, because the program itself never calls
-them: training uses ``ppo_trainer.loss_and_grads``, the environment settles
-and observes an episode from a tape built once per reset, not hour by hour
-as :func:`stepwise_episode` does, and every policy runs one forward per
-block of rows, not one per hour as :func:`stepwise_rollouts` and the
-``row_*`` functions do.
+them: training uses ``ppo_trainer.loss_and_grads`` and steps Adam over one
+flat parameter vector, not array by array as :class:`DictAdam` does; the
+environment settles and observes an episode from a tape built once per
+reset, not hour by hour as :func:`stepwise_episode` does; and every policy
+runs one forward per block of rows, not one per hour as
+:func:`stepwise_rollouts` and the ``row_*`` functions do.
 """
 
 from typing import NamedTuple
@@ -161,6 +162,40 @@ def stepwise_episode(env, start: int, actions):
         )
         rows.append(row)
     return np.array(obs), np.array(rows).T
+
+
+class DictAdam:
+    """Adam over a dict of named parameter arrays, one array at a time,
+    each moment rebuilt as a fresh array."""
+
+    def __init__(self, params: dict, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+        self.params = params
+        self.lr = lr
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, grads: dict) -> None:
+        self.t += 1
+        bc1 = 1.0 - self.b1**self.t
+        bc2 = 1.0 - self.b2**self.t
+        for k, g in grads.items():
+            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
+            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g**2
+            update = self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+            self.params[k] -= update
+
+
+def dict_clip_grad_norm(grads: dict, max_norm: float) -> float:
+    """Global-norm clipping of a dict of gradient arrays, array by array."""
+    total = float(np.sqrt(sum(float((g**2).sum()) for g in grads.values())))
+    if max_norm > 0 and total > max_norm:
+        scale = max_norm / total
+        for g in grads.values():
+            g *= scale
+    return total
 
 
 # -- one row at a time -----------------------------------------------------------

@@ -10,7 +10,7 @@ from marsbid import cli
 from marsbid.bidding_env import GeneratorSpec
 from marsbid.cli import main
 from marsbid.config import DEFAULTS, build_config, config_hash, load_raw
-from marsbid.errors import ConfigError
+from marsbid.errors import ConfigError, DivergenceError
 from marsbid.market_data import SyntheticConfig, format_timestamp, ingest_csv
 from marsbid.mars_hierarchy import train_meta
 from marsbid.policy_net import PolicyNetwork
@@ -398,6 +398,9 @@ def test_ablate_paired_roles_share_seeds_as_common_random_numbers(tmp_path, monk
         return meta, log
 
     monkeypatch.setattr(cli, "train_meta", recording_train_meta)
+    # one seed runs in this process whatever the CPU count, so the
+    # recording above sees both meta controllers
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     out = str(tmp_path)
     args = TINY + ["--set", "ppo.base.total_steps=0", "--set", "ppo.meta.total_steps=0"]
     assert run_cli("ablate", "--out", out, *args) == 0
@@ -407,3 +410,43 @@ def test_ablate_paired_roles_share_seeds_as_common_random_numbers(tmp_path, monk
     meta2, meta3 = metas
     assert (meta2.action_dim, meta3.action_dim) == (2, 3)
     assert np.array_equal(meta2.params["W0"], meta3.params["W0"])
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_ablate_seeds_in_processes_equal_inline(tmp_path, monkeypatch, capsys):
+    args = TINY + ["--set", "eval.seeds=0,1,2"]
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run_cli("ablate", "--out", str(out), "--workers", "2", *args) == 0
+        runs[cpus] = (_tree(out), capsys.readouterr().out.replace(str(out), "OUT"))
+    inline, pooled = runs[1], runs[2]
+    assert len(inline[0]) == 3 * 6 + 3 * 7 + 1  # checkpoints, metrics, ablation.csv
+    assert pooled[0] == inline[0]
+    assert pooled[1] == inline[1]
+    assert [line.split(":")[0] for line in inline[1].splitlines()[:8:7]] == [
+        "ablate seed 0 mars_k2",
+        "ablate seed 1 mars_k2",
+    ]
+
+
+def test_divergence_in_a_seed_process_exits_4(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    real_train_cvar = cli.train_cvar
+
+    def diverging_in_child(*args, seed, **kwargs):
+        if os.getpid() != parent and seed == 1:
+            raise DivergenceError("non-finite loss at update 0")
+        return real_train_cvar(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "train_cvar", diverging_in_child)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    args = TINY + [
+        "--set", "eval.seeds=0,1", "--set", "ppo.base.total_steps=0", "--set", "ppo.meta.total_steps=0"
+    ]
+    assert run_cli("ablate", "--out", str(tmp_path), *args) == 4
+    assert "numeric divergence: non-finite loss at update 0" in capsys.readouterr().err

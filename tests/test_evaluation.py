@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from marsbid.bidding_env import EpisodeLedger, StrategicBiddingEnv
 from marsbid.evaluation import (
+    ROLLING_BLOCK,
     aggregate_reports,
     allocation_entropy,
     compute_report,
@@ -225,6 +226,18 @@ def test_rolling_matches_per_window_recomputation():
             assert np.isnan(sharpes[i])
         else:
             assert sharpes[i] == pytest.approx(s, abs=1e-9)
+
+
+def test_rolling_std_blocks_equal_one_matrix_std():
+    # several blocks, a ragged last one and a single window, against the
+    # std of the whole window matrix at once
+    rng = np.random.default_rng(9)
+    for n, window in ((3 * ROLLING_BLOCK + 77, 60), (ROLLING_BLOCK + 9, 10), (40, 40)):
+        r = rng.normal(50, 400, n)
+        views = np.lib.stride_tricks.sliding_window_view(r, window)
+        means, sharpes = rolling_metrics(r, window=window)
+        assert np.array_equal(means[window - 1 :], views.mean(axis=1))
+        assert np.array_equal(sharpes[window - 1 :], views.mean(axis=1) / views.std(axis=1, ddof=1))
 
 
 def test_rolling_too_short():

@@ -7,7 +7,7 @@ from marsbid import ppo_trainer
 from marsbid.bidding_env import StrategicBiddingEnv
 from marsbid.errors import DivergenceError
 from marsbid.mars_hierarchy import AgentEnsemble, blend, softmax
-from marsbid.policy_net import PolicyNetwork, gaussian_log_prob, squash_correction
+from marsbid.policy_net import ParamVector, PolicyNetwork, gaussian_log_prob, squash_correction
 from marsbid.ppo_trainer import (
     Adam,
     PpoConfig,
@@ -21,7 +21,15 @@ from marsbid.ppo_trainer import (
 from marsbid.reward_shaping import CvarRewardShaper, ShapingParams, reward_meta, reward_safe
 
 from conftest import BanditEnv, make_series
-from oracles import ppo_loss, row_blend, row_proposals, row_softmax, stepwise_rollouts
+from oracles import (
+    DictAdam,
+    dict_clip_grad_norm,
+    ppo_loss,
+    row_blend,
+    row_proposals,
+    row_softmax,
+    stepwise_rollouts,
+)
 
 
 # -- GAE ------------------------------------------------------------------
@@ -198,18 +206,46 @@ def test_total_loss_components_finite(rng):
 
 
 def test_adam_moves_against_gradient():
-    params = {"w": np.array([1.0, -2.0])}
-    opt = Adam(params, lr=0.1)
+    w = np.array([1.0, -2.0])
+    opt = Adam(w, lr=0.1)
     for _ in range(50):
-        opt.step({"w": params["w"].copy()})  # gradient of 0.5*w^2
-    assert np.all(np.abs(params["w"]) < np.array([1.0, 2.0]))
+        opt.step(w.copy())  # gradient of 0.5*w^2
+    assert np.all(np.abs(w) < np.array([1.0, 2.0]))
 
 
 def test_clip_grad_norm():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+    grads = ParamVector({"a": (1,), "b": (1,)})
+    grads["a"], grads["b"] = [3.0], [4.0]
     total = clip_grad_norm(grads, 1.0)
     assert total == pytest.approx(5.0)
     assert np.sqrt(sum(float((g**2).sum()) for g in grads.values())) == pytest.approx(1.0)
+
+
+def test_flat_adam_and_clip_equal_the_dict_oracle():
+    # the flat in-place step against Adam and clipping array by array, on
+    # the gradients of real minibatches, for a clipped and an unclipped norm
+    rng = np.random.default_rng(7)
+    for max_norm in (0.5, 1e9):
+        net = PolicyNetwork(obs_dim=6, hidden=(16, 8), action_dim=2, seed=1)
+        params = {name: arr.copy() for name, arr in net.params.items()}
+        flat_opt = Adam(net.params.flat, lr=3e-3)
+        dict_opt = DictAdam(params, lr=3e-3)
+        cfg = PpoConfig(total_steps=0)
+        for _ in range(200):
+            batch = (
+                rng.standard_normal((32, 6)),
+                rng.standard_normal((32, 2)),
+                rng.standard_normal(32),
+                rng.standard_normal(32),
+                rng.standard_normal(32),
+            )
+            grads = loss_and_grads(net, *batch, cfg).grads
+            oracle_grads = {name: g.copy() for name, g in grads.items()}
+            assert clip_grad_norm(grads, max_norm) == dict_clip_grad_norm(oracle_grads, max_norm)
+            flat_opt.step(grads.flat)
+            dict_opt.step(oracle_grads)
+            for name in net.param_names():
+                assert np.array_equal(net.params[name], params[name]), name
 
 
 # -- training loop ----------------------------------------------------------------

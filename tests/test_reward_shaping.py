@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from marsbid.reward_shaping import (
     CvarRewardShaper,
     ShapingParams,
+    linear_quantile,
     reward_cvar_shaped,
     reward_meta,
     reward_neutral,
@@ -155,6 +156,36 @@ def test_cvar_shaper_window_is_bounded():
         shaper(0.0, 0.5)
     # old catastrophic values have rolled out of the window
     assert shaper(-1.0, 0.5) == pytest.approx(-1.0 - 5.0 * 1.0)
+
+
+# a few repeated values, so that windows hold ties, among arbitrary profits
+profit = st.one_of(st.sampled_from([-250.0, -1.5, 0.0, 3.25, 80.0]), finite_pi)
+quantile = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200)
+@given(window=st.lists(profit, min_size=1, max_size=60), q=quantile)
+def test_linear_quantile_equals_numpy(window, q):
+    assert linear_quantile(sorted(window), q) == np.quantile(np.array(window), q)
+
+
+@settings(max_examples=100)
+@given(
+    stream=st.lists(profit, min_size=1, max_size=120),
+    window=st.integers(1, 40),
+    q=quantile,
+)
+def test_cvar_shaper_equals_np_quantile_over_a_list_window(stream, window, q):
+    # the sorted window against the list window and np.quantile it replaced
+    p = ShapingParams(cvar_window=window, cvar_alpha=q)
+    shaper = CvarRewardShaper(p)
+    history: list = []
+    for pi in stream:
+        expected = pi
+        if len(history) >= 20:
+            expected = pi - p.lambda_risk * max(0.0, float(np.quantile(history, q)) - pi)
+        assert shaper(pi, 0.5) == expected
+        history = (history + [pi])[-window:]
 
 
 # -- params validation -----------------------------------------------------------
