@@ -28,6 +28,7 @@ from .errors import ConfigError, DivergenceError, MarsbidError, MissingPrerequis
 from .evaluation import (
     aggregate_reports,
     compute_report,
+    csv_cell,
     greedy,
     rolling_metrics,
     run_policy_episode,
@@ -60,8 +61,9 @@ def _ensure_dir(path: str) -> str:
     return path
 
 
-def load_series(cfg: RunConfig, out_dir: str):
-    """Materialize the repaired series and its (train, test1, test2) splits."""
+def load_series(cfg: RunConfig):
+    """The repaired series' splits by name, and the load scale: the
+    configured one, else the train split's peak load forecast."""
     if cfg.data_source == "synthetic":
         series = md.generate_synthetic(cfg.synthetic)
     else:
@@ -73,13 +75,11 @@ def load_series(cfg: RunConfig, out_dir: str):
         series = md.ingest_csv(path)
     if series.has_missing():
         series = md.repair_gaps(series)
-    return series, md.split(series, cfg.split)
-
-
-def resolve_load_scale(cfg: RunConfig, train_series) -> float:
-    if cfg.load_scale is not None:
-        return cfg.load_scale
-    return float(np.max(train_series.fields["load_forecast"])) or 1.0
+    splits = dict(zip(md.SPLIT_NAMES, md.split(series, cfg.split)))
+    load_scale = cfg.load_scale
+    if load_scale is None:
+        load_scale = float(np.max(splits["train"].fields["load_forecast"])) or 1.0
+    return splits, load_scale
 
 
 def make_env_factory(cfg: RunConfig, series, episode_len, load_scale):
@@ -119,9 +119,9 @@ def _load_ckpt(out_dir: str, seed: int, name: str, obs_dim: int) -> PolicyNetwor
     return PolicyNetwork.load(path, expect_obs_dim=obs_dim)
 
 
-def _load_ensemble(cfg: RunConfig, out_dir: str, seed: int, obs_dim: int) -> AgentEnsemble:
+def _load_ensemble(out_dir: str, seed: int, obs_dim: int, roles) -> AgentEnsemble:
     workers = []
-    for role in cfg.roles:
+    for role in roles:
         net = _load_ckpt(out_dir, seed, role, obs_dim)
         net.freeze()
         workers.append((role, net))
@@ -184,10 +184,10 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
     n_filled = sum(int(m.sum()) for m in repaired.fill_mask.values())
     out_path = os.path.join(out_dir, "repaired.csv")
     md.write_csv(repaired, out_path, header_comment=_stamp(cfg, "-"))
-    train, test1, test2 = md.split(repaired, cfg.split)
+    splits = zip(md.SPLIT_NAMES, md.split(repaired, cfg.split))
     print(f"ingested {path}: {len(series)} hours, {n_missing} missing values")
     print(f"wrote {out_path}: {n_filled} values filled")
-    print(f"splits: train {len(train)}h, test1 {len(test1)}h, test2 {len(test2)}h")
+    print("splits: " + ", ".join(f"{name} {len(part)}h" for name, part in splits))
     return 0
 
 
@@ -198,9 +198,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
         args.workers,
         {"ppo.meta": cfg.ppo_meta} if args.phase == "meta" else {"ppo.base": cfg.ppo_base},
     )
-    series, (train_split, _, _) = load_series(cfg, out_dir)
-    load_scale = resolve_load_scale(cfg, train_split)
-    factory = make_env_factory(cfg, train_split, cfg.episode_len, load_scale)
+    splits, load_scale = load_series(cfg)
+    factory = make_env_factory(cfg, splits["train"], cfg.episode_len, load_scale)
     _ensure_dir(_ckpt_dir(out_dir, seed))
     logs_dir = _ensure_dir(os.path.join(out_dir, "logs"))
     checkpoint_cb = _checkpoint_cb(cfg, out_dir, seed)
@@ -219,7 +218,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         trained = [(role, net, logs[role], f"university_{role}") for role, net in ensemble.workers]
         done = f"university phase done: {len(ensemble.workers)} workers"
     elif args.phase == "meta":
-        ensemble = _load_ensemble(cfg, out_dir, seed, factory().obs_dim)
+        ensemble = _load_ensemble(out_dir, seed, factory().obs_dim, cfg.roles)
         meta, log = train_meta(
             factory,
             ensemble,
@@ -252,28 +251,29 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _eval_policy(cfg, out_dir, policy, series_by_split, load_scale, seed, obs_dim):
-    """The policy object that ``evaluate --policy <policy>`` runs."""
+def _eval_policy(cfg, out_dir, policy, splits, load_scale, seed, obs_dim, roles):
+    """The policy object that ``evaluate --policy <policy>`` runs; mars and
+    static blend the workers ``roles``."""
     if policy in ("mars", "static"):
-        ensemble = _load_ensemble(cfg, out_dir, seed, obs_dim)
+        ensemble = _load_ensemble(out_dir, seed, obs_dim, roles)
         if policy == "mars":
             return BlendPolicy(ensemble, _load_ckpt(out_dir, seed, "meta", obs_dim))
         return BlendPolicy(ensemble, np.full(ensemble.k, 1.0 / ensemble.k))
     if policy == "rolling_opt":
         return RollingOptPolicy()
     if policy == "best_single":
-        policy = _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed)
+        policy = _pick_best_single(cfg, out_dir, splits, load_scale, seed)
     return greedy(_load_ckpt(out_dir, seed, policy, obs_dim))
 
 
-def _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed) -> str:
+def _pick_best_single(cfg, out_dir, splits, load_scale, seed) -> str:
     """Train-split Sharpe selection among available single-policy checkpoints."""
     names = [n for n in SINGLE_POLICIES if os.path.exists(_ckpt_path(out_dir, seed, n))]
     if not names:
         raise MissingPrerequisiteError(
             f"best_single: no single-policy checkpoints for seed {seed}"
         )
-    env = eval_env(cfg, series_by_split["train"], load_scale)
+    env = eval_env(cfg, splits["train"], load_scale)
     sharpes = {}
     for name in names:
         policy = greedy(_load_ckpt(out_dir, seed, name, env.obs_dim))
@@ -281,32 +281,37 @@ def _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed) -> str:
     return select_best_single(sharpes)
 
 
+def _evaluate(cfg: RunConfig, env, policy, seed: int, path: str):
+    """Run ``policy`` over ``env``'s contiguous pass and write its report to
+    ``path``; returns ``(ledger, report)``."""
+    ledger = run_policy_episode(env, policy, start=env.min_start, shaping=cfg.shaping)
+    report = compute_report(ledger, config_hash=cfg.config_hash, seed=seed)
+    report.to_json(path)
+    return ledger, report
+
+
+def _fmt4(value) -> str:
+    """A printed metric: 4 decimals, or NA when undefined."""
+    return "NA" if value is None else f"{value:.4f}"
+
+
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     out_dir = _outdir(cfg, args)
     policy = args.policy
     split_name = args.split or cfg.eval_split
-    if split_name not in ("train", "test1", "test2"):
-        raise ConfigError(f"unknown split {split_name!r}")
     if policy not in POLICY_NAMES:
         raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
     seeds = (args.seed,) if args.seed is not None else cfg.eval_seeds
 
-    series, (train_s, test1_s, test2_s) = load_series(cfg, out_dir)
-    series_by_split = {"train": train_s, "test1": test1_s, "test2": test2_s}
-    load_scale = resolve_load_scale(cfg, train_s)
-
+    splits, load_scale = load_series(cfg)
     eval_dir = _ensure_dir(os.path.join(out_dir, "eval", policy, split_name))
-    env = eval_env(cfg, series_by_split[split_name], load_scale)
+    env = eval_env(cfg, splits[split_name], load_scale)
     reports = []
     for seed in seeds:
-        ledger = run_policy_episode(
-            env,
-            _eval_policy(cfg, out_dir, policy, series_by_split, load_scale, seed, env.obs_dim),
-            start=env.min_start,
-            shaping=cfg.shaping,
+        built = _eval_policy(cfg, out_dir, policy, splits, load_scale, seed, env.obs_dim, cfg.roles)
+        ledger, report = _evaluate(
+            cfg, env, built, seed, os.path.join(eval_dir, f"seed{seed}.metrics.json")
         )
-        report = compute_report(ledger, config_hash=cfg.config_hash, seed=seed)
-        report.to_json(os.path.join(eval_dir, f"seed{seed}.metrics.json"))
         ledger.to_csv(
             os.path.join(eval_dir, f"seed{seed}.ledger.csv"),
             header_comment=_stamp(cfg, seed),
@@ -324,8 +329,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         reports.append(report)
         print(
             f"{policy}/{split_name} seed {seed}: cumulative "
-            f"{report.cumulative_return:.0f} $, sharpe "
-            f"{'NA' if report.sharpe is None else f'{report.sharpe:.4f}'}"
+            f"{report.cumulative_return:.0f} $, sharpe {_fmt4(report.sharpe)}"
         )
 
     write_reports_csv(
@@ -345,14 +349,27 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     return 0
 
 
-ABLATION_CONFIGS = (
-    "mars_k2",
-    "mars_k3_neutral",
-    "static_5050",
-    "vanilla",
-    "cvar",
-    "rolling_opt",
-    "best_single",
+# Each ablation configuration and the ``evaluate --policy`` it equals on
+# the same seed; mars_k3_neutral has none, as its meta controller is never
+# saved. The ablation's ensembles blend these workers whatever
+# ensemble.roles says.
+ABLATION_CONFIGS = {
+    "mars_k2": "mars",
+    "mars_k3_neutral": None,
+    "static_5050": "static",
+    "vanilla": "vanilla",
+    "cvar": "cvar",
+    "rolling_opt": "rolling_opt",
+    "best_single": "best_single",
+}
+ABLATION_ROLES = ("safe", "spec")
+
+# ablation.csv's aggregate columns, each named <metric>_<statistic>
+ABLATION_COLUMNS = (
+    ("sharpe", "mean"),
+    ("sharpe", "std"),
+    ("max_drawdown_abs", "mean"),
+    ("max_drawdown_rel", "mean"),
 )
 
 
@@ -404,19 +421,19 @@ def _map_seeds(job, seeds):
         yield from pool.map(_run_seed_job, seeds)
 
 
-def _ablate_seed(cfg: RunConfig, out_dir, series_by_split, load_scale, workers, seed):
+def _ablate_seed(cfg: RunConfig, out_dir, splits, load_scale, workers, seed):
     """Train the ablation's seven networks on one seed, save their
     checkpoints, and evaluate the seven configurations.
 
     Writes the seed's checkpoints and ``<configuration>_seed<seed>.metrics.json``
     files; returns ``(reports by configuration, the lines to print)``.
     """
-    factory = make_env_factory(cfg, series_by_split["train"], cfg.episode_len, load_scale)
+    factory = make_env_factory(cfg, splits["train"], cfg.episode_len, load_scale)
     _ensure_dir(_ckpt_dir(out_dir, seed))
     # one call, so the neutral worker gets its own init and rollout
     # seeds; spawn(3)[:2] == spawn(2) keeps safe and spec unchanged
     ens_k3, _ = train_university(
-        factory, cfg.ppo_base, cfg.shaping, roles=("safe", "spec", "neutral"),
+        factory, cfg.ppo_base, cfg.shaping, roles=(*ABLATION_ROLES, "neutral"),
         seed=seed, workers=workers,
     )
     ens2 = AgentEnsemble(workers=ens_k3.workers[:2])
@@ -426,36 +443,28 @@ def _ablate_seed(cfg: RunConfig, out_dir, series_by_split, load_scale, workers, 
     # same episode starts
     meta2, _ = train_meta(factory, ens2, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
     meta3, _ = train_meta(factory, ens_k3, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
-    singles = {
-        name: trainer(factory, cfg.ppo_base, cfg.shaping, seed=seed, workers=workers)[0]
+    singles = [
+        (name, trainer(factory, cfg.ppo_base, cfg.shaping, seed=seed, workers=workers)[0])
         for name, trainer in (("vanilla", train_vanilla), ("cvar", train_cvar))
-    }
-    for name, net in (*ens_k3.workers, ("meta", meta2), *singles.items()):
+    ]
+    for name, net in (*ens_k3.workers, ("meta", meta2), *singles):
         net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)
 
     # one env, reset at the same contiguous start for every configuration:
     # the paired design
-    env = eval_env(cfg, series_by_split[cfg.eval_split], load_scale)
-    best_name = _pick_best_single(cfg, out_dir, series_by_split, load_scale, seed)
-    policies = {
-        "mars_k2": BlendPolicy(ens2, meta2),
-        "mars_k3_neutral": BlendPolicy(ens_k3, meta3),
-        "static_5050": BlendPolicy(ens2, np.full(2, 0.5)),
-        "vanilla": greedy(singles["vanilla"]),
-        "cvar": greedy(singles["cvar"]),
-        "rolling_opt": RollingOptPolicy(),
-        "best_single": greedy(_load_ckpt(out_dir, seed, best_name, env.obs_dim)),
-    }
-    abl_dir = os.path.join(out_dir, "ablation")
+    env = eval_env(cfg, splits[cfg.eval_split], load_scale)
     reports, lines = {}, []
-    for name in ABLATION_CONFIGS:
-        ledger = run_policy_episode(env, policies[name], start=env.min_start, shaping=cfg.shaping)
-        report = compute_report(ledger, config_hash=cfg.config_hash, seed=seed)
-        report.to_json(os.path.join(abl_dir, f"{name}_seed{seed}.metrics.json"))
-        reports[name] = report
+    for name, policy in ABLATION_CONFIGS.items():
+        if policy is None:
+            built = BlendPolicy(ens_k3, meta3)
+        else:  # built from the checkpoints just saved
+            built = _eval_policy(
+                cfg, out_dir, policy, splits, load_scale, seed, env.obs_dim, ABLATION_ROLES
+            )
+        path = os.path.join(out_dir, "ablation", f"{name}_seed{seed}.metrics.json")
+        reports[name] = report = _evaluate(cfg, env, built, seed, path)[1]
         lines.append(
-            f"ablate seed {seed} {name}: sharpe "
-            f"{'NA' if report.sharpe is None else f'{report.sharpe:.4f}'}, "
+            f"ablate seed {seed} {name}: sharpe {_fmt4(report.sharpe)}, "
             f"mdd {report.max_drawdown_abs:.0f} $"
         )
     return reports, lines
@@ -470,54 +479,41 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     """
     _check_workers(args.workers, {"ppo.base": cfg.ppo_base, "ppo.meta": cfg.ppo_meta})
     out_dir = _outdir(cfg, args)
-    series, (train_s, test1_s, test2_s) = load_series(cfg, out_dir)
-    series_by_split = {"train": train_s, "test1": test1_s, "test2": test2_s}
-    load_scale = resolve_load_scale(cfg, train_s)
+    splits, load_scale = load_series(cfg)
     _ensure_dir(os.path.join(out_dir, "ablation"))
 
-    job = functools.partial(
-        _ablate_seed, cfg, out_dir, series_by_split, load_scale, args.workers
-    )
+    job = functools.partial(_ablate_seed, cfg, out_dir, splits, load_scale, args.workers)
     per_config: dict[str, list] = {name: [] for name in ABLATION_CONFIGS}
     for reports, lines in _map_seeds(job, cfg.eval_seeds):
         for line in lines:
             print(line)
-        for name in ABLATION_CONFIGS:
-            per_config[name].append(reports[name])
+        for name, report in reports.items():
+            per_config[name].append(report)
 
     table_path = os.path.join(out_dir, "ablation.csv")
     with open(table_path, "w", newline="") as fh:
         fh.write(f"# {_stamp(cfg, ','.join(str(s) for s in cfg.eval_seeds))}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
-            [
-                "configuration",
-                "sharpe_mean",
-                "sharpe_std",
-                "max_drawdown_abs_mean",
-                "max_drawdown_rel_mean",
-                "n_seeds",
-            ]
+            ["configuration", *(f"{m}_{stat}" for m, stat in ABLATION_COLUMNS), "n_seeds"]
         )
-        for name in ABLATION_CONFIGS:
-            agg = aggregate_reports(per_config[name])
-
-            def cell(metric, stat):
-                v = agg[metric][stat]
-                return "NA" if v is None else repr(float(v))
-
-            writer.writerow(
-                [
-                    name,
-                    cell("sharpe", "mean"),
-                    cell("sharpe", "std"),
-                    cell("max_drawdown_abs", "mean"),
-                    cell("max_drawdown_rel", "mean"),
-                    len(per_config[name]),
-                ]
-            )
+        for name, reports in per_config.items():
+            agg = aggregate_reports(reports)
+            cells = (csv_cell(agg[m][stat]) for m, stat in ABLATION_COLUMNS)
+            writer.writerow([name, *cells, len(reports)])
     print(f"wrote {table_path}")
     return 0
+
+
+# report.csv's metric columns: (column, metric), each the metric's mean
+# over seeds
+REPORT_COLUMNS = (
+    ("sharpe", "sharpe"),
+    ("sortino", "sortino"),
+    ("mdd_abs", "max_drawdown_abs"),
+    ("entropy", "allocation_entropy"),
+    ("alignment", "regime_alignment"),
+)
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
@@ -533,28 +529,14 @@ def cmd_report(cfg: RunConfig, args) -> int:
             if not os.path.exists(agg_path):
                 continue
             with open(agg_path) as fh:
-                agg = json.load(fh)
-            m = agg["metrics"]
-
-            def fmt(metric):
-                v = m[metric]["mean"]
-                return "NA" if v is None else f"{v:.4f}"
-
+                m = json.load(fh)["metrics"]
             rows.append(
-                (
-                    policy,
-                    split_name,
-                    fmt("sharpe"),
-                    fmt("sortino"),
-                    fmt("max_drawdown_abs"),
-                    fmt("allocation_entropy"),
-                    fmt("regime_alignment"),
-                )
+                (policy, split_name, *(_fmt4(m[metric]["mean"]) for _, metric in REPORT_COLUMNS))
             )
-    header = ("policy", "split", "sharpe", "sortino", "mdd_abs", "entropy", "alignment")
-    widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(len(header))]
+    header = ("policy", "split", *(column for column, _ in REPORT_COLUMNS))
+    widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
     for row in [header] + rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
     with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
         fh.write(f"# config_hash={cfg.config_hash}\n")
@@ -605,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a policy on a split")
     common(p)
     p.add_argument("--policy", required=True)
-    p.add_argument("--split", default=None, choices=("train", "test1", "test2"))
+    p.add_argument("--split", default=None, choices=md.SPLIT_NAMES)
     p.add_argument("--seed", type=int, default=None, help="single seed (default: eval.seeds)")
 
     p = sub.add_parser("ablate", help="train/evaluate the ablation matrix")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 from .bidding_env import GeneratorSpec
 from .errors import ConfigError, MarketDataError
 from .market_data import (
+    SPLIT_NAMES,
     DateRange,
     SplitSpec,
     SyntheticConfig,
@@ -252,6 +253,9 @@ def build_config(
     def get(section, key):
         return raw[section][key]
 
+    def hour(split_key):
+        return _parse_hour("split", split_key, get("split", split_key))
+
     source = get("data", "source")
     if source not in ("synthetic", "csv"):
         raise ConfigError(f"data.source must be synthetic or csv, got {source!r}")
@@ -259,18 +263,7 @@ def build_config(
     try:
         synthetic = _build_typed(raw, "synthetic")
         split = SplitSpec(
-            train=DateRange(
-                _parse_hour("split", "train_start", get("split", "train_start")),
-                _parse_hour("split", "train_end", get("split", "train_end")),
-            ),
-            test1=DateRange(
-                _parse_hour("split", "test1_start", get("split", "test1_start")),
-                _parse_hour("split", "test1_end", get("split", "test1_end")),
-            ),
-            test2=DateRange(
-                _parse_hour("split", "test2_start", get("split", "test2_start")),
-                _parse_hour("split", "test2_end", get("split", "test2_end")),
-            ),
+            **{name: DateRange(hour(f"{name}_start"), hour(f"{name}_end")) for name in SPLIT_NAMES}
         )
         generator = _build_typed(raw, "generator")
         shaping = _build_typed(raw, "shaping")
@@ -296,7 +289,7 @@ def build_config(
         raise ConfigError(f"env.dispatch_mode must be always_on or economic, got {dispatch_mode!r}")
 
     eval_split = get("eval", "split")
-    if eval_split not in ("train", "test1", "test2"):
+    if eval_split not in SPLIT_NAMES:
         raise ConfigError(f"eval.split must be train, test1 or test2, got {eval_split!r}")
     seeds = tuple(_parse_int("eval", "seeds", s) for s in _parse_list(get("eval", "seeds")))
     if not seeds:

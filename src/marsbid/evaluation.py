@@ -179,10 +179,12 @@ class MetricReport:
             fh.write("\n")
 
     def csv_row(self) -> list:
-        def cell(v):
-            return "NA" if v is None else repr(float(v))
+        return [csv_cell(getattr(self, name)) for name in self.METRIC_FIELDS]
 
-        return [cell(getattr(self, name)) for name in self.METRIC_FIELDS]
+
+def csv_cell(value) -> str:
+    """A metric's CSV cell: the float's ``repr``, or NA when undefined."""
+    return "NA" if value is None else repr(float(value))
 
 
 def compute_report(

@@ -185,6 +185,9 @@ class SplitSpec:
             raise MarketDataError("split ranges must be disjoint and ordered train < test1 < test2")
 
 
+SPLIT_NAMES = ("train", "test1", "test2")  # the SplitSpec fields, in order
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters of the two-regime synthetic market generator.

@@ -11,7 +11,7 @@ seed is exactly reproducible.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -172,34 +172,16 @@ class TrainingLog:
         self.records.append(rec)
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        cols = [
-            "update",
-            "steps",
-            "mean_reward",
-            "mean_profit",
-            "policy_loss",
-            "value_loss",
-            "entropy",
-            "approx_kl",
-        ]
+        """One column per :class:`UpdateRecord` field, each cell its value's
+        ``repr``."""
+        cols = [f.name for f in fields(UpdateRecord)]
         with open(path, "w", newline="") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(cols)
             for r in self.records:
-                writer.writerow(
-                    [
-                        r.update,
-                        r.steps,
-                        repr(r.mean_reward),
-                        repr(r.mean_profit),
-                        repr(r.policy_loss),
-                        repr(r.value_loss),
-                        repr(r.entropy),
-                        repr(r.approx_kl),
-                    ]
-                )
+                writer.writerow([repr(getattr(r, c)) for c in cols])
 
 
 class LossAndGrads(NamedTuple):
