@@ -613,6 +613,8 @@ def main(argv=None) -> int:
     try:
         if args.workers != 1 and args.command not in ("train", "ablate"):
             raise ConfigError(f"--workers applies to train and ablate only, got {args.workers}")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = build_config(args.config, overrides=args.overrides)
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

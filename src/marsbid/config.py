@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields
 
-from .bidding_env import GeneratorSpec
+from .bidding_env import OBS_HISTORY_HOURS, GeneratorSpec
 from .errors import ConfigError, MarketDataError
 from .market_data import (
     SPLIT_NAMES,
@@ -284,6 +285,25 @@ def build_config(
     load_scale = None if load_scale_raw == "auto" else _parse_float(
         "env", "load_scale", load_scale_raw
     )
+    price_scale = _parse_float("env", "price_scale", get("env", "price_scale"))
+    for key, scale in (("price_scale", price_scale), ("load_scale", load_scale)):
+        # the observations are divided by the scales
+        if scale is not None and not 0.0 < scale < math.inf:
+            raise ConfigError(f"env.{key} must be a finite number > 0, got {scale!r}")
+    episode_len = _parse_int("env", "episode_len", get("env", "episode_len"))
+    if episode_len < 1:
+        raise ConfigError(f"env.episode_len must be >= 1, got {episode_len}")
+    # every split is evaluated in one pass after OBS_HISTORY_HOURS of
+    # history, and a Sharpe ratio needs two hours; the train split also
+    # hosts the training episodes
+    for name in SPLIT_NAMES:
+        hours = getattr(split, name).end - getattr(split, name).start
+        need = OBS_HISTORY_HOURS + (max(2, episode_len) if name == "train" else 2)
+        if hours < need:
+            raise ConfigError(
+                f"split.{name}_start to split.{name}_end spans {hours}h; "
+                f"the {name} split needs at least {need}h"
+            )
     dispatch_mode = get("env", "dispatch_mode")
     if dispatch_mode not in ("always_on", "economic"):
         raise ConfigError(f"env.dispatch_mode must be always_on or economic, got {dispatch_mode!r}")
@@ -291,9 +311,14 @@ def build_config(
     eval_split = get("eval", "split")
     if eval_split not in SPLIT_NAMES:
         raise ConfigError(f"eval.split must be train, test1 or test2, got {eval_split!r}")
+    rolling_window = _parse_int("eval", "rolling_window", get("eval", "rolling_window"))
+    if rolling_window < 2:
+        raise ConfigError(f"eval.rolling_window must be >= 2, got {rolling_window}")
     seeds = tuple(_parse_int("eval", "seeds", s) for s in _parse_list(get("eval", "seeds")))
     if not seeds:
         raise ConfigError("eval.seeds must not be empty")
+    if min(seeds) < 0:
+        raise ConfigError(f"eval.seeds must be >= 0, got {min(seeds)}")
 
     return RunConfig(
         raw=raw,
@@ -303,8 +328,8 @@ def build_config(
         synthetic=synthetic,
         split=split,
         generator=generator,
-        episode_len=_parse_int("env", "episode_len", get("env", "episode_len")),
-        price_scale=_parse_float("env", "price_scale", get("env", "price_scale")),
+        episode_len=episode_len,
+        price_scale=price_scale,
         load_scale=load_scale,
         dispatch_mode=dispatch_mode,
         include_weather=_parse_bool("env", "include_weather", get("env", "include_weather")),
@@ -312,9 +337,7 @@ def build_config(
         ppo_base=ppo_base,
         ppo_meta=ppo_meta,
         roles=roles,
-        eval_rolling_window=_parse_int(
-            "eval", "rolling_window", get("eval", "rolling_window")
-        ),
+        eval_rolling_window=rolling_window,
         eval_seeds=seeds,
         eval_split=eval_split,
         out_dir=get("io", "out_dir"),

@@ -431,8 +431,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> MarketSeries:
     # Daily gas price: one random-walk step per UTC day, constant within it.
     days = (ts // 24) - (ts[0] // 24)
     day_steps = np.zeros(int(days[-1]) + 1)
-    for d in range(1, day_steps.size):
-        day_steps[d] = gas_steps[d]
+    day_steps[1:] = gas_steps[1 : day_steps.size]
     gas_daily = np.clip(GAS_BASE + np.cumsum(0.05 * day_steps), 0.5, None)
     gas_price = gas_daily[days]
 

@@ -114,8 +114,22 @@ def test_bad_values_are_config_errors():
         "generator.min_up=1.5",
         "synthetic.start=2021-01-01T00:30:00Z",
         "shaping.cvar_window=x",
+        "env.episode_len=0",
+        "env.episode_len=-5",
+        "env.price_scale=0",
+        "env.price_scale=nan",
+        "env.load_scale=0",
+        "env.load_scale=-1",
+        "eval.rolling_window=0",
+        "eval.rolling_window=-3",
+        "eval.seeds=0,-1",
+        # a 10-hour test1 split, and a train split shorter than 24 h of
+        # history plus one 168-hour episode
+        "split.test1_end=2022-01-01T10:00:00Z",
+        "split.train_start=2021-12-25T00:00:00Z",
     ):
-        with pytest.raises(ConfigError):
+        # the message names the key
+        with pytest.raises(ConfigError, match=override.split("=")[0].rsplit(".", 1)[1]):
             build_config(overrides=[override], environ={})
 
 
@@ -203,6 +217,18 @@ def test_workers_on_commands_without_rollouts_exits_2(tmp_path):
                    "--out", out, "--seed", "0", *TINY) == 0
 
 
+def test_negative_seed_and_short_split_exit_2(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run_cli("train", "--phase", "vanilla", "--seed", "-1", "--out", out, *TINY) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    # an evaluation pass starts after 24 h of history, and its Sharpe
+    # ratio needs two hours: TINY's test1 starts at 2021-03-01T00
+    evaluate = ("evaluate", "--policy", "rolling_opt", "--seed", "0", "--out", out, *TINY)
+    assert run_cli(*evaluate, "--set", "split.test1_end=2021-03-02T01:00:00Z") == 2
+    assert "the test1 split needs at least 26h" in capsys.readouterr().err
+    assert run_cli(*evaluate, "--set", "split.test1_end=2021-03-02T02:00:00Z") == 0
+
+
 def test_periodic_checkpoints(tmp_path):
     # TINY gives every worker two PPO updates and the meta controller one
     def run(every):
@@ -251,6 +277,14 @@ def test_university_emits_expected_checkpoints(pipeline_dir):
     d = Path(pipeline_dir) / "checkpoints" / "seed0"
     assert (d / "safe.ckpt").exists() and (d / "spec.ckpt").exists()
     assert (d / "meta.ckpt").exists()
+
+
+def test_training_log_header(pipeline_dir):
+    lines = (Path(pipeline_dir) / "logs" / "university_safe_seed0.csv").read_text().splitlines()
+    assert lines[1] == (
+        "update,steps,mean_reward,mean_profit,policy_loss,value_loss,entropy,approx_kl"
+    )
+    assert len(lines) == 2 + 2  # stamp, header, and TINY's two updates
 
 
 def test_meta_refuses_without_workers(tmp_path):
@@ -320,9 +354,13 @@ def test_rolling_opt_needs_no_checkpoints(tmp_path):
                    "--out", out, "--seed", "0", *TINY) == 0
 
 
-def test_report_command(pipeline_dir):
+def test_report_command(pipeline_dir, capsys):
     assert run_cli("report", "--out", pipeline_dir, *TINY) == 0
-    assert (Path(pipeline_dir) / "report.csv").exists()
+    lines = (Path(pipeline_dir) / "report.csv").read_text().splitlines()
+    assert lines[1] == "policy,split,sharpe,sortino,mdd_abs,entropy,alignment"
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].split() == lines[1].split(",")
+    assert len(printed) == len(lines) - 1 > 1
 
 
 def test_outputs_embed_config_hash(pipeline_dir):
@@ -363,6 +401,9 @@ def test_ablate_matrix(tmp_path):
     assert run_cli("ablate", "--out", out, *args) == 0
     lines = (Path(out) / "ablation.csv").read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
+    assert lines[1] == (
+        "configuration,sharpe_mean,sharpe_std,max_drawdown_abs_mean,max_drawdown_rel_mean,n_seeds"
+    )
     header = lines[1].split(",")
     rows = {l.split(",")[0]: l.split(",") for l in lines[2:]}
     # one row per configuration
@@ -376,6 +417,28 @@ def test_ablate_matrix(tmp_path):
     # static 50/50 required no meta checkpoint (none was saved for it), yet
     # its row exists with a defined sharpe
     assert rows["static_5050"][header.index("sharpe_mean")] != "NA"
+
+
+def test_evaluate_reproduces_ablate(tmp_path):
+    # six ablation configurations are evaluate's policies on the same
+    # seeds and checkpoints, so their metrics files match byte for byte
+    out = str(tmp_path)
+    args = TINY + ["--set", "eval.seeds=0,1"]
+    assert run_cli("ablate", "--out", out, *args) == 0
+    same = {
+        "mars": "mars_k2",
+        "static": "static_5050",
+        "vanilla": "vanilla",
+        "cvar": "cvar",
+        "rolling_opt": "rolling_opt",
+        "best_single": "best_single",
+    }
+    for policy, config in same.items():
+        assert run_cli("evaluate", "--policy", policy, "--out", out, *args) == 0
+        for seed in (0, 1):
+            evaluated = Path(out) / "eval" / policy / "test1" / f"seed{seed}.metrics.json"
+            ablated = Path(out) / "ablation" / f"{config}_seed{seed}.metrics.json"
+            assert evaluated.read_bytes() == ablated.read_bytes(), (policy, seed)
 
 
 def test_ablate_neutral_worker_has_its_own_seeds(tmp_path):
