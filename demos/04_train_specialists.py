@@ -28,7 +28,7 @@ series = MarketSeries(timestamps=base.timestamps.copy(), fields=fields, provenan
 
 cfg = PpoConfig(total_steps=12_288, buffer_size=1024, learning_rate=1e-3, hidden=(16, 16))
 ensemble, logs = train_university(
-    lambda: StrategicBiddingEnv(series, episode_len=168),
+    StrategicBiddingEnv(series, episode_len=168),
     cfg,
     ShapingParams(),
     roles=("safe", "spec"),

@@ -5,6 +5,8 @@ risk metrics that show the dampening behaviour.
 Run:  python demos/05_hierarchy_and_metrics.py   (about a minute)
 """
 
+import numpy as np
+
 from marsbid import (
     BlendPolicy,
     MarketSeries,
@@ -38,14 +40,14 @@ series = MarketSeries(timestamps=base.timestamps.copy(), fields=fields,
                       provenance="synthetic", regimes=base.regimes.copy())
 
 shaping = ShapingParams()
-factory = lambda: StrategicBiddingEnv(series, episode_len=168)
+train_env = StrategicBiddingEnv(series, episode_len=168)
 ensemble, _ = train_university(
-    factory,
+    train_env,
     PpoConfig(total_steps=10_240, buffer_size=1024, learning_rate=1e-3, hidden=(16, 16)),
     shaping, roles=("safe", "spec"), seed=0,
 )
 meta, _ = train_meta(
-    factory, ensemble,
+    train_env, ensemble,
     PpoConfig(total_steps=8_192, buffer_size=1024, learning_rate=1e-3, hidden=(16, 16)),
     shaping, seed=0,
 )
@@ -69,7 +71,8 @@ print(f"  regime alignment    {report.regime_alignment:12.3f} "
 print("\npaired comparison on the same fixture:")
 print(f"  {'policy':16s} {'sharpe':>8} {'max drawdown':>14}")
 for name, ledger in (("MARS-DA", mars), ("static 50/50", static), ("speculator", solo)):
-    print(f"  {name:16s} {sharpe(ledger.profits):8.4f} {max_drawdown(ledger.equity)[0]:14.0f}")
+    mdd = max_drawdown(np.cumsum(ledger.profit))[0]
+    print(f"  {name:16s} {sharpe(ledger.profit):8.4f} {mdd:14.0f}")
 
 w_spec = mars.spec_weight_series()
 print(f"\nmean speculator weight {w_spec.mean():.3f} (std {w_spec.std():.3f}); "

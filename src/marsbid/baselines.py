@@ -76,7 +76,7 @@ class RollingOptPolicy:
 
 
 def train_vanilla(
-    env_factory,
+    env,
     cfg: PpoConfig,
     shaping: ShapingParams,
     seed: int = 0,
@@ -89,7 +89,7 @@ def train_vanilla(
     both start from the same parameters and roll out over the same episode
     starts and noise, so their comparison differs only in the reward."""
     return train_worker(
-        env_factory,
+        env,
         cfg,
         np.random.SeedSequence(seed),
         "vanilla",
@@ -100,7 +100,7 @@ def train_vanilla(
 
 
 def train_cvar(
-    env_factory,
+    env,
     cfg: PpoConfig,
     shaping: ShapingParams,
     seed: int = 0,
@@ -113,7 +113,7 @@ def train_cvar(
     numbers, see :func:`train_vanilla`)."""
     shaper = CvarRewardShaper(shaping)
     return train_worker(
-        env_factory,
+        env,
         cfg,
         np.random.SeedSequence(seed),
         "cvar",

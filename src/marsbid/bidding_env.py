@@ -15,19 +15,19 @@ Two dispatch modes:
   fined) and ramp limits (clamped to feasibility and fined per MW clamped).
 
 The dynamics are exogenous: :func:`dispatch`, the unit-state transition,
-reads the prices and the unit but never alpha. So when an episode resets,
-one scan of the unit state fixes the whole episode as a :class:`Tape`: its
-observations and, per hour, the capacity, marginal cost, startup cost and
-fines. :func:`settle` is then elementwise arithmetic in alpha, for one hour
-or for every hour of the tape at once, and ``step`` is a cursor over the
-tape. This needs dynamics that do not depend on the action; a storage
-unit, whose state of charge follows its bids, would need a stepwise scan.
+reads the prices and the unit but never alpha. So an episode is a pure
+function of its start: one scan of the unit state fixes it as a
+:class:`Tape`, its observations and, per hour, the capacity, marginal cost,
+startup cost and fines. :func:`settle` is then elementwise arithmetic in
+alpha, for one hour or for a whole tape at once, and ``step`` is a cursor
+over the tape. This needs dynamics that do not depend on the action; a
+storage unit, whose state of charge follows its bids, would need a scan.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -194,16 +194,17 @@ class Tape:
 class StrategicBiddingEnv:
     """Episode driver over an immutable repaired market series.
 
-    An instance is single-threaded; run independent instances over the same
-    series for parallel rollout collection. Observation scaling is a fixed
-    affine map (price_scale, load_scale) so replays are deterministic.
+    Observation scaling is a fixed affine map (price_scale, load_scale) so
+    replays are deterministic.
 
     The market is exogenous: prices, volatility, load, time and weather
     never depend on the action. So the 24-hour DA price windows and one
-    read-only hour-feature matrix are built once, and ``reset`` builds the
-    episode's :class:`Tape` (``env.tape``) from them and one scan of the
-    unit state. An observation is a read-only float64 vector of ``obs_dim``
-    cells:
+    read-only hour-feature matrix are built once, and :meth:`episode`
+    builds an episode's :class:`Tape` from them and one scan of the unit
+    state, touching nothing else: one instance serves every rollout worker.
+    ``reset`` and ``step`` are the stepwise view, one cursor over
+    ``env.tape``. An observation is a read-only float64 vector of
+    ``obs_dim`` cells:
 
     * 0-23: the DA LMPs of the 24 hours before the current one, oldest
       first, divided by price_scale;
@@ -286,13 +287,33 @@ class StrategicBiddingEnv:
     def max_start(self) -> int:
         return len(self.series) - self.episode_len
 
-    def _build_tape(self, start: int) -> Tape:
-        """Scan the unit through the episode's hours and lay out its tape.
+    def episode(
+        self,
+        start: int | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> Tape:
+        """The tape of the episode at ``start`` (or a uniform random valid
+        index drawn from ``rng``, else the first valid one). Pure: it leaves
+        ``env.tape`` and the step cursor alone.
 
         The unit starts committed at full output with its minimum-up time
         already served, so the default mode never pays a startup cost; there
         the unit never changes state and its columns need no scan.
         """
+        if start is None:
+            if rng is None:
+                start = self.min_start
+            else:
+                start = int(rng.integers(self.min_start, self.max_start + 1))
+        if start < self.min_start:
+            raise ValueError(
+                f"start {start} leaves insufficient history (need >= {self.min_start})"
+            )
+        if start > self.max_start:
+            raise ValueError(
+                f"episode of {self.episode_len}h starting at {start} overruns the series"
+            )
+        start = int(start)
         hours = slice(start, start + self.episode_len)
         f = self.series.fields
         spec = self.spec
@@ -330,22 +351,9 @@ class StrategicBiddingEnv:
         start: int | None = None,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
-        """Begin an episode at ``start`` (or a uniform random valid index),
-        build its tape, and return the first observation."""
-        if start is None:
-            if rng is None:
-                start = self.min_start
-            else:
-                start = int(rng.integers(self.min_start, self.max_start + 1))
-        if start < self.min_start:
-            raise ValueError(
-                f"start {start} leaves insufficient history (need >= {self.min_start})"
-            )
-        if start > self.max_start:
-            raise ValueError(
-                f"episode of {self.episode_len}h starting at {start} overruns the series"
-            )
-        self.tape = self._build_tape(int(start))
+        """Begin the stepwise view of :meth:`episode`'s tape and return its
+        first observation."""
+        self.tape = self.episode(start, rng)
         self._t = 0
         return self.tape.obs[0]
 
@@ -368,76 +376,51 @@ class StrategicBiddingEnv:
 
 @dataclass
 class EpisodeLedger:
-    """Per-hour record of an evaluation or diagnostic episode, one list
-    per column.
+    """Per-hour record of an evaluation or diagnostic episode: its hours'
+    timestamps, the tape's prices, the :class:`Settlement` arrays and the
+    volatility, one array per column, in CSV order.
 
-    The episode runner fills every column at once from the settled tape.
-    Weight/proposal columns are present only for hierarchical runs; metric
-    code treats their absence as "not applicable".
+    ``weights`` and ``proposals`` ((T, K), one column per role) and
+    ``r_meta`` are present together, for blended runs only; metric code
+    treats None as "not applicable".
     """
 
+    timestamps: np.ndarray
+    lmp_da: np.ndarray
+    lmp_rt: np.ndarray
+    alpha: np.ndarray
+    profit: np.ndarray
+    revenue_da: np.ndarray
+    revenue_rt: np.ndarray
+    cost_marginal: np.ndarray
+    cost_startup: np.ndarray
+    penalty: np.ndarray
+    volatility: np.ndarray
     roles: tuple = ()
-    timestamps: list = field(default_factory=list)
-    lmp_da: list = field(default_factory=list)
-    lmp_rt: list = field(default_factory=list)
-    alpha: list = field(default_factory=list)
-    profit: list = field(default_factory=list)
-    revenue_da: list = field(default_factory=list)
-    revenue_rt: list = field(default_factory=list)
-    cost_marginal: list = field(default_factory=list)
-    cost_startup: list = field(default_factory=list)
-    penalty: list = field(default_factory=list)
-    volatility: list = field(default_factory=list)
-    weights: list = field(default_factory=list)
-    proposals: list = field(default_factory=list)
-    r_meta: list = field(default_factory=list)
-
-    # CSV columns after the timestamp, in order; each names a list field.
-    CSV_COLUMNS = (
-        "lmp_da",
-        "lmp_rt",
-        "alpha",
-        "profit",
-        "revenue_da",
-        "revenue_rt",
-        "cost_marginal",
-        "cost_startup",
-        "penalty",
-        "volatility",
-    )
+    weights: np.ndarray | None = None
+    proposals: np.ndarray | None = None
+    r_meta: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.profit)
 
-    @property
-    def profits(self) -> np.ndarray:
-        return np.asarray(self.profit, dtype=np.float64)
-
-    @property
-    def equity(self) -> np.ndarray:
-        return np.cumsum(self.profits)
-
-    def weight_matrix(self) -> np.ndarray | None:
-        if not self.weights:
-            return None
-        return np.asarray(self.weights, dtype=np.float64)
-
     def spec_weight_series(self) -> np.ndarray | None:
         """Weight column of the 'spec' role, if this was a hierarchical run."""
-        w = self.weight_matrix()
-        if w is None or "spec" not in self.roles:
+        if self.weights is None or "spec" not in self.roles:
             return None
-        return w[:, self.roles.index("spec")]
+        return self.weights[:, self.roles.index("spec")]
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        cols = ["timestamp", *self.CSV_COLUMNS]
-        if self.weights:
-            cols += [f"w_{r}" for r in self.roles]
-        if self.proposals:
-            cols += [f"prop_{r}" for r in self.roles]
-        if self.r_meta:
+        """One row per hour: the timestamp, then each per-hour field's
+        Python float ``repr``, then the blend columns of a blended run."""
+        # the fields without a default are the per-hour columns, timestamps first
+        names = [f.name for f in fields(self) if f.default is MISSING][1:]
+        cols = ["timestamp", *names]
+        columns = [getattr(self, name) for name in names]
+        if self.weights is not None:
+            cols += [f"w_{r}" for r in self.roles] + [f"prop_{r}" for r in self.roles]
             cols.append("r_meta")
-        columns = [getattr(self, name) for name in self.CSV_COLUMNS]
+            columns += [*self.weights.T, *self.proposals.T, self.r_meta]
         with open(path, "w", newline="") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
@@ -446,10 +429,5 @@ class EpisodeLedger:
             for lo in range(0, len(self), CSV_BLOCK_ROWS):
                 block = slice(lo, lo + CSV_BLOCK_ROWS)
                 cells = [format_timestamps(self.timestamps[block])]
-                cells += [map(repr, col[block]) for col in columns]
-                # the weight and proposal blocks, transposed into columns
-                cells += [map(repr, c) for c in zip(*self.weights[block])]
-                cells += [map(repr, c) for c in zip(*self.proposals[block])]
-                if self.r_meta:
-                    cells.append(map(repr, self.r_meta[block]))
+                cells += [map(repr, col[block].tolist()) for col in columns]
                 writer.writerows(zip(*cells))

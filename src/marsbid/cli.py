@@ -82,24 +82,18 @@ def load_series(cfg: RunConfig):
     return splits, load_scale
 
 
-def make_env_factory(cfg: RunConfig, series, episode_len, load_scale):
-    def factory():
-        return StrategicBiddingEnv(
-            series,
-            spec=cfg.generator,
-            episode_len=episode_len,
-            price_scale=cfg.price_scale,
-            load_scale=load_scale,
-            dispatch_mode=cfg.dispatch_mode,
-            include_weather=cfg.include_weather,
-        )
-
-    return factory
-
-
-def eval_env(cfg: RunConfig, series, load_scale) -> StrategicBiddingEnv:
-    """One contiguous pass over the given split."""
-    return make_env_factory(cfg, series, len(series) - OBS_HISTORY_HOURS, load_scale)()
+def make_env(cfg: RunConfig, series, episode_len, load_scale) -> StrategicBiddingEnv:
+    """The configured env over ``series``: training passes
+    ``cfg.episode_len``, evaluation the whole split, one contiguous pass."""
+    return StrategicBiddingEnv(
+        series,
+        spec=cfg.generator,
+        episode_len=episode_len,
+        price_scale=cfg.price_scale,
+        load_scale=load_scale,
+        dispatch_mode=cfg.dispatch_mode,
+        include_weather=cfg.include_weather,
+    )
 
 
 def _ckpt_dir(out_dir: str, seed: int) -> str:
@@ -199,14 +193,14 @@ def cmd_train(cfg: RunConfig, args) -> int:
         {"ppo.meta": cfg.ppo_meta} if args.phase == "meta" else {"ppo.base": cfg.ppo_base},
     )
     splits, load_scale = load_series(cfg)
-    factory = make_env_factory(cfg, splits["train"], cfg.episode_len, load_scale)
+    env = make_env(cfg, splits["train"], cfg.episode_len, load_scale)
     _ensure_dir(_ckpt_dir(out_dir, seed))
     logs_dir = _ensure_dir(os.path.join(out_dir, "logs"))
     checkpoint_cb = _checkpoint_cb(cfg, out_dir, seed)
 
     if args.phase == "university":
         ensemble, logs = train_university(
-            factory,
+            env,
             cfg.ppo_base,
             cfg.shaping,
             roles=cfg.roles,
@@ -218,9 +212,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
         trained = [(role, net, logs[role], f"university_{role}") for role, net in ensemble.workers]
         done = f"university phase done: {len(ensemble.workers)} workers"
     elif args.phase == "meta":
-        ensemble = _load_ensemble(out_dir, seed, factory().obs_dim, cfg.roles)
+        ensemble = _load_ensemble(out_dir, seed, env.obs_dim, cfg.roles)
         meta, log = train_meta(
-            factory,
+            env,
             ensemble,
             cfg.ppo_meta,
             cfg.shaping,
@@ -233,7 +227,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     else:  # vanilla or cvar
         trainer = train_vanilla if args.phase == "vanilla" else train_cvar
         net, log = trainer(
-            factory,
+            env,
             cfg.ppo_base,
             cfg.shaping,
             seed=seed,
@@ -273,11 +267,12 @@ def _pick_best_single(cfg, out_dir, splits, load_scale, seed) -> str:
         raise MissingPrerequisiteError(
             f"best_single: no single-policy checkpoints for seed {seed}"
         )
-    env = eval_env(cfg, splits["train"], load_scale)
+    train = splits["train"]
+    env = make_env(cfg, train, len(train) - OBS_HISTORY_HOURS, load_scale)
     sharpes = {}
     for name in names:
         policy = greedy(_load_ckpt(out_dir, seed, name, env.obs_dim))
-        sharpes[name] = sharpe(run_policy_episode(env, policy, start=env.min_start).profits)
+        sharpes[name] = sharpe(run_policy_episode(env, policy, start=env.min_start).profit)
     return select_best_single(sharpes)
 
 
@@ -305,7 +300,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
     splits, load_scale = load_series(cfg)
     eval_dir = _ensure_dir(os.path.join(out_dir, "eval", policy, split_name))
-    env = eval_env(cfg, splits[split_name], load_scale)
+    series = splits[split_name]
+    env = make_env(cfg, series, len(series) - OBS_HISTORY_HOURS, load_scale)
     reports = []
     for seed in seeds:
         built = _eval_policy(cfg, out_dir, policy, splits, load_scale, seed, env.obs_dim, cfg.roles)
@@ -318,7 +314,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         )
         if len(ledger) >= cfg.eval_rolling_window:
             means, sharpes_series = rolling_metrics(
-                ledger.profits, window=cfg.eval_rolling_window
+                ledger.profit, window=cfg.eval_rolling_window
             )
             write_rolling_csv(
                 os.path.join(eval_dir, f"seed{seed}.rolling.csv"),
@@ -428,12 +424,12 @@ def _ablate_seed(cfg: RunConfig, out_dir, splits, load_scale, workers, seed):
     Writes the seed's checkpoints and ``<configuration>_seed<seed>.metrics.json``
     files; returns ``(reports by configuration, the lines to print)``.
     """
-    factory = make_env_factory(cfg, splits["train"], cfg.episode_len, load_scale)
+    train_env = make_env(cfg, splits["train"], cfg.episode_len, load_scale)
     _ensure_dir(_ckpt_dir(out_dir, seed))
     # one call, so the neutral worker gets its own init and rollout
     # seeds; spawn(3)[:2] == spawn(2) keeps safe and spec unchanged
     ens_k3, _ = train_university(
-        factory, cfg.ppo_base, cfg.shaping, roles=(*ABLATION_ROLES, "neutral"),
+        train_env, cfg.ppo_base, cfg.shaping, roles=(*ABLATION_ROLES, "neutral"),
         seed=seed, workers=workers,
     )
     ens2 = AgentEnsemble(workers=ens_k3.workers[:2])
@@ -441,18 +437,19 @@ def _ablate_seed(cfg: RunConfig, out_dir, splits, load_scale, workers, seed):
     # both meta controllers take this seed (common random numbers for
     # the K=2 vs K=3 comparison): the same body weights at init and the
     # same episode starts
-    meta2, _ = train_meta(factory, ens2, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
-    meta3, _ = train_meta(factory, ens_k3, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
+    meta2, _ = train_meta(train_env, ens2, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
+    meta3, _ = train_meta(train_env, ens_k3, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
     singles = [
-        (name, trainer(factory, cfg.ppo_base, cfg.shaping, seed=seed, workers=workers)[0])
+        (name, trainer(train_env, cfg.ppo_base, cfg.shaping, seed=seed, workers=workers)[0])
         for name, trainer in (("vanilla", train_vanilla), ("cvar", train_cvar))
     ]
     for name, net in (*ens_k3.workers, ("meta", meta2), *singles):
         net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)
 
-    # one env, reset at the same contiguous start for every configuration:
-    # the paired design
-    env = eval_env(cfg, splits[cfg.eval_split], load_scale)
+    # one env, its episode at the same contiguous start for every
+    # configuration: the paired design
+    test = splits[cfg.eval_split]
+    env = make_env(cfg, test, len(test) - OBS_HISTORY_HOURS, load_scale)
     reports, lines = {}, []
     for name, policy in ABLATION_CONFIGS.items():
         if policy is None:

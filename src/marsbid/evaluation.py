@@ -190,22 +190,18 @@ def csv_cell(value) -> str:
 def compute_report(
     ledger: EpisodeLedger, config_hash: str = "", seed: int | None = None
 ) -> MetricReport:
-    profits = ledger.profits
-    equity = ledger.equity
+    equity = np.cumsum(ledger.profit)
     dd_abs, dd_rel = max_drawdown(equity)
-    weights = ledger.weight_matrix()
-    entropy = allocation_entropy(weights) if weights is not None else None
+    entropy = allocation_entropy(ledger.weights) if ledger.weights is not None else None
     spec_w = ledger.spec_weight_series()
     align = align_expost = None
     if spec_w is not None:
-        align = regime_alignment(spec_w, np.asarray(ledger.volatility))
-        align_expost = regime_alignment_expost(
-            spec_w, np.asarray(ledger.lmp_da), np.asarray(ledger.lmp_rt)
-        )
+        align = regime_alignment(spec_w, ledger.volatility)
+        align_expost = regime_alignment_expost(spec_w, ledger.lmp_da, ledger.lmp_rt)
     return MetricReport(
         cumulative_return=float(equity[-1]) if len(ledger) else 0.0,
-        sharpe=sharpe(profits),
-        sortino=sortino(profits),
+        sharpe=sharpe(ledger.profit),
+        sortino=sortino(ledger.profit),
         max_drawdown_abs=dd_abs,
         max_drawdown_rel=dd_rel,
         allocation_entropy=entropy,
@@ -270,7 +266,7 @@ def run_policy_episode(
     start: int | None = None,
     shaping: ShapingParams | None = None,
 ) -> EpisodeLedger:
-    """Reset ``env`` and settle the whole episode in one call; pass
+    """Settle the whole episode ``env.episode(start)`` in one call; pass
     ``start`` for the paired contiguous evaluation pass.
 
     ``policy(tape)`` maps the episode's tape to its raw actions, one per
@@ -281,8 +277,7 @@ def run_policy_episode(
     """
     shaping = shaping or ShapingParams()
     roles = getattr(policy, "roles", ())
-    env.reset(start=start)
-    tape = env.tape
+    tape = env.episode(start)
     act = policy(tape)
     blended = isinstance(act, Blend)
     if blended and act.weights.shape[1] != len(roles):
@@ -293,15 +288,14 @@ def run_policy_episode(
     settled = settle(alpha, *tape.dispatch)
     hours = slice(tape.start, tape.start + len(tape))
     ledger = EpisodeLedger(
+        timestamps=tape.series.timestamps[hours],
+        lmp_da=tape.dispatch[0],
+        lmp_rt=tape.dispatch[1],
+        volatility=env.volatility[hours],
         roles=roles,
-        timestamps=env.series.timestamps[hours].tolist(),
-        lmp_da=env.series.fields["lmp_da"][hours].tolist(),
-        lmp_rt=env.series.fields["lmp_rt"][hours].tolist(),
-        volatility=env.volatility[hours].tolist(),
-        **{name: col.tolist() for name, col in settled._asdict().items()},
+        **settled._asdict(),
     )
     if blended:
-        ledger.weights = list(map(tuple, act.weights.tolist()))
-        ledger.proposals = list(map(tuple, act.proposals.tolist()))
-        ledger.r_meta = [reward_meta(pi, shaping) for pi in ledger.profit]
+        ledger.weights, ledger.proposals = act.weights, act.proposals
+        ledger.r_meta = np.array([reward_meta(float(pi), shaping) for pi in settled.profit])
     return ledger

@@ -126,7 +126,7 @@ class BlendPolicy:
 
 
 def train_worker(
-    env_factory,
+    env,
     cfg: PpoConfig,
     seed_seq: np.random.SeedSequence,
     role: str,
@@ -142,7 +142,7 @@ def train_worker(
     left unfrozen.
     """
     net = PolicyNetwork(
-        obs_dim=env_factory().obs_dim,
+        obs_dim=env.obs_dim,
         hidden=tuple(cfg.hidden),
         action_dim=1,
         role=role,
@@ -150,7 +150,7 @@ def train_worker(
         seed=int(seed_seq.generate_state(1)[0]),
     )
     log = train(
-        env_factory,
+        env,
         net,
         reward_fn,
         cfg,
@@ -162,7 +162,7 @@ def train_worker(
 
 
 def train_university(
-    env_factory,
+    env,
     cfg: PpoConfig,
     shaping: ShapingParams,
     roles=("safe", "spec"),
@@ -192,7 +192,7 @@ def train_university(
             return _reward(pi, alpha, shaping) / shaping.s_linear
 
         net, logs[role] = train_worker(
-            env_factory,
+            env,
             cfg,
             role_seed,
             role,
@@ -206,7 +206,7 @@ def train_university(
 
 
 def train_meta(
-    env_factory,
+    env,
     ensemble: AgentEnsemble,
     cfg: PpoConfig,
     shaping: ShapingParams,
@@ -225,7 +225,7 @@ def train_meta(
     ss = np.random.SeedSequence(seed)
     init_seed, train_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
     meta = PolicyNetwork(
-        obs_dim=env_factory().obs_dim,
+        obs_dim=env.obs_dim,
         hidden=tuple(cfg.hidden),
         action_dim=ensemble.k,
         role="meta",
@@ -233,7 +233,7 @@ def train_meta(
         seed=init_seed,
     )
     log = train(
-        env_factory,
+        env,
         meta,
         lambda pi, alpha: reward_meta(pi, shaping),
         cfg,

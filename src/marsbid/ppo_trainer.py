@@ -2,10 +2,11 @@
 clipped-surrogate updates with value and entropy terms, and an Adam
 optimizer with global gradient-norm clipping.
 
-Rollouts may fan out over N independent environment instances, read off
-their episode tapes as one block per buffer: one forward, one action draw
-and one settlement. The update phase is single-writer. A run with a fixed
-seed is exactly reproducible.
+Rollouts may fan out over N workers, each with its own rng and its own
+current episode tape from the one environment's pure ``episode``; a buffer
+is read off the tapes as one block: one forward, one action draw and one
+settlement. The update phase is single-writer. A run with a fixed seed is
+exactly reproducible.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def scalar_action(actions, obs) -> np.ndarray:
 
 
 def train(
-    env_factory,
+    env,
     policy: PolicyNetwork,
     reward_fn,
     cfg: PpoConfig,
@@ -292,14 +293,14 @@ def train(
 ) -> TrainingLog:
     """Run PPO until ``cfg.total_steps`` environment steps.
 
-    ``env_factory`` builds a fresh environment per rollout worker, whose
-    ``env.tape`` is read and ``env.reset(rng=...)`` called at each episode
-    end. ``env_action(actions, obs)`` maps an (N, A) block of sampled
+    Each rollout worker reads the next rows of its current tape and, at
+    each episode end, draws the next from ``env.episode(rng=...)`` with its
+    own rng. ``env_action(actions, obs)`` maps an (N, A) block of sampled
     actions and their (N, obs_dim) observations to N raw actions (the meta
     controller blends the workers' proposals there); ``reward_fn(profit,
     alpha)`` shapes each step's profit, one call per step in (t, worker)
-    order. The policy is updated in place. Raises :class:`DivergenceError` if policy
-    outputs, losses or parameters go non-finite.
+    order. The policy is updated in place. Raises :class:`DivergenceError`
+    if policy outputs, losses or parameters go non-finite.
     """
     if policy.frozen:
         raise ValueError("cannot train a frozen policy")
@@ -312,9 +313,7 @@ def train(
     sample_rng = np.random.default_rng(sample_seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
-    envs = [env_factory() for _ in range(workers)]
-    for env, env_rng in zip(envs, env_rngs):
-        env.reset(rng=env_rng)
+    tapes = [env.episode(rng=env_rng) for env_rng in env_rngs]
     cursors = [0] * workers  # each worker's next row of its tape
 
     T = cfg.buffer_size // workers
@@ -328,17 +327,17 @@ def train(
         buf_obs = np.empty((T, workers, obs_dim))
         buf_dispatch = np.empty((6, T, workers))
         buf_done = np.zeros((T, workers))
-        for i, env in enumerate(envs):
+        for i in range(workers):
             t = 0
             while t < T:
-                c = cursors[i]
-                k = min(T - t, len(env.tape) - c)
-                buf_obs[t : t + k, i] = env.tape.obs[c : c + k]
-                buf_dispatch[:, t : t + k, i] = env.tape.dispatch[:, c : c + k]
+                tape, c = tapes[i], cursors[i]
+                k = min(T - t, len(tape) - c)
+                buf_obs[t : t + k, i] = tape.obs[c : c + k]
+                buf_dispatch[:, t : t + k, i] = tape.dispatch[:, c : c + k]
                 t, cursors[i] = t + k, c + k
-                if cursors[i] == len(env.tape):
+                if cursors[i] == len(tape):
                     buf_done[t - 1, i] = 1.0
-                    env.reset(rng=env_rngs[i])
+                    tapes[i] = env.episode(rng=env_rngs[i])
                     cursors[i] = 0
 
         # rows in (t, i) order: the draw equals one (A,) draw per step
@@ -353,7 +352,7 @@ def train(
         ).reshape(T, workers)
         buf_raw = settled.profit.reshape(T, workers)
 
-        bootstrap = policy.forward(np.array([env.tape.obs[c] for env, c in zip(envs, cursors)]))[2]
+        bootstrap = policy.forward(np.array([tape.obs[c] for tape, c in zip(tapes, cursors)]))[2]
         advantages, returns = compute_gae(
             buf_rew, flat_val.reshape(T, workers), buf_done, bootstrap, cfg.gamma, cfg.gae_lambda
         )

@@ -106,8 +106,8 @@ class BanditEnv:
             arr.flags.writeable = False
         self.tape = Tape(series=None, start=0, obs=obs, dispatch=dispatch)
 
-    def reset(self, start=None, rng=None):
-        return self.tape.obs[0]
+    def episode(self, start=None, rng=None):
+        return self.tape
 
 
 def policy_sample(net, obs, rng):

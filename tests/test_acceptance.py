@@ -209,7 +209,7 @@ def test_criterion_03_ppo_bandit():
     finals = []
     for seed in SEEDS:
         net = PolicyNetwork(obs_dim=BanditEnv.obs_dim, hidden=(16, 16), seed=seed + 100)
-        train(lambda: BanditEnv(), net, lambda pi, alpha: pi, cfg, seed=seed)
+        train(BanditEnv(), net, lambda pi, alpha: pi, cfg, seed=seed)
         finals.append(float(net.act_deterministic(np.zeros(BanditEnv.obs_dim))[0]))
     passed = sum(a > 0.9 for a in finals)
     assert passed >= 4, f"bandit means {finals}"
@@ -232,7 +232,7 @@ def specialization_runs():
         train_series = premium_series(2600, seed=300 + seed, rt_shift=-20.0)
         mirror_series = premium_series(2600, seed=400 + seed, rt_shift=+20.0)
         ens, _ = train_university(
-            lambda: StrategicBiddingEnv(train_series, episode_len=168),
+            StrategicBiddingEnv(train_series, episode_len=168),
             cfg,
             shaping,
             roles=("safe", "spec"),
@@ -301,7 +301,7 @@ def test_criterion_05_hierarchy_invariants():
     hashes_before = param_hashes(ensemble)
     cfg = PpoConfig(total_steps=2048, buffer_size=1024, learning_rate=1e-3, hidden=(8, 8))
     train_meta(
-        lambda: StrategicBiddingEnv(series, episode_len=168),
+        StrategicBiddingEnv(series, episode_len=168),
         ensemble,
         cfg,
         ShapingParams(),
@@ -325,9 +325,9 @@ def regime_runs():
     runs = []
     for seed in SEEDS:
         series = spike_series(4000, seed=500 + seed)
-        factory = lambda: StrategicBiddingEnv(series, episode_len=168)
-        ens, _ = train_university(factory, base_cfg, shaping, roles=("safe", "spec"), seed=seed)
-        meta, _ = train_meta(factory, ens, meta_cfg, shaping, seed=seed)
+        train_env = StrategicBiddingEnv(series, episode_len=168)
+        ens, _ = train_university(train_env, base_cfg, shaping, roles=("safe", "spec"), seed=seed)
+        meta, _ = train_meta(train_env, ens, meta_cfg, shaping, seed=seed)
 
         env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
         mars = run_policy_episode(env, BlendPolicy(ens, meta), start=24, shaping=shaping)
@@ -338,11 +338,11 @@ def regime_runs():
         solo_spec = run_policy_episode(env, greedy(spec_net), start=24)
         runs.append(
             {
-                "entropy": allocation_entropy(mars.weight_matrix()),
-                "mdd_mars": max_drawdown(mars.equity)[0],
-                "mdd_spec": max_drawdown(solo_spec.equity)[0],
-                "sharpe_mars": sharpe(mars.profits),
-                "sharpe_static": sharpe(static.profits),
+                "entropy": allocation_entropy(mars.weights),
+                "mdd_mars": max_drawdown(np.cumsum(mars.profit))[0],
+                "mdd_spec": max_drawdown(np.cumsum(solo_spec.profit))[0],
+                "sharpe_mars": sharpe(mars.profit),
+                "sharpe_static": sharpe(static.profit),
             }
         )
     return runs

@@ -144,33 +144,33 @@ def test_static_blend_executes_mean_of_proposals(actions):
 
 
 @pytest.fixture(scope="module")
-def premium_env_factory():
+def premium_env():
     series = premium_series(2200, seed=31)
-    return series, (lambda: StrategicBiddingEnv(series, episode_len=168))
+    return series, StrategicBiddingEnv(series, episode_len=168)
 
 
-def test_vanilla_learns_da_premium(premium_env_factory):
-    series, factory = premium_env_factory
+def test_vanilla_learns_da_premium(premium_env):
+    series, train_env = premium_env
     cfg = PpoConfig(total_steps=16384, buffer_size=1024, learning_rate=1e-3, hidden=(16, 16))
-    net, log = train_vanilla(factory, cfg, ShapingParams(), seed=2)
+    net, log = train_vanilla(train_env, cfg, ShapingParams(), seed=2)
     env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
     led = run_policy_episode(env, greedy(net), start=24)
     assert float(np.mean(led.alpha)) > 0.8
     assert net.role == "vanilla"
 
 
-def test_vanilla_zero_budget_returns_init(premium_env_factory):
-    _, factory = premium_env_factory
-    net, log = train_vanilla(factory, PpoConfig(total_steps=0, hidden=(8,)), ShapingParams(), seed=0)
+def test_vanilla_zero_budget_returns_init(premium_env):
+    _, train_env = premium_env
+    net, log = train_vanilla(train_env, PpoConfig(total_steps=0, hidden=(8,)), ShapingParams(), seed=0)
     assert log.records == [] and net.step_count == 0
 
 
-def test_vanilla_deterministic_log(premium_env_factory, tmp_path):
-    _, factory = premium_env_factory
+def test_vanilla_deterministic_log(premium_env, tmp_path):
+    _, train_env = premium_env
     cfg = PpoConfig(total_steps=1024, buffer_size=512, hidden=(8, 8))
 
     def run(name):
-        net, log = train_vanilla(factory, cfg, ShapingParams(), seed=9)
+        net, log = train_vanilla(train_env, cfg, ShapingParams(), seed=9)
         p = tmp_path / name
         log.to_csv(p)
         return p.read_bytes(), net.param_hash()
@@ -180,10 +180,10 @@ def test_vanilla_deterministic_log(premium_env_factory, tmp_path):
     assert b1 == b2 and h1 == h2
 
 
-def test_cvar_trains_and_tags(premium_env_factory):
-    _, factory = premium_env_factory
+def test_cvar_trains_and_tags(premium_env):
+    _, train_env = premium_env
     cfg = PpoConfig(total_steps=1024, buffer_size=512, hidden=(8, 8))
-    net, log = train_cvar(factory, cfg, ShapingParams(), seed=1)
+    net, log = train_cvar(train_env, cfg, ShapingParams(), seed=1)
     assert net.role == "cvar"
     assert len(log.records) == 2
 
@@ -210,14 +210,14 @@ def test_cvar_drawdown_not_worse_than_vanilla_majority():
     wins = 0
     for seed in range(5):
         series = _rare_spike_series(3500, seed=700 + seed)
-        factory = lambda: StrategicBiddingEnv(series, episode_len=168)
-        vanilla_net, _ = train_vanilla(factory, cfg, shaping, seed=seed)
-        cvar_net, _ = train_cvar(factory, cfg, shaping, seed=seed)
+        train_env = StrategicBiddingEnv(series, episode_len=168)
+        vanilla_net, _ = train_vanilla(train_env, cfg, shaping, seed=seed)
+        cvar_net, _ = train_cvar(train_env, cfg, shaping, seed=seed)
         env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
         mdds = {}
         for name, net in (("vanilla", vanilla_net), ("cvar", cvar_net)):
             led = run_policy_episode(env, greedy(net), start=24)
-            mdds[name] = max_drawdown(led.equity)[0]
+            mdds[name] = max_drawdown(np.cumsum(led.profit))[0]
         wins += mdds["cvar"] <= mdds["vanilla"]
     assert wins >= 3, f"cvar beat vanilla drawdown in only {wins}/5 paired runs"
 
@@ -226,10 +226,10 @@ def test_vanilla_and_cvar_share_their_first_rollouts():
     # common random numbers: the same init and rollout seeds, so the first
     # buffer settles the same profits although the shaped rewards differ
     series = premium_series(600, seed=3)
-    factory = lambda: StrategicBiddingEnv(series, episode_len=48)
+    train_env = StrategicBiddingEnv(series, episode_len=48)
     cfg = PpoConfig(total_steps=128, buffer_size=128, hidden=(8,))
-    _, log_v = train_vanilla(factory, cfg, ShapingParams(), seed=6)
-    _, log_c = train_cvar(factory, cfg, ShapingParams(), seed=6)
+    _, log_v = train_vanilla(train_env, cfg, ShapingParams(), seed=6)
+    _, log_c = train_cvar(train_env, cfg, ShapingParams(), seed=6)
     assert log_v.records[0].mean_profit == log_c.records[0].mean_profit
     assert log_v.records[0].mean_reward != log_c.records[0].mean_reward
 

@@ -250,20 +250,22 @@ def test_rolling_too_short():
 
 def _ledger_with(profits, weights=None, roles=()):
     n = len(profits)
+    hours = np.arange(n)
+    profit = np.asarray(profits, dtype=np.float64)
     return EpisodeLedger(
         roles=roles,
-        timestamps=[447072 + i for i in range(n)],
-        lmp_da=[50.0] * n,
-        lmp_rt=[45.0 + (i % 3) * 5.0 for i in range(n)],
-        volatility=[float(i % 7) for i in range(n)],
-        alpha=[0.5] * n,
-        profit=[float(pi) for pi in profits],
-        revenue_da=[float(pi) for pi in profits],
-        cost_marginal=[0.0] * n,
-        revenue_rt=[0.0] * n,
-        cost_startup=[0.0] * n,
-        penalty=[0.0] * n,
-        weights=[] if weights is None else [tuple(map(float, w)) for w in weights],
+        timestamps=447072 + hours,
+        lmp_da=np.full(n, 50.0),
+        lmp_rt=45.0 + (hours % 3) * 5.0,
+        volatility=(hours % 7).astype(np.float64),
+        alpha=np.full(n, 0.5),
+        profit=profit,
+        revenue_da=profit,
+        cost_marginal=np.zeros(n),
+        revenue_rt=np.zeros(n),
+        cost_startup=np.zeros(n),
+        penalty=np.zeros(n),
+        weights=None if weights is None else np.asarray(weights, dtype=np.float64),
     )
 
 
@@ -326,22 +328,26 @@ def test_ledger_market_columns_are_the_settled_hours(tmp_path):
     hours = range(30, 78)
     assert len(ledger) == 48
     da, rt = series.fields["lmp_da"], series.fields["lmp_rt"]
-    assert ledger.timestamps == [int(series.timestamps[i]) for i in hours]
-    assert ledger.lmp_da == [float(da[i]) for i in hours]
-    assert ledger.lmp_rt == [float(rt[i]) for i in hours]
+    assert np.array_equal(ledger.timestamps, series.timestamps[30:78])
+    assert np.array_equal(ledger.lmp_da, da[30:78])
+    assert np.array_equal(ledger.lmp_rt, rt[30:78])
     for i, vol in zip(hours, ledger.volatility):
         assert vol == pytest.approx(rolling_volatility(da[i - 24 : i]), abs=1e-12)
-    # plain Python numbers, so the CSV writes repr(float), never numpy reprs
-    cells = ledger.timestamps + ledger.lmp_da + ledger.lmp_rt + ledger.volatility
-    cells += [v for name in EpisodeLedger.CSV_COLUMNS for v in getattr(ledger, name)]
-    assert {type(v) for v in cells} == {int, float}
     path = tmp_path / "ledger.csv"
     ledger.to_csv(path)
-    header, first = path.read_text().splitlines()[:2]
-    assert header.split(",") == ["timestamp", *EpisodeLedger.CSV_COLUMNS]
-    row = first.split(",")
-    assert row[0] == format_timestamp(series.timestamps[30])
-    assert row[1:3] == [repr(float(da[30])), repr(float(rt[30]))]
+    header, *rows = path.read_text().splitlines()
+    columns = [
+        "lmp_da", "lmp_rt", "alpha", "profit", "revenue_da", "revenue_rt",
+        "cost_marginal", "cost_startup", "penalty", "volatility",
+    ]
+    assert header.split(",") == ["timestamp", *columns]
+    assert len(rows) == 48
+    # every cell the repr of a Python float, never a numpy repr
+    for t, row in enumerate(rows):
+        cells = row.split(",")
+        assert cells[0] == format_timestamp(series.timestamps[30 + t])
+        assert cells[1:] == [repr(float(getattr(ledger, name)[t])) for name in columns]
+    assert rows[0].split(",")[1:3] == [repr(float(da[30])), repr(float(rt[30]))]
 
 
 def test_greedy_equals_row_by_row_oracle():

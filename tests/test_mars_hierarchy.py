@@ -142,12 +142,11 @@ def test_hierarchical_episode_ledger_invariants():
     )
     ledger = run_policy_episode(env, BlendPolicy(ens, meta), start=24)
     assert len(ledger) == 96
-    w = ledger.weight_matrix()
+    w = ledger.weights
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9)
     assert np.all(w >= -1e-12)
-    props = np.asarray(ledger.proposals)
-    blended_alpha = np.asarray(ledger.alpha)
-    a_t = 2.0 * blended_alpha - 1.0  # invert the action map
+    props = ledger.proposals
+    a_t = 2.0 * ledger.alpha - 1.0  # invert the action map
     assert np.all(a_t >= props.min(axis=1) - 1e-12)
     assert np.all(a_t <= props.max(axis=1) + 1e-12)
 
@@ -158,10 +157,10 @@ def test_hierarchical_episode_deterministic():
 
     def run():
         env = StrategicBiddingEnv(wavy_series(), episode_len=48)
-        led = run_policy_episode(env, BlendPolicy(ens, meta), start=30)
-        return (tuple(led.profit), tuple(map(tuple, led.weights)))
+        return run_policy_episode(env, BlendPolicy(ens, meta), start=30)
 
-    assert run() == run()
+    a, b = run(), run()
+    assert np.array_equal(a.profit, b.profit) and np.array_equal(a.weights, b.weights)
 
 
 def test_safe_only_weights_match_standalone_safe():
@@ -173,7 +172,7 @@ def test_safe_only_weights_match_standalone_safe():
     hier = run_policy_episode(env1, BlendPolicy(ens, np.array([1.0, 0.0])), start=24)
     env2 = StrategicBiddingEnv(series, episode_len=72)
     solo = run_policy_episode(env2, greedy(safe_net), start=24)
-    np.testing.assert_array_equal(hier.profits, solo.profits)
+    np.testing.assert_array_equal(hier.profit, solo.profit)
     np.testing.assert_array_equal(hier.alpha, solo.alpha)
 
 
@@ -193,14 +192,14 @@ def test_blend_policy_ledger_records_weights_proposals_and_meta_reward():
     for t in range(len(ledger)):
         mean, _, _ = meta.forward(obs)
         proposals = ens.proposals(obs)
-        assert ledger.weights[t] == tuple(softmax(mean))
-        assert ledger.proposals[t] == tuple(proposals)
-        assert ledger.r_meta[t] == reward_meta(ledger.profit[t], shaping)
+        assert np.array_equal(ledger.weights[t], softmax(mean))
+        assert np.array_equal(ledger.proposals[t], proposals)
+        assert ledger.r_meta[t] == reward_meta(float(ledger.profit[t]), shaping)
         obs, settled, _ = env.step(blend(softmax(mean), proposals))
         assert settled.profit == ledger.profit[t]
     # a plain float action records none of the hierarchical columns
     solo = run_policy_episode(env, greedy(dict(ens.workers)["safe"]), start=24)
-    assert solo.roles == () and solo.weights == solo.proposals == solo.r_meta == []
+    assert solo.roles == () and solo.weights is solo.proposals is solo.r_meta is None
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -263,7 +262,7 @@ def test_meta_rollouts_execute_a_blend_of_the_proposals(monkeypatch):
     monkeypatch.setattr(ppo_trainer, "map_action", record_raw)
     cfg = PpoConfig(total_steps=64, buffer_size=64, epochs_per_update=1, hidden=(8,))
     train_meta(
-        lambda: StrategicBiddingEnv(wavy_series(), episode_len=24),
+        StrategicBiddingEnv(wavy_series(), episode_len=24),
         ens,
         cfg,
         ShapingParams(),
@@ -289,7 +288,7 @@ def trained_pair():
     series = premium_series(2200, seed=21)
     cfg = PpoConfig(total_steps=6144, buffer_size=1024, learning_rate=1e-3, hidden=(16, 16))
     ens, logs = train_university(
-        lambda: StrategicBiddingEnv(series, episode_len=168),
+        StrategicBiddingEnv(series, episode_len=168),
         cfg,
         ShapingParams(),
         roles=("safe", "spec"),
@@ -317,7 +316,7 @@ def test_meta_phase_keeps_workers_frozen(trained_pair):
     hashes_before = param_hashes(ens)
     cfg = PpoConfig(total_steps=2048, buffer_size=1024, learning_rate=1e-3, hidden=(16, 16))
     meta, log = train_meta(
-        lambda: StrategicBiddingEnv(series, episode_len=168),
+        StrategicBiddingEnv(series, episode_len=168),
         ens,
         cfg,
         ShapingParams(),
@@ -332,7 +331,7 @@ def test_zero_meta_budget_returns_init_near_uniform(trained_pair):
     series, ens, _ = trained_pair
     cfg = PpoConfig(total_steps=0, hidden=(16, 16))
     meta, log = train_meta(
-        lambda: StrategicBiddingEnv(series, episode_len=168), ens, cfg, ShapingParams(), seed=0
+        StrategicBiddingEnv(series, episode_len=168), ens, cfg, ShapingParams(), seed=0
     )
     assert log.records == []
     env = StrategicBiddingEnv(series, episode_len=48)
@@ -345,17 +344,17 @@ def test_zero_meta_budget_returns_init_near_uniform(trained_pair):
 def test_university_third_role_keeps_first_two_workers():
     # roles draw their seeds from one SeedSequence: adding a role leaves the
     # earlier workers bit-identical and gives the new one its own seeds
-    factory = lambda: StrategicBiddingEnv(wavy_series(), episode_len=48)
+    train_env = StrategicBiddingEnv(wavy_series(), episode_len=48)
     cfg = PpoConfig(total_steps=256, buffer_size=128, hidden=(8,))
-    ens2, _ = train_university(factory, cfg, ShapingParams(), roles=("safe", "spec"), seed=3)
+    ens2, _ = train_university(train_env, cfg, ShapingParams(), roles=("safe", "spec"), seed=3)
     ens3, _ = train_university(
-        factory, cfg, ShapingParams(), roles=("safe", "spec", "neutral"), seed=3
+        train_env, cfg, ShapingParams(), roles=("safe", "spec", "neutral"), seed=3
     )
     h2, h3 = param_hashes(ens2), param_hashes(ens3)
     assert (h3["safe"], h3["spec"]) == (h2["safe"], h2["spec"])
     init = PpoConfig(total_steps=0, hidden=(8,))
     ens0, _ = train_university(
-        factory, init, ShapingParams(), roles=("safe", "spec", "neutral"), seed=3
+        train_env, init, ShapingParams(), roles=("safe", "spec", "neutral"), seed=3
     )
     h0 = param_hashes(ens0)
     assert h0["neutral"] != h0["safe"]
@@ -364,7 +363,7 @@ def test_university_third_role_keeps_first_two_workers():
 def test_university_unknown_role_rejected():
     with pytest.raises(ValueError, match="role"):
         train_university(
-            lambda: StrategicBiddingEnv(wavy_series(), episode_len=24),
+            StrategicBiddingEnv(wavy_series(), episode_len=24),
             PpoConfig(total_steps=0),
             ShapingParams(),
             roles=("safe", "bogus"),

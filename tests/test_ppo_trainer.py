@@ -255,7 +255,7 @@ def test_zero_learning_rate_leaves_params_unchanged():
     net = PolicyNetwork(obs_dim=4, hidden=(8, 8), seed=3)
     before = net.param_hash()
     cfg = PpoConfig(total_steps=512, buffer_size=256, learning_rate=0.0, hidden=(8, 8))
-    train(lambda: BanditEnv(), net, lambda pi, alpha: pi, cfg, seed=0)
+    train(BanditEnv(), net, lambda pi, alpha: pi, cfg, seed=0)
     assert net.param_hash() == before
 
 
@@ -263,7 +263,7 @@ def test_zero_total_steps_no_op():
     net = PolicyNetwork(obs_dim=4, hidden=(8,), seed=3)
     before = net.param_hash()
     log = train(
-        lambda: BanditEnv(),
+        BanditEnv(),
         net,
         lambda pi, alpha: pi,
         PpoConfig(total_steps=0, hidden=(8,)),
@@ -278,7 +278,7 @@ def test_training_log_deterministic_for_fixed_seed(tmp_path):
         cfg = PpoConfig(
             total_steps=1024, buffer_size=256, learning_rate=1e-3, hidden=(8, 8)
         )
-        log = train(lambda: BanditEnv(), net, lambda pi, alpha: pi, cfg, seed=11)
+        log = train(BanditEnv(), net, lambda pi, alpha: pi, cfg, seed=11)
         log.to_csv(path, header_comment="t")
         return net.param_hash()
 
@@ -292,13 +292,13 @@ def test_train_rejects_frozen_policy():
     net = PolicyNetwork(obs_dim=4, hidden=(4,), seed=0)
     net.freeze()
     with pytest.raises(ValueError, match="frozen"):
-        train(lambda: BanditEnv(), net, lambda pi, a: pi, PpoConfig(total_steps=10), seed=0)
+        train(BanditEnv(), net, lambda pi, a: pi, PpoConfig(total_steps=10), seed=0)
 
 
 def test_bandit_learns_positive_action():
     cfg = PpoConfig(total_steps=8192, buffer_size=1024, learning_rate=1e-3, hidden=(16, 16))
     net = PolicyNetwork(obs_dim=4, hidden=(16, 16), seed=42)
-    log = train(lambda: BanditEnv(), net, lambda pi, alpha: pi, cfg, seed=42)
+    log = train(BanditEnv(), net, lambda pi, alpha: pi, cfg, seed=42)
     assert float(net.act_deterministic(np.zeros(4))[0]) > 0.8
     assert log.records[-1].mean_reward > log.records[0].mean_reward
 
@@ -327,7 +327,7 @@ def test_config_validation():
     net = PolicyNetwork(obs_dim=4, hidden=(4,), seed=0)
     cfg = PpoConfig(total_steps=16, buffer_size=4, hidden=(4,))
     with pytest.raises(ValueError, match="buffer_size"):
-        train(lambda: BanditEnv(), net, lambda pi, a: pi, cfg, seed=0, workers=5)
+        train(BanditEnv(), net, lambda pi, a: pi, cfg, seed=0, workers=5)
 
 
 def test_non_finite_policy_output_is_divergence():
@@ -335,17 +335,17 @@ def test_non_finite_policy_output_is_divergence():
     net.params["bp"][:] = np.nan
     cfg = PpoConfig(total_steps=16, buffer_size=8, hidden=(4,))
     with pytest.raises(DivergenceError, match="non-finite"):
-        train(lambda: BanditEnv(), net, lambda pi, a: pi, cfg, seed=0)
+        train(BanditEnv(), net, lambda pi, a: pi, cfg, seed=0)
 
 
 def test_multi_worker_collection_trains():
     cfg = PpoConfig(total_steps=1024, buffer_size=512, hidden=(8, 8))
     net = PolicyNetwork(obs_dim=4, hidden=(8, 8), seed=0)
-    log = train(lambda: BanditEnv(), net, lambda pi, a: pi, cfg, seed=3, workers=4)
+    log = train(BanditEnv(), net, lambda pi, a: pi, cfg, seed=3, workers=4)
     # 512 // 4 = 128 steps per worker per update, x4 workers per update
     assert [r.steps for r in log.records] == [512, 1024]
     with pytest.raises(ValueError):
-        train(lambda: BanditEnv(), net, lambda pi, a: pi, cfg, seed=3, workers=0)
+        train(BanditEnv(), net, lambda pi, a: pi, cfg, seed=3, workers=0)
 
 
 # -- batched rollouts ------------------------------------------------------------------
@@ -414,7 +414,7 @@ def test_batched_buffers_equal_stepwise_oracle(role, workers, monkeypatch):
         total_steps=120, buffer_size=60, learning_rate=0.0, epochs_per_update=1, hidden=(8,)
     )
     before = net.param_hash()
-    train(factory, net, make_reward(), cfg, seed=9, workers=workers, env_action=record_action)
+    train(factory(), net, make_reward(), cfg, seed=9, workers=workers, env_action=record_action)
     monkeypatch.undo()
     assert net.param_hash() == before
 
