@@ -1,7 +1,7 @@
 """University phase: train the Safe and Speculator workers and watch them
 specialize to opposite ends of the allocation range.
 
-Run:  python demos/04_train_specialists.py   (about half a minute)
+Run:  python demos/04_train_specialists.py   (a few seconds)
 """
 
 import numpy as np

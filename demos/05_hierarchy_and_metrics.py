@@ -2,7 +2,7 @@
 volatile regime, a meta controller blending the frozen specialists, and the
 risk metrics that show the dampening behaviour.
 
-Run:  python demos/05_hierarchy_and_metrics.py   (about a minute)
+Run:  python demos/05_hierarchy_and_metrics.py   (a few seconds)
 """
 
 import numpy as np

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,10 +149,8 @@ class MetricReport:
     regime_alignment: float | None
     regime_alignment_expost: float | None
     n_steps: int
-    convention: str = CONVENTION
     config_hash: str = ""
     seed: int | None = None
-    extra: dict = field(default_factory=dict)
 
     METRIC_FIELDS = (
         "cumulative_return",
@@ -169,11 +167,10 @@ class MetricReport:
         payload = {name: getattr(self, name) for name in self.METRIC_FIELDS}
         payload.update(
             n_steps=self.n_steps,
-            convention=self.convention,
+            convention=CONVENTION,
             config_hash=self.config_hash,
             seed=self.seed,
         )
-        payload.update(self.extra)
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

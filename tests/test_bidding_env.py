@@ -276,11 +276,16 @@ def test_env_requires_repaired_series():
         StrategicBiddingEnv(make_series(lmp_da=da), episode_len=24)
 
 
-def test_random_start_stays_valid(rng):
+def test_random_start_stays_valid():
     env = StrategicBiddingEnv(make_series(lmp_da=np.arange(400.0)), episode_len=100)
+    reset_rng, episode_rng, draw_rng = (np.random.default_rng(12345) for _ in range(3))
     for _ in range(50):
-        env.reset(rng=rng)
+        env.reset(rng=reset_rng)
         assert env.min_start <= env.tape.start <= env.max_start
+        # from equal seeds, the pure builder draws the start reset draws,
+        # with the one integers call that keeps the rollout RNG streams
+        want = int(draw_rng.integers(env.min_start, env.max_start + 1))
+        assert env.episode(rng=episode_rng).start == env.tape.start == want
 
 
 def test_optional_weather_extras():
@@ -339,8 +344,16 @@ def test_tape_and_step_equal_stepwise_oracle(mode, weather, start, actions):
     # the whole episode settled in one call
     settled = settle(map_action(actions), *tape.dispatch)
     assert np.array_equal(np.array(settled), want)
-    # the step cursor over the same tape
+    # the step cursor over the same tape; building tapes midway, pure,
+    # moves neither the env's tape nor its cursor
     for t, a in enumerate(actions):
+        if t == 24:
+            for built in (env.episode(start), env.episode(start)):
+                assert built.start == start
+                assert np.array_equal(built.obs, tape.obs)
+                assert np.array_equal(built.dispatch, tape.dispatch)
+            env.episode(rng=np.random.default_rng(start))
+            assert env.tape is tape and env._t == 24
         next_obs, one, done = env.step(a)
         assert isinstance(one, Settlement) and np.array_equal(np.array(one), want[:, t])
         assert done == (t == 47)

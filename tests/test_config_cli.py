@@ -354,7 +354,16 @@ def test_rolling_opt_needs_no_checkpoints(tmp_path):
                    "--out", out, "--seed", "0", *TINY) == 0
 
 
+def evaluate_mars(out):
+    """Write ``evaluate --policy mars``'s test1 outputs for seed 0; a rerun
+    writes the same bytes."""
+    assert run_cli("evaluate", "--policy", "mars", "--split", "test1",
+                   "--out", out, "--seed", "0", *TINY) == 0
+
+
 def test_report_command(pipeline_dir, capsys):
+    evaluate_mars(pipeline_dir)
+    capsys.readouterr()
     assert run_cli("report", "--out", pipeline_dir, *TINY) == 0
     lines = (Path(pipeline_dir) / "report.csv").read_text().splitlines()
     assert lines[1] == "policy,split,sharpe,sortino,mdd_abs,entropy,alignment"
@@ -367,6 +376,7 @@ def test_outputs_embed_config_hash(pipeline_dir):
     from marsbid.config import build_config as bc
 
     cfg = bc(overrides=[a for a in TINY if a != "--set"], environ={})
+    evaluate_mars(pipeline_dir)
     ledger_head = (
         Path(pipeline_dir) / "eval" / "mars" / "test1" / "seed0.ledger.csv"
     ).read_text().splitlines()[0]
