@@ -267,8 +267,8 @@ def _pick_best_single(cfg, out_dir, splits, load_scale, seed) -> str:
         raise MissingPrerequisiteError(
             f"best_single: no single-policy checkpoints for seed {seed}"
         )
-    train = splits["train"]
-    env = make_env(cfg, train, len(train) - OBS_HISTORY_HOURS, load_scale)
+    series = splits["train"]
+    env = make_env(cfg, series, len(series) - OBS_HISTORY_HOURS, load_scale)
     sharpes = {}
     for name in names:
         policy = greedy(_load_ckpt(out_dir, seed, name, env.obs_dim))
@@ -448,8 +448,8 @@ def _ablate_seed(cfg: RunConfig, out_dir, splits, load_scale, workers, seed):
 
     # one env, its episode at the same contiguous start for every
     # configuration: the paired design
-    test = splits[cfg.eval_split]
-    env = make_env(cfg, test, len(test) - OBS_HISTORY_HOURS, load_scale)
+    series = splits[cfg.eval_split]
+    env = make_env(cfg, series, len(series) - OBS_HISTORY_HOURS, load_scale)
     reports, lines = {}, []
     for name, policy in ABLATION_CONFIGS.items():
         if policy is None:
