@@ -26,13 +26,12 @@ storage unit, whose state of charge follows its bids, would need a scan.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .market_data import CSV_BLOCK_ROWS, MarketSeries, day_of_week, format_timestamps, hour_of_day
+from .market_data import MarketSeries, day_of_week, hour_of_day, write_table
 
 OBS_HISTORY_HOURS = 24
 # Observation cells of the unit state, after the price window, the
@@ -416,18 +415,10 @@ class EpisodeLedger:
         # the fields without a default are the per-hour columns, timestamps first
         names = [f.name for f in fields(self) if f.default is MISSING][1:]
         cols = ["timestamp", *names]
-        columns = [getattr(self, name) for name in names]
+        columns = [self.timestamps.astype("datetime64[h]")]
+        columns += [getattr(self, name) for name in names]
         if self.weights is not None:
             cols += [f"w_{r}" for r in self.roles] + [f"prop_{r}" for r in self.roles]
             cols.append("r_meta")
             columns += [*self.weights.T, *self.proposals.T, self.r_meta]
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for lo in range(0, len(self), CSV_BLOCK_ROWS):
-                block = slice(lo, lo + CSV_BLOCK_ROWS)
-                cells = [format_timestamps(self.timestamps[block])]
-                cells += [map(repr, col[block].tolist()) for col in columns]
-                writer.writerows(zip(*cells))
+        write_table(path, header_comment, cols, columns)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidding_env import EpisodeLedger, StrategicBiddingEnv, map_action, settle
-from .market_data import CSV_BLOCK_ROWS, float_cells
+from .market_data import write_table
 from .mars_hierarchy import Blend
 from .reward_shaping import ShapingParams, reward_meta
 
@@ -222,15 +222,8 @@ def write_reports_csv(path, rows: dict, header_comment: str | None = None) -> No
 
 
 def write_rolling_csv(path, means, sharpes, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "rolling_mean", "rolling_sharpe"])
-        for lo in range(0, len(means), CSV_BLOCK_ROWS):
-            block = slice(lo, lo + CSV_BLOCK_ROWS)
-            cells = (float_cells(col[block], "NA") for col in (means, sharpes))
-            writer.writerows(zip(range(lo, block.stop), *cells))
+    header = ("index", "rolling_mean", "rolling_sharpe")
+    write_table(path, header_comment, header, [np.arange(len(means)), means, sharpes], "NA")
 
 
 def aggregate_reports(reports: list) -> dict:

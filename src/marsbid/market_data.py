@@ -12,7 +12,6 @@ step rather than observed.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -31,7 +30,7 @@ FIELD_NAMES = (
 )
 
 CSV_COLUMNS = ("timestamp",) + FIELD_NAMES
-CSV_BLOCK_ROWS = 512  # rows a CSV writer formats at once: no whole column of strings is held
+CSV_BLOCK_ROWS = 512  # rows :func:`write_table` formats and joins at once
 
 # Fields that real markets never clear negative (prices can be negative).
 _NONNEGATIVE_FIELDS = ("load_actual", "load_forecast", "gas_price")
@@ -82,8 +81,37 @@ def format_timestamp(epoch_hour: int) -> str:
 
 def float_cells(values, missing: str) -> list:
     """CSV cells of floats: ``repr``, exact under a write/read round trip,
-    and ``missing`` for NaN."""
-    return [missing if math.isnan(v) else repr(v) for v in np.asarray(values, np.float64).tolist()]
+    and ``missing`` for NaN. One ``repr`` of the whole list formats them."""
+    values = np.asarray(values, np.float64)
+    cells = repr(values.tolist())[1:-1].split(", ") if values.size else []
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = missing
+    return cells
+
+
+def _column_cells(column: np.ndarray, missing: str) -> list:
+    if column.dtype.kind == "M":
+        return format_timestamps(column)
+    if column.dtype.kind == "f":
+        return float_cells(column, missing)
+    return list(map(repr, column.tolist()))
+
+
+def write_table(path, header_comment: str | None, header, columns, missing: str = "nan") -> None:
+    """Write a CSV: the ``# header_comment`` line if there is one, the
+    header, then a row per entry of the equal-length arrays ``columns``,
+    formatted :data:`CSV_BLOCK_ROWS` rows at a time. Float columns are
+    written by :func:`float_cells`, integer columns as ``repr`` and
+    ``datetime64[h]`` columns by :func:`format_timestamps`. Cells are joined
+    unquoted: none of these can hold a comma, a quote or a line break.
+    """
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            cells = [_column_cells(col[lo : lo + CSV_BLOCK_ROWS], missing) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def hour_of_day(epoch_hour) -> np.ndarray:
@@ -284,16 +312,9 @@ def ingest_csv(path) -> MarketSeries:
 def write_csv(series: MarketSeries, path, header_comment: str | None = None) -> None:
     """Emit the standard CSV schema. Floats use ``repr`` so a write/ingest
     round trip is exact; NaN becomes an empty cell."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for lo in range(0, len(series), CSV_BLOCK_ROWS):
-            block = slice(lo, lo + CSV_BLOCK_ROWS)
-            cells = [format_timestamps(series.timestamps[block])]
-            cells += [float_cells(series.fields[name][block], "") for name in FIELD_NAMES]
-            writer.writerows(zip(*cells))
+    columns = [series.timestamps.astype("datetime64[h]")]
+    columns += [series.fields[name] for name in FIELD_NAMES]
+    write_table(path, header_comment, CSV_COLUMNS, columns, missing="")
 
 
 def _nan_runs(isnan: np.ndarray) -> list:

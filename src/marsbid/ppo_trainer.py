@@ -11,7 +11,6 @@ exactly reproducible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .bidding_env import map_action, settle
 from .errors import DivergenceError
+from .market_data import write_table
 from .policy_net import (
     HALF_LOG_2PI,
     ParamVector,
@@ -176,13 +176,8 @@ class TrainingLog:
         """One column per :class:`UpdateRecord` field, each cell its value's
         ``repr``."""
         cols = [f.name for f in fields(UpdateRecord)]
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for r in self.records:
-                writer.writerow([repr(getattr(r, c)) for c in cols])
+        columns = [np.array([getattr(r, c) for r in self.records]) for c in cols]
+        write_table(path, header_comment, cols, columns)
 
 
 class LossAndGrads(NamedTuple):

@@ -6,9 +6,14 @@ flat parameter vector, not array by array as :class:`DictAdam` does; the
 environment settles and observes an episode from a tape built once per
 reset, not hour by hour as :func:`stepwise_episode` does; and every policy
 runs one forward per block of rows, not one per hour as
-:func:`stepwise_rollouts` and the ``row_*`` functions do.
+:func:`stepwise_rollouts` and the ``row_*`` functions do; and every
+per-row CSV is joined block by block by ``market_data.write_table``, not
+written through ``csv.writer`` one ``repr`` at a time as
+:func:`csv_writer_table` does.
 """
 
+import csv
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -315,3 +320,20 @@ def stepwise_rollouts(env_factory, policy, reward_fn, seed, workers, T, n_buffer
         buf.bootstrap[:] = [row_forward(policy, x)[2] for x in obs]
         buffers.append(buf)
     return buffers
+
+
+def repr_cell(value, missing: str) -> str:
+    """One value's CSV cell on its own: ``missing`` for NaN, else ``repr``."""
+    return missing if isinstance(value, float) and math.isnan(value) else repr(value)
+
+
+def csv_writer_table(path, header_comment, header, rows) -> None:
+    """A CSV written through ``csv.writer``, which quotes any cell that
+    holds a comma, a quote or a line break: the optional ``# header_comment``
+    line, the header, then ``rows``, each a sequence of string cells."""
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -1,0 +1,118 @@
+"""Every per-row CSV (market file, ledger, rolling metrics, training log)
+against a ``csv.writer`` reference, byte for byte: on edge values, at the
+block edges of ``write_table``, and with no cell that would need quoting."""
+
+import math
+
+import numpy as np
+import pytest
+
+from marsbid.bidding_env import EpisodeLedger
+from marsbid.evaluation import write_rolling_csv
+from marsbid.market_data import (
+    CSV_BLOCK_ROWS,
+    CSV_COLUMNS,
+    FIELD_NAMES,
+    MarketSeries,
+    float_cells,
+    format_timestamps,
+    write_csv,
+)
+from marsbid.ppo_trainer import TrainingLog, UpdateRecord
+
+from conftest import START_2021
+from oracles import csv_writer_table, repr_cell
+
+EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-5, 1e-4, 1e15, 1e16, 1e22,
+    -1e22, 3.0, -7.0, 2.0**53, 0.1, -123.456, math.nan,
+]
+BLOCK_EDGES = (0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1)
+LEDGER_COLUMNS = (
+    "lmp_da", "lmp_rt", "alpha", "profit", "revenue_da", "revenue_rt",
+    "cost_marginal", "cost_startup", "penalty", "volatility",
+)
+ROLES = ("safe", "spec", "neutral")
+COMMENT = "config_hash=0123456789abcdef seed=7"
+
+
+def edge_column(n: int, shift: int) -> np.ndarray:
+    """``n`` edge values, cycled from position ``shift``."""
+    return np.array([EDGE_VALUES[(i + shift) % len(EDGE_VALUES)] for i in range(n)])
+
+
+def assert_same_file(tmp_path, write, header, rows, n_rows):
+    """``write(path)`` gives the bytes of :func:`csv_writer_table` on
+    ``rows``, and none of its cells holds a comma, a quote or a line break."""
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write(ours)
+    csv_writer_table(ref, COMMENT, header, rows)
+    data = ours.read_bytes()
+    assert data == ref.read_bytes()
+    assert b'"' not in data and b"\r" not in data
+    comment, *lines, last = data.decode().split("\n")
+    assert comment == f"# {COMMENT}" and last == ""
+    assert len(lines) == 1 + n_rows
+    assert all(line.count(",") == len(header) - 1 for line in lines)
+
+
+@pytest.mark.parametrize("missing", ["", "NA", "nan"])
+def test_float_cells_match_per_cell_repr(missing):
+    assert float_cells(EDGE_VALUES, missing) == [repr_cell(v, missing) for v in EDGE_VALUES]
+    assert float_cells(np.array([]), missing) == []
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_market_csv_matches_csv_writer(tmp_path, n):
+    series = MarketSeries(
+        timestamps=np.arange(START_2021, START_2021 + n),
+        fields={name: edge_column(n, k) for k, name in enumerate(FIELD_NAMES)},
+        provenance="synthetic",
+    )
+    floats = ([repr_cell(v, "") for v in series.fields[name].tolist()] for name in FIELD_NAMES)
+    rows = zip(format_timestamps(series.timestamps), *floats)
+    write = lambda path: write_csv(series, path, header_comment=COMMENT)  # noqa: E731
+    assert_same_file(tmp_path, write, CSV_COLUMNS, rows, n)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_rolling_csv_matches_csv_writer(tmp_path, n):
+    means, sharpes = edge_column(n, 0), edge_column(n, 5)
+    floats = ([repr_cell(v, "NA") for v in col.tolist()] for col in (means, sharpes))
+    rows = zip(range(n), *floats)
+    write = lambda path: write_rolling_csv(path, means, sharpes, header_comment=COMMENT)  # noqa: E731
+    header = ["index", "rolling_mean", "rolling_sharpe"]
+    assert_same_file(tmp_path, write, header, rows, n)
+
+
+@pytest.mark.parametrize("blended", [False, True])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_ledger_csv_matches_csv_writer(tmp_path, n, blended):
+    columns = {name: edge_column(n, k) for k, name in enumerate(LEDGER_COLUMNS)}
+    ledger = EpisodeLedger(timestamps=np.arange(START_2021, START_2021 + n), **columns)
+    header = ["timestamp", *LEDGER_COLUMNS]
+    cells = list(columns.values())
+    if blended:
+        ledger.roles = ROLES
+        ledger.weights = np.column_stack([edge_column(n, 3 + k) for k in range(len(ROLES))])
+        ledger.proposals = np.column_stack([edge_column(n, 7 + k) for k in range(len(ROLES))])
+        ledger.r_meta = edge_column(n, 11)
+        header += [f"w_{r}" for r in ROLES] + [f"prop_{r}" for r in ROLES] + ["r_meta"]
+        cells += [*ledger.weights.T, *ledger.proposals.T, ledger.r_meta]
+    rows = zip(format_timestamps(ledger.timestamps), *(map(repr, c.tolist()) for c in cells))
+    write = lambda path: ledger.to_csv(path, header_comment=COMMENT)  # noqa: E731
+    assert_same_file(tmp_path, write, header, rows, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS + 1])
+def test_training_log_csv_matches_csv_writer(tmp_path, n):
+    log = TrainingLog()
+    floats = edge_column(n, 0).tolist()
+    for i, x in enumerate(floats):
+        log.append(UpdateRecord(i + 1, 512 * (i + 1), x, -x, 2.0 * x, 0.5, x / 3.0, 1e-5))
+    header = list(UpdateRecord.__dataclass_fields__)
+    rows = ([repr(getattr(r, c)) for c in header] for r in log.records)
+    write = lambda path: log.to_csv(path, header_comment=COMMENT)  # noqa: E731
+    assert_same_file(tmp_path, write, header, rows, n)
+    if n:
+        assert (tmp_path / "ours.csv").read_text().split("\n")[2].startswith("1,512,")

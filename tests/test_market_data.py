@@ -1,3 +1,7 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 
 from marsbid.errors import MarketDataError
 from marsbid.market_data import (
+    FIELD_NAMES,
     DateRange,
     MarketSeries,
     SplitSpec,
@@ -149,6 +154,46 @@ def test_csv_round_trip_exact(tmp_path):
         np.testing.assert_array_equal(back.fields[name], series.fields[name])
     write_csv(back, p2, header_comment="x=1")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# cells on both sides of repr's switches to exponent notation (below 1e-4,
+# from 1e16), signed zeros, subnormals, and anything else a float can hold
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-4, 1e-5, 1e15, 1e16]),
+    st.floats(1e-6, 1e-3) | st.floats(-1e-3, -1e-6),
+    st.floats(1e14, 1e17) | st.floats(-1e17, -1e14),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(math.nan),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_csv_round_trip_bit_exact_with_gaps(data):
+    n = data.draw(st.integers(1, 40))
+    fields = {}
+    for name in FIELD_NAMES:
+        values = np.array(data.draw(st.lists(_CSV_FLOATS, min_size=n, max_size=n)))
+        lo = data.draw(st.integers(0, n))
+        values[lo : data.draw(st.integers(lo, n))] = np.nan
+        if name in ("load_actual", "load_forecast", "gas_price"):
+            values = np.where(values < 0, -values, values)  # keeps -0.0 and NaN
+        fields[name] = values
+    series = MarketSeries(
+        timestamps=np.arange(START_2021, START_2021 + n), fields=fields, provenance="synthetic"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_csv(series, p1, header_comment="x=1")
+        back = ingest_csv(p1)
+        write_csv(back, p2, header_comment="x=1")
+        assert p1.read_bytes() == p2.read_bytes()
+    np.testing.assert_array_equal(back.timestamps, series.timestamps)
+    for name in FIELD_NAMES:
+        gaps = np.isnan(series.fields[name])
+        np.testing.assert_array_equal(np.isnan(back.fields[name]), gaps)
+        bits = [f[~gaps].view(np.int64) for f in (series.fields[name], back.fields[name])]
+        np.testing.assert_array_equal(*bits)
 
 
 # -- repair ------------------------------------------------------------------
