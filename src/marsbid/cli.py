@@ -174,7 +174,7 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
         )
     series = md.ingest_csv(path)
     n_missing = sum(int(np.isnan(v).sum()) for v in series.fields.values())
-    repaired = md.repair_gaps(series) if series.has_missing() else series
+    repaired = md.repair_gaps(series) if n_missing else series
     n_filled = sum(int(m.sum()) for m in repaired.fill_mask.values())
     out_path = os.path.join(out_dir, "repaired.csv")
     md.write_csv(repaired, out_path, header_comment=_stamp(cfg, "-"))

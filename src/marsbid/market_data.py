@@ -12,6 +12,8 @@ step rather than observed.
 from __future__ import annotations
 
 import csv
+import itertools
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -256,10 +258,15 @@ class SyntheticConfig:
 def ingest_csv(path) -> MarketSeries:
     """Read an hourly market CSV into a :class:`MarketSeries`.
 
-    Rows may arrive out of order and are placed by timestamp; duplicate
-    timestamps are rejected. Missing hours and empty cells stay NaN ("gaps
-    recorded, not filled") for :func:`repair_gaps`. Lines starting with
-    ``#`` are ignored.
+    Columns are found by header name; extra columns are ignored, and so are
+    blank lines and lines starting with ``#``. Cells may be quoted or padded.
+    Timestamps may end in ``Z``, carry an offset, be naive (UTC) or be bare
+    dates, on the hour (:func:`parse_timestamp`). Rows may arrive out of
+    order and are placed by timestamp; duplicate timestamps are rejected.
+    Missing hours and blank or ``nan`` cells stay NaN ("gaps recorded, not
+    filled") for :func:`repair_gaps`; a cell that is no number or infinite is
+    rejected. A bad file raises for its first fault in file order; within a
+    row: field count, timestamp, duplicate, values, non-negative fields.
     """
     with open(path, "r", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
@@ -269,44 +276,77 @@ def ingest_csv(path) -> MarketSeries:
     missing_cols = [c for c in CSV_COLUMNS if c not in header]
     if missing_cols:
         raise MarketDataError(f"{path}: header missing columns {missing_cols}")
-    ts_idx = header.index("timestamp")
-    field_idx = [(name, header.index(name)) for name in FIELD_NAMES]
 
-    stamps: dict[int, None] = {}  # file order
-    columns: dict[str, list] = {name: [] for name in FIELD_NAMES}
-    for rownum, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise MarketDataError(f"{path}: malformed row {rownum}: wrong field count")
-        ts = parse_timestamp(row[ts_idx])
-        if ts in stamps:
-            raise MarketDataError(
-                f"{path}: duplicate timestamp {format_timestamp(ts)} at row {rownum}"
-            )
-        stamps[ts] = None
-        for name, i in field_idx:
-            cell = row[i].strip()
-            try:
-                columns[name].append(float(cell) if cell else np.nan)
-            except ValueError as exc:
-                raise MarketDataError(
-                    f"{path}: malformed row {rownum}: bad value {cell!r} for {name}"
-                ) from exc
-        # Fail fast on invariant violations in observed data.
-        for name in _NONNEGATIVE_FIELDS:
-            value = columns[name][-1]
-            if value < 0:
-                raise MarketDataError(
-                    f"{name} must be non-negative, got {value} at {format_timestamp(ts)}"
-                )
+    # Each check passes over the n rows before the first fault found so far,
+    # in the order a row is checked in, so the fault left is the first one.
+    n, fault = len(rows) - 1, None
+    miscounted = np.flatnonzero(np.fromiter(map(len, rows[1:]), np.int64, n) != len(header))
+    if miscounted.size:
+        n = int(miscounted[0])
+        fault = f"{path}: malformed row {n + 1}: wrong field count"
+    if not n:
+        raise MarketDataError(fault or f"{path}: no data rows")
+    columns = list(zip(*rows[1 : n + 1]))
 
-    if not stamps:
-        raise MarketDataError(f"{path}: no data rows")
-    hours = np.fromiter(stamps, dtype=np.int64, count=len(stamps))
-    timeline = np.arange(hours.min(), hours.max() + 1, dtype=np.int64)
+    # Only cells that differ from the hourly run from the first cell's hour,
+    # as format_timestamps writes it, are parsed. A fault in the first cell
+    # raises at once: row 1's field count is right, so nothing precedes it.
+    stamps = columns[header.index("timestamp")]
+    h0 = parse_timestamp(stamps[0])
+    hours = np.arange(h0, h0 + n, dtype=np.int64)
+    expected = format_timestamps(hours[: _LAST_HOUR + 1 - h0]) + [None] * (h0 + n - 1 - _LAST_HOUR)
+    for i in itertools.compress(range(n), map(operator.ne, stamps, expected)):
+        try:
+            hours[i] = parse_timestamp(stamps[i])
+        except MarketDataError as exc:
+            n, fault = i, str(exc)
+            break
+    order = np.argsort(hours[:n], kind="stable")
+    ordered = hours[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        n = int(repeats.min())
+        fault = f"{path}: duplicate timestamp {format_timestamp(hours[n])} at row {n + 1}"
+
+    values = {}
+    for name in FIELD_NAMES:
+        cells = columns[header.index(name)][:n]
+        try:
+            values[name] = np.fromiter(map(float, map(_BLANK.get, cells, cells)), np.float64, n)
+        except ValueError:  # a blank or malformed cell
+            values[name] = np.fromiter(map(_cell_value, cells), np.float64, n)
+        bad = np.flatnonzero(np.isinf(values[name]))
+        if bad.size:
+            n = int(bad[0])
+            fault = f"{path}: malformed row {n + 1}: bad value {cells[n].strip()!r} for {name}"
+    # Fail fast on invariant violations in observed data.
+    for name in _NONNEGATIVE_FIELDS:
+        negative = np.flatnonzero(values[name][:n] < 0)
+        if negative.size:
+            n = int(negative[0])
+            value, stamp = float(values[name][n]), format_timestamp(hours[n])
+            fault = f"{name} must be non-negative, got {value} at {stamp}"
+    if fault:
+        raise MarketDataError(fault)
+
+    timeline = np.arange(ordered[0], ordered[-1] + 1, dtype=np.int64)
     fields = {name: np.full(timeline.size, np.nan) for name in FIELD_NAMES}
     for name in FIELD_NAMES:
-        fields[name][hours - timeline[0]] = columns[name]
+        fields[name][hours - timeline[0]] = values[name]
     return MarketSeries(timestamps=timeline, fields=fields, provenance="ingested")
+
+
+_LAST_HOUR = 70389527  # 9999-12-31T23:00Z; later years have five digits
+_BLANK = {"": "nan"}  # _BLANK.get(cell, cell) reads an empty cell as "nan"
+
+
+def _cell_value(cell: str) -> float:
+    """A CSV cell as a float: NaN if it is blank, inf if it is no number."""
+    cell = cell.strip()
+    try:
+        return float(cell) if cell else np.nan
+    except ValueError:
+        return np.inf
 
 
 def write_csv(series: MarketSeries, path, header_comment: str | None = None) -> None:
@@ -343,12 +383,15 @@ def repair_gaps(series: MarketSeries) -> MarketSeries:
             raise MarketDataError(f"field {name}: fewer than 2 observed values")
 
         # Hour-of-week means over observed values only; overall mean fallback
-        # covers hour-of-week buckets with no observations.
+        # covers hour-of-week buckets with no observations. The series is
+        # contiguous, so bucket h is every 168th value from its first hour, in
+        # time order: the order a mask would select them in, so the same bits.
         seasonal = np.full(SEASONAL_PERIOD, np.nan)
         for h in range(SEASONAL_PERIOD):
-            sel = known & (how % SEASONAL_PERIOD == h)
-            if sel.any():
-                seasonal[h] = values[sel].mean()
+            first = (h - how[0]) % SEASONAL_PERIOD
+            bucket = values[first::SEASONAL_PERIOD][known[first::SEASONAL_PERIOD]]
+            if bucket.size:
+                seasonal[h] = bucket.mean()
         overall = values[known].mean()
 
         for start, stop in _nan_runs(isnan):
@@ -364,8 +407,7 @@ def repair_gaps(series: MarketSeries) -> MarketSeries:
                 steps = np.arange(1, length + 1, dtype=np.float64)
                 values[start:stop] = left + (right - left) * steps / (length + 1)
             else:
-                hw = how[start:stop] % SEASONAL_PERIOD
-                fill = seasonal[hw]
+                fill = seasonal[how[start:stop]]
                 fill = np.where(np.isnan(fill), overall, fill)
                 values[start:stop] = fill
             mask[start:stop] = True

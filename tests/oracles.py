@@ -9,7 +9,11 @@ runs one forward per block of rows, not one per hour as
 :func:`stepwise_rollouts` and the ``row_*`` functions do; and every
 per-row CSV is joined block by block by ``market_data.write_table``, not
 written through ``csv.writer`` one ``repr`` at a time as
-:func:`csv_writer_table` does.
+:func:`csv_writer_table` does; ``market_data.ingest_csv`` checks and parses
+a file column by column, not row by row as :func:`rowwise_ingest_csv` does;
+and ``market_data.repair_gaps`` takes each hour-of-week mean over a strided
+slice, not over a mask of the whole series as :func:`masked_repair_gaps`
+does.
 """
 
 import csv
@@ -20,7 +24,20 @@ import numpy as np
 
 from marsbid.baselines import rolling_opt_action
 from marsbid.bidding_env import OBS_HISTORY_HOURS, UnitState
-from marsbid.market_data import day_of_week, hour_of_day
+from marsbid.errors import MarketDataError
+from marsbid.market_data import (
+    _NONNEGATIVE_FIELDS,
+    CSV_COLUMNS,
+    FIELD_NAMES,
+    SEASONAL_PERIOD,
+    MarketSeries,
+    _nan_runs,
+    day_of_week,
+    format_timestamp,
+    hour_of_day,
+    hour_of_week,
+    parse_timestamp,
+)
 from marsbid.policy_net import gaussian_log_prob, sample_action, squash_correction
 
 
@@ -337,3 +354,103 @@ def csv_writer_table(path, header_comment, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def rowwise_ingest_csv(path) -> MarketSeries:
+    """An hourly market CSV read row by row, each row checked in turn: field
+    count, timestamp, duplicate, each value (a number, or blank for a gap,
+    never infinite) in ``FIELD_NAMES`` order, then the non-negative fields;
+    the first fault raises."""
+    with open(path, "r", newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    if not rows:
+        raise MarketDataError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    missing_cols = [c for c in CSV_COLUMNS if c not in header]
+    if missing_cols:
+        raise MarketDataError(f"{path}: header missing columns {missing_cols}")
+    ts_idx = header.index("timestamp")
+    field_idx = [(name, header.index(name)) for name in FIELD_NAMES]
+
+    stamps: dict[int, None] = {}  # file order
+    columns: dict[str, list] = {name: [] for name in FIELD_NAMES}
+    for rownum, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise MarketDataError(f"{path}: malformed row {rownum}: wrong field count")
+        ts = parse_timestamp(row[ts_idx])
+        if ts in stamps:
+            raise MarketDataError(
+                f"{path}: duplicate timestamp {format_timestamp(ts)} at row {rownum}"
+            )
+        stamps[ts] = None
+        for name, i in field_idx:
+            cell = row[i].strip()
+            try:
+                value = float(cell) if cell else np.nan
+            except ValueError:
+                value = math.inf
+            if math.isinf(value):
+                raise MarketDataError(
+                    f"{path}: malformed row {rownum}: bad value {cell!r} for {name}"
+                )
+            columns[name].append(value)
+        for name in _NONNEGATIVE_FIELDS:
+            value = columns[name][-1]
+            if value < 0:
+                raise MarketDataError(
+                    f"{name} must be non-negative, got {value} at {format_timestamp(ts)}"
+                )
+
+    if not stamps:
+        raise MarketDataError(f"{path}: no data rows")
+    hours = np.fromiter(stamps, dtype=np.int64, count=len(stamps))
+    timeline = np.arange(hours.min(), hours.max() + 1, dtype=np.int64)
+    fields = {name: np.full(timeline.size, np.nan) for name in FIELD_NAMES}
+    for name in FIELD_NAMES:
+        fields[name][hours - timeline[0]] = columns[name]
+    return MarketSeries(timestamps=timeline, fields=fields, provenance="ingested")
+
+
+def masked_repair_gaps(series: MarketSeries) -> MarketSeries:
+    """Gaps under 4 hours filled linearly, longer or boundary ones with
+    hour-of-week means, each mean taken over a mask of the whole series."""
+    how = hour_of_week(series.timestamps)
+    new_fields, new_mask = {}, {}
+    for name in FIELD_NAMES:
+        values = series.fields[name].copy()
+        mask = series.fill_mask[name].copy()
+        isnan = np.isnan(values)
+        known = ~isnan
+        if known.sum() < 2:
+            raise MarketDataError(f"field {name}: fewer than 2 observed values")
+        seasonal = np.full(SEASONAL_PERIOD, np.nan)
+        for h in range(SEASONAL_PERIOD):
+            sel = known & (how % SEASONAL_PERIOD == h)
+            if sel.any():
+                seasonal[h] = values[sel].mean()
+        overall = values[known].mean()
+        for start, stop in _nan_runs(isnan):
+            length = stop - start
+            at_boundary = start == 0 or stop == len(values)
+            if at_boundary and length > SEASONAL_PERIOD:
+                raise MarketDataError(
+                    f"field {name}: {length}h gap at series boundary exceeds "
+                    f"seasonal period {SEASONAL_PERIOD}"
+                )
+            if length < 4 and not at_boundary:
+                left, right = values[start - 1], values[stop]
+                steps = np.arange(1, length + 1, dtype=np.float64)
+                values[start:stop] = left + (right - left) * steps / (length + 1)
+            else:
+                fill = seasonal[how[start:stop] % SEASONAL_PERIOD]
+                values[start:stop] = np.where(np.isnan(fill), overall, fill)
+            mask[start:stop] = True
+        new_fields[name] = values
+        new_mask[name] = mask
+    return MarketSeries(
+        timestamps=series.timestamps.copy(),
+        fields=new_fields,
+        provenance=series.provenance,
+        fill_mask=new_mask,
+        regimes=None if series.regimes is None else series.regimes.copy(),
+    )

@@ -392,6 +392,24 @@ def test_missing_data_csv_is_prereq_error(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("cell", ["inf", "1e999"])
+def test_infinite_cell_exits_2_naming_the_row(tmp_path, capsys, cell):
+    out = str(tmp_path)
+    assert run_cli("generate-data", "--out", out, *TINY) == 0
+    path = Path(out) / "data" / "synthetic.csv"
+    lines = path.read_text().splitlines()
+    # the stamp comment and the header come first, so data row 5 is line 7
+    stamp, _, rest = lines[6].split(",", 2)
+    lines[6] = f"{stamp},{cell},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: malformed row 5: bad value '{cell}' for lmp_da"
+    assert run_cli("ingest", "--out", out, *TINY) == 2
+    assert message in capsys.readouterr().err
+    csv_sets = ["--set", "data.source=csv", "--set", f"data.csv_path={path}"]
+    assert run_cli("train", "--phase", "vanilla", "--out", out, *csv_sets, *TINY) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_tiny_budget_training_smoke_under_60s(tmp_path):
     import time
 

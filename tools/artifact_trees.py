@@ -12,7 +12,11 @@ phases with ``--workers 2``; ``evaluate`` of eight policies on test1;
 ``economic`` and ``economic_weather`` (``economic`` with
 ``env.include_weather=true``). One more, ``ablate_3seeds``, runs
 ``ablate --workers 2`` alone with ``eval.seeds=0,1,2``, so its seeds run in
-a process pool where the machine has two CPUs.
+a process pool where the machine has two CPUs. The last, ``ingest``, runs
+``generate-data``, writes ``data/holes.csv``, a copy of ``synthetic.csv``
+with fixed gaps punched in and some rows moved (see :func:`punch_gaps`),
+and then ``ingest``, ``train --phase vanilla`` and ``evaluate --policy
+vanilla`` on it with ``data.source=csv``.
 
 Each tree's files land in ``OUT/<tree>/``, and its exit codes, stdout and
 stderr in ``OUT/<tree>.log``, with the tree's path masked as ``OUT``. Run
@@ -62,6 +66,59 @@ def pipeline() -> list:
     return runs
 
 
+# Blank cells in holes.csv. Two boundary gaps, repaired from hour-of-week
+# means, as (field, first data row, rows): a leading one of 100 h and a
+# trailing one of 30 h. Inner gaps, as (first row, rows), in every field,
+# 31 rows later per column: short ones (under 4 h) are interpolated.
+BOUNDARY_GAPS = (("lmp_da", 0, 100), ("gas_price", 3570, 30))
+INNER_GAPS = ((400, 1), (700, 2), (1100, 3), (1500, 4), (2300, 40), (3100, 150))
+DROPPED_ROWS = range(2000, 2005)  # five whole hours missing
+MOVED_ROWS = (range(1200, 1230), range(2600, 2610))  # each block written reversed
+
+
+def punch_gaps(data_dir: str) -> str:
+    """Write ``holes.csv`` next to ``synthetic.csv`` in ``data_dir``, with
+    the gaps above blanked, the :data:`DROPPED_ROWS` left out and the
+    :data:`MOVED_ROWS` reversed; returns its path relative to the tree."""
+    with open(os.path.join(data_dir, "synthetic.csv")) as fh:
+        comment, header, *rows = fh.read().splitlines()
+    names = header.split(",")
+    rows = [row.split(",") for row in rows]
+    gaps = [(names.index(name), first, length) for name, first, length in BOUNDARY_GAPS]
+    gaps += [(col, first + 31 * col, length) for col in range(1, len(names))
+             for first, length in INNER_GAPS]
+    for col, first, length in gaps:
+        for row in rows[first : first + length]:
+            row[col] = ""
+    for block in MOVED_ROWS:
+        rows[block.start : block.stop] = rows[block.start : block.stop][::-1]
+    kept = [",".join(row) for i, row in enumerate(rows) if i not in DROPPED_ROWS]
+    with open(os.path.join(data_dir, "holes.csv"), "w") as fh:
+        fh.write("\n".join([comment, header, *kept]) + "\n")
+    return os.path.join("data", "holes.csv")
+
+
+def ingest_tree(main, out: str, overrides: dict):
+    """The ``ingest`` tree: returns its log and failure count as
+    :func:`run_tree` does. The CSV path is given relative to the tree, so
+    the config hash stamped in its files does not depend on ``out``."""
+    log, failed = run_tree(main, out, [["generate-data"]], overrides)
+    holes = punch_gaps(os.path.join(out, "data"))
+    runs = [
+        ["ingest"],
+        ["train", "--phase", "vanilla", "--seed", SEED, "--workers", "2"],
+        ["evaluate", "--policy", "vanilla", "--split", "test1", "--seed", SEED],
+    ]
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        csv_overrides = {**overrides, "data.source": "csv", "data.csv_path": holes}
+        more_log, more_failed = run_tree(main, out, runs, csv_overrides)
+    finally:
+        os.chdir(cwd)
+    return log + more_log, failed + more_failed, 1 + len(runs)
+
+
 def run_tree(main, out: str, runs: list, overrides: dict):
     """Run each argument list against ``out``; returns the log, with ``out``
     masked, and the number of commands that exited non-zero."""
@@ -97,11 +154,18 @@ def main(argv=None) -> int:
     failed = 0
     for name, (runs, overrides) in trees.items():
         log, n_failed = run_tree(cli.main, os.path.join(out, name), runs, overrides)
-        with open(os.path.join(out, f"{name}.log"), "w") as fh:
-            fh.write(log)
-        print(f"{name}: {len(runs) - n_failed} of {len(runs)} commands exited 0")
-        failed += n_failed
+        failed += report(out, name, log, n_failed, len(runs))
+    log, n_failed, n_runs = ingest_tree(cli.main, os.path.join(out, "ingest"), OVERRIDES)
+    failed += report(out, "ingest", log, n_failed, n_runs)
     return 1 if failed else 0
+
+
+def report(out: str, name: str, log: str, failed: int, runs: int) -> int:
+    """Write a tree's log to ``OUT/<name>.log`` and print its tally."""
+    with open(os.path.join(out, f"{name}.log"), "w") as fh:
+        fh.write(log)
+    print(f"{name}: {runs - failed} of {runs} commands exited 0")
+    return failed
 
 
 if __name__ == "__main__":
