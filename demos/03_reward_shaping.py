@@ -18,23 +18,24 @@ p = ShapingParams()
 
 # The safe agent is paid only for the day-ahead share of profit and fined
 # for real-time exposure; the speculator is the mirror image. Their sum is
-# always profit minus the role fine, whatever the allocation.
+# always profit minus the role fine, whatever the allocation. Every reward
+# is elementwise, so one call shapes a whole column of allocations.
 print("profit 1000 $, shaped by role:")
 print(f"{'alpha':>6} {'safe':>9} {'spec':>9} {'neutral':>9} {'sum s+s':>9}")
-for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-    rs = reward_safe(1000.0, alpha, p)
-    rp = reward_spec(1000.0, alpha, p)
-    rn = reward_neutral(1000.0, alpha, p)
-    print(f"{alpha:6.2f} {rs:9.1f} {rp:9.1f} {rn:9.1f} {rs + rp:9.1f}")
+alphas = np.linspace(0.0, 1.0, 5)
+rs, rp, rn = (reward(1000.0, alphas, p) for reward in (reward_safe, reward_spec, reward_neutral))
+for row in zip(alphas, rs, rp, rn, rs + rp):
+    print("{:6.2f} {:9.1f} {:9.1f} {:9.1f} {:9.1f}".format(*row))
 
 # The meta controller optimizes a concave utility: linear in profit, with a
 # quadratic magnitude penalty. Its maximum sits at s_var^2 / (lambda *
 # s_linear) = 2 $, which is what makes the controller prefer consistent
 # small outcomes over jackpots.
 print("\nconcave utility (argmax at 2 $):")
-for pi in (-1000, -100, 0, 2, 100, 1000, 5000):
-    bar = "#" * max(0, int(40 + reward_meta(float(pi), p) * 1.5))
-    print(f"  pi {pi:6d} -> r_meta {reward_meta(float(pi), p):10.3f} {bar}")
+profits = np.array([-1000, -100, 0, 2, 100, 1000, 5000])
+for pi, r in zip(profits, reward_meta(profits.astype(float), p)):
+    bar = "#" * max(0, int(40 + r * 1.5))
+    print(f"  pi {pi:6d} -> r_meta {r:10.3f} {bar}")
 
 # CVaR-style shaping fines only outcomes below the rolling left-tail
 # quantile of recent profits.

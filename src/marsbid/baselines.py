@@ -17,7 +17,7 @@ import numpy as np
 
 from .mars_hierarchy import train_worker
 from .ppo_trainer import PpoConfig
-from .reward_shaping import CvarRewardShaper, ShapingParams
+from .reward_shaping import ShapingParams
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,7 @@ def train_vanilla(
     both start from the same parameters and roll out over the same episode
     starts and noise, so their comparison differs only in the reward."""
     return train_worker(
-        env,
-        cfg,
-        np.random.SeedSequence(seed),
-        "vanilla",
-        lambda pi, alpha: pi / shaping.s_linear,
-        workers=workers,
-        checkpoint_cb=checkpoint_cb,
+        env, cfg, shaping, np.random.SeedSequence(seed), "vanilla", workers, checkpoint_cb
     )
 
 
@@ -111,15 +105,8 @@ def train_cvar(
     baseline). The quantile window sees raw dollars; the shaped reward is
     scaled like the vanilla agent's, and so are the seeds (common random
     numbers, see :func:`train_vanilla`)."""
-    shaper = CvarRewardShaper(shaping)
     return train_worker(
-        env,
-        cfg,
-        np.random.SeedSequence(seed),
-        "cvar",
-        lambda pi, alpha: shaper(pi, alpha) / shaping.s_linear,
-        workers=workers,
-        checkpoint_cb=checkpoint_cb,
+        env, cfg, shaping, np.random.SeedSequence(seed), "cvar", workers, checkpoint_cb
     )
 
 

@@ -26,7 +26,7 @@ from .market_data import (
     parse_timestamp,
 )
 from .ppo_trainer import PpoConfig
-from .reward_shaping import ShapingParams
+from .reward_shaping import WORKER_ROLES, ShapingParams
 
 ENV_PREFIX = "MARSBID_"
 
@@ -278,7 +278,7 @@ def build_config(
     if not roles:
         raise ConfigError("ensemble.roles must not be empty")
     for role in roles:
-        if role not in ("safe", "spec", "neutral"):
+        if role not in WORKER_ROLES:
             raise ConfigError(f"ensemble.roles: unknown worker role {role!r}")
 
     load_scale_raw = get("env", "load_scale")

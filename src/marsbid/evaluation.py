@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidding_env import EpisodeLedger, StrategicBiddingEnv, map_action, settle
+from .errors import DivergenceError
 from .market_data import write_table
 from .mars_hierarchy import Blend
 from .reward_shaping import ShapingParams, reward_meta
@@ -263,7 +264,8 @@ def run_policy_episode(
     hour, or to a :class:`Blend`, whose weights and proposals are recorded
     along with ``r_meta``, the meta reward of each hour's profit under
     ``shaping``. A policy that returns blends names their columns with its
-    ``roles``, one per weight.
+    ``roles``, one per weight. Raises :class:`DivergenceError` if a profit,
+    their running total or ``r_meta`` is not finite.
     """
     shaping = shaping or ShapingParams()
     roles = getattr(policy, "roles", ())
@@ -275,7 +277,14 @@ def run_policy_episode(
     alpha = map_action(act.action if blended else act)
     if np.shape(alpha) != (len(tape),):
         raise ValueError(f"actions of shape {np.shape(alpha)} for a {len(tape)}-hour tape")
-    settled = settle(alpha, *tape.dispatch)
+    # an overflow fails closed here, as one error and not a trail of warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        settled = settle(alpha, *tape.dispatch)
+        if not np.isfinite(np.cumsum(settled.profit)).all():
+            raise DivergenceError(f"non-finite profit or profit total from hour {tape.start}")
+        r_meta = reward_meta(settled.profit, shaping) if blended else None
+    if blended and not np.isfinite(r_meta).all():
+        raise DivergenceError(f"non-finite r_meta from hour {tape.start}")
     hours = slice(tape.start, tape.start + len(tape))
     ledger = EpisodeLedger(
         timestamps=tape.series.timestamps[hours],
@@ -286,6 +295,5 @@ def run_policy_episode(
         **settled._asdict(),
     )
     if blended:
-        ledger.weights, ledger.proposals = act.weights, act.proposals
-        ledger.r_meta = np.array([reward_meta(float(pi), shaping) for pi in settled.profit])
+        ledger.weights, ledger.proposals, ledger.r_meta = act.weights, act.proposals, r_meta
     return ledger

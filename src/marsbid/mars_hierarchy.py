@@ -18,21 +18,9 @@ import numpy as np
 
 from .policy_net import PolicyNetwork
 from .ppo_trainer import PpoConfig, TrainingLog, train
-from .reward_shaping import (
-    ShapingParams,
-    reward_meta,
-    reward_neutral,
-    reward_safe,
-    reward_spec,
-)
+from .reward_shaping import TRAINING_REWARDS, ShapingParams
 
 SIMPLEX_TOL = 1e-9
-
-ROLE_REWARDS = {
-    "safe": reward_safe,
-    "spec": reward_spec,
-    "neutral": reward_neutral,
-}
 
 
 @dataclass(frozen=True)
@@ -128,14 +116,14 @@ class BlendPolicy:
 def train_worker(
     env,
     cfg: PpoConfig,
+    shaping: ShapingParams,
     seed_seq: np.random.SeedSequence,
     role: str,
-    reward_fn,
     workers: int = 1,
     checkpoint_cb=None,
 ):
     """Initialise a squashed one-action policy tagged ``role`` and train it
-    with PPO on ``reward_fn(profit, alpha)``.
+    with PPO on the role's reward in ``TRAINING_REWARDS``.
 
     The init seed is ``seed_seq.generate_state(1)[0]`` and the rollout seed
     ``seed_seq.generate_state(2)[1]``. Returns ``(net, log)``; the net is
@@ -152,7 +140,7 @@ def train_worker(
     log = train(
         env,
         net,
-        reward_fn,
+        TRAINING_REWARDS[role](shaping),
         cfg,
         seed=int(seed_seq.generate_state(2)[1]),
         workers=workers,
@@ -172,11 +160,8 @@ def train_university(
 ):
     """Phase 1: train one worker per role on its role reward, then freeze.
 
-    Role rewards are divided by ``shaping.s_linear`` before entering PPO so
-    gradients are conditioned the same way as the vanilla baseline; positive
-    scaling leaves the optimal policy unchanged. ``checkpoint_cb(net,
-    update)`` is passed to every worker's training; ``net.role`` tells the
-    workers apart.
+    ``checkpoint_cb(net, update)`` is passed to every worker's training;
+    ``net.role`` tells the workers apart.
 
     Returns ``(ensemble, logs)`` with logs keyed by role.
     """
@@ -184,21 +169,8 @@ def train_university(
     logs: dict[str, TrainingLog] = {}
     role_seeds = np.random.SeedSequence(seed).spawn(len(roles))
     for role, role_seed in zip(roles, role_seeds):
-        if role not in ROLE_REWARDS:
-            raise ValueError(f"no role reward defined for {role!r}")
-        reward = ROLE_REWARDS[role]
-
-        def shaped(pi, alpha, _reward=reward):
-            return _reward(pi, alpha, shaping) / shaping.s_linear
-
         net, logs[role] = train_worker(
-            env,
-            cfg,
-            role_seed,
-            role,
-            shaped,
-            workers=workers,
-            checkpoint_cb=checkpoint_cb,
+            env, cfg, shaping, role_seed, role, workers=workers, checkpoint_cb=checkpoint_cb
         )
         net.freeze()
         trained.append((role, net))
@@ -235,7 +207,7 @@ def train_meta(
     log = train(
         env,
         meta,
-        lambda pi, alpha: reward_meta(pi, shaping),
+        TRAINING_REWARDS["meta"](shaping),
         cfg,
         seed=train_seed,
         workers=workers,

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CheckpointError, DivergenceError
+from .reward_shaping import TRAINING_REWARDS
 
 CHECKPOINT_MAGIC = b"MARSDA01"
 CHECKPOINT_VERSION = 1
@@ -39,7 +40,7 @@ SQUASH_EPS = 1e-6
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
-ROLES = ("safe", "spec", "neutral", "meta", "vanilla", "cvar")
+ROLES = tuple(TRAINING_REWARDS)
 
 
 class ActionSample(NamedTuple):

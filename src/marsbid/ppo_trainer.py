@@ -81,10 +81,8 @@ def compute_gae(rewards, values, dones, bootstrap_value, gamma: float, lam: floa
         )
     T = rewards.shape[0]
     advantages = np.zeros_like(rewards)
-    next_value = np.broadcast_to(
-        np.asarray(bootstrap_value, dtype=np.float64), rewards.shape[1:]
-    ).copy() if rewards.ndim > 1 else float(bootstrap_value)
-    gae = np.zeros(rewards.shape[1:]) if rewards.ndim > 1 else 0.0
+    next_value = np.broadcast_to(np.asarray(bootstrap_value, dtype=np.float64), rewards.shape[1:])
+    gae = np.zeros(rewards.shape[1:])
     for t in range(T - 1, -1, -1):
         nonterminal = 1.0 - dones[t]
         delta = rewards[t] + gamma * next_value * nonterminal - values[t]
@@ -293,8 +291,9 @@ def train(
     own rng. ``env_action(actions, obs)`` maps an (N, A) block of sampled
     actions and their (N, obs_dim) observations to N raw actions (the meta
     controller blends the workers' proposals there); ``reward_fn(profit,
-    alpha)`` shapes each step's profit, one call per step in (t, worker)
-    order. The policy is updated in place. Raises :class:`DivergenceError`
+    alpha)`` shapes a buffer's profits and allocations, one call per buffer
+    with rows in (t, worker) order, so a stateful shaper sees the stream a
+    step-by-step rollout would. The policy is updated in place. Raises :class:`DivergenceError`
     if policy outputs, losses or parameters go non-finite.
     """
     if policy.frozen:
@@ -340,11 +339,7 @@ def train(
         mean, log_std, flat_val = policy.forward(flat_obs)
         s = sample_action(mean, log_std, sample_rng, squash=policy.squash)
         settled = settle(map_action(env_action(s.action, flat_obs)), *buf_dispatch.reshape(6, -1))
-        # per step: a shaper may keep state, and its scalar arithmetic is
-        # not guaranteed to match a vector version bit for bit
-        buf_rew = np.array(
-            [float(reward_fn(pi, alpha)) for pi, alpha in zip(settled.profit, settled.alpha)]
-        ).reshape(T, workers)
+        buf_rew = np.reshape(reward_fn(settled.profit, settled.alpha), (T, workers))
         buf_raw = settled.profit.reshape(T, workers)
 
         bootstrap = policy.forward(np.array([tape.obs[c] for tape, c in zip(tapes, cursors)]))[2]

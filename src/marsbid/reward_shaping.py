@@ -3,8 +3,14 @@
 Role rewards credit each specialist only for profit earned through its own
 market and fine it for exposure to the other one; the meta controller gets a
 concave utility that penalizes outcome magnitude; the neutral and CVaR
-variants back the ablation and baseline configurations. All functions are
-pure and deterministic.
+variants back the ablation and baseline configurations.
+
+Every reward is elementwise over numpy arrays (floats work too), so PPO
+shapes a whole rollout buffer in one call. Each element gets the bits the
+scalar formula gives it: the meta utility squares through libm ``pow``, as
+Python's ``**`` does. The CVaR shaper alone keeps state, a window of past
+profits, and walks a block in order. :data:`TRAINING_REWARDS` says which
+reward PPO trains each role on.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -32,54 +40,44 @@ class ShapingParams:
             raise ValueError("scale factors must be > 0")
         if not 0.0 < self.cvar_alpha < 1.0:
             raise ValueError("cvar_alpha must be in (0, 1)")
-        if not 0.0 <= self.neutral_band <= 0.5:
-            raise ValueError("neutral_band must be in [0, 0.5]")
+        # the neutral reward divides by 0.5 - neutral_band
+        if not 0.0 <= self.neutral_band < 0.5:
+            raise ValueError("neutral_band must be in [0, 0.5)")
         if self.cvar_window < 1:
             raise ValueError("cvar_window must be >= 1")
 
 
-def _check_finite(**kwargs):
-    for name, v in kwargs.items():
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite {name}: {v!r}")
+def _check(pi, alpha=0.0):
+    if not np.all(np.isfinite(pi) & (0.0 <= alpha) & (alpha <= 1.0)):
+        raise ValueError("rewards need finite profits and alpha in [0, 1]")
 
 
-def _check_alpha(alpha: float):
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} out of [0, 1]")
-
-
-def reward_safe(pi: float, alpha: float, p: ShapingParams) -> float:
+def reward_safe(pi, alpha, p: ShapingParams):
     """DA specialist: profit share from the DA market minus a fine on any
     real-time exposure."""
-    _check_finite(pi=pi, alpha=alpha)
-    _check_alpha(alpha)
-    return pi * alpha - abs(pi) * (1.0 - alpha) * p.lambda_role
+    _check(pi, alpha)
+    return pi * alpha - np.abs(pi) * (1.0 - alpha) * p.lambda_role
 
 
-def reward_spec(pi: float, alpha: float, p: ShapingParams) -> float:
+def reward_spec(pi, alpha, p: ShapingParams):
     """RT specialist: mirror image of the safe reward."""
-    _check_finite(pi=pi, alpha=alpha)
-    _check_alpha(alpha)
-    return pi * (1.0 - alpha) - abs(pi) * alpha * p.lambda_role
+    _check(pi, alpha)
+    return pi * (1.0 - alpha) - np.abs(pi) * alpha * p.lambda_role
 
 
-def reward_meta(pi: float, p: ShapingParams) -> float:
+def reward_meta(pi, p: ShapingParams):
     """Concave utility: linear profit term minus a quadratic magnitude
     penalty, discouraging jackpot-seeking."""
-    _check_finite(pi=pi)
-    return pi / p.s_linear - 0.5 * p.lambda_risk * (pi / p.s_var) ** 2
+    _check(pi)
+    return pi / p.s_linear - 0.5 * p.lambda_risk * np.float_power(pi / p.s_var, 2)
 
 
-def reward_neutral(pi: float, alpha: float, p: ShapingParams) -> float:
+def reward_neutral(pi, alpha, p: ShapingParams):
     """Balanced-allocation role: profit, fined in proportion to how far the
     allocation strays beyond ``neutral_band`` from a 50/50 split."""
-    _check_finite(pi=pi, alpha=alpha)
-    _check_alpha(alpha)
-    if p.neutral_band >= 0.5:
-        raise ValueError("neutral_band must be < 0.5 for the neutral reward")
-    excess = max(0.0, abs(alpha - 0.5) - p.neutral_band)
-    return pi - abs(pi) * p.lambda_role * excess / (0.5 - p.neutral_band)
+    _check(pi, alpha)
+    excess = np.maximum(0.0, np.abs(alpha - 0.5) - p.neutral_band)
+    return pi - np.abs(pi) * p.lambda_role * excess / (0.5 - p.neutral_band)
 
 
 def linear_quantile(ascending, q: float) -> float:
@@ -96,7 +94,6 @@ def linear_quantile(ascending, q: float) -> float:
 
 
 def _tail_shaped(pi: float, ascending, p: ShapingParams) -> float:
-    _check_finite(pi=pi)
     if len(ascending) < 20:
         return pi
     return pi - p.lambda_risk * max(0.0, linear_quantile(ascending, p.cvar_alpha) - pi)
@@ -111,27 +108,56 @@ def reward_cvar_shaped(pi: float, history, p: ShapingParams) -> float:
     distributional critic. Passes profit through unchanged until ``history``
     holds at least 20 values.
     """
+    _check(pi)
     return _tail_shaped(pi, sorted(map(float, history)), p)
 
 
 class CvarRewardShaper:
     """Stateful :func:`reward_cvar_shaped` over a rolling profit window.
-    The current step is shaped against the window of profits strictly
-    before it, which is kept both in arrival order and sorted, so a step
-    costs one bisect and no sort."""
+
+    A call shapes a block of profits (or one float) in order; ``alpha`` is
+    unused. Each profit is shaped against the window of profits strictly
+    before it, across calls, which is kept both in arrival order and
+    sorted, so a step costs one bisect and no sort."""
 
     def __init__(self, params: ShapingParams):
         self.params = params
         self._window: deque = deque()
         self._ascending: list = []
 
-    def __call__(self, pi: float, alpha: float) -> float:
-        pi = float(pi)
-        shaped = _tail_shaped(pi, self._ascending, self.params)
-        if len(self._window) == self.params.cvar_window:
-            # removes a value equal to the oldest: only 0.0 and -0.0 are
-            # equal yet differ, and a zero's sign cannot change a reward
-            del self._ascending[bisect.bisect_left(self._ascending, self._window.popleft())]
-        self._window.append(pi)
-        bisect.insort(self._ascending, pi)
-        return shaped
+    def __call__(self, profit, alpha):
+        profit = np.asarray(profit, dtype=np.float64)
+        _check(profit)
+        shaped = []
+        for pi in profit.ravel().tolist():
+            shaped.append(_tail_shaped(pi, self._ascending, self.params))
+            if len(self._window) == self.params.cvar_window:
+                # removes a value equal to the oldest: only 0.0 and -0.0 are
+                # equal yet differ, and a zero's sign cannot change a reward
+                del self._ascending[bisect.bisect_left(self._ascending, self._window.popleft())]
+            self._window.append(pi)
+            bisect.insort(self._ascending, pi)
+        return np.reshape(shaped, profit.shape)[()]
+
+
+def _cvar_reward(p: ShapingParams):
+    shaper = CvarRewardShaper(p)
+    return lambda pi, alpha: shaper(pi, alpha) / p.s_linear
+
+
+# role -> params -> the block reward ``(profit, alpha) -> rewards`` PPO
+# trains that role on. Worker and baseline rewards are divided by s_linear,
+# so every one-action policy's gradients are conditioned alike (a positive
+# scale leaves the optimal policy unchanged); the meta controller trains on
+# its utility as it is. Each cvar lookup starts a fresh window.
+TRAINING_REWARDS = {
+    "safe": lambda p: lambda pi, alpha: reward_safe(pi, alpha, p) / p.s_linear,
+    "spec": lambda p: lambda pi, alpha: reward_spec(pi, alpha, p) / p.s_linear,
+    "neutral": lambda p: lambda pi, alpha: reward_neutral(pi, alpha, p) / p.s_linear,
+    "meta": lambda p: lambda pi, alpha: reward_meta(pi, p),
+    "vanilla": lambda p: lambda pi, alpha: pi / p.s_linear,
+    "cvar": _cvar_reward,
+}
+# the roles a university worker may take; the meta controller and the
+# single-agent baselines save their checkpoints under their own role names
+WORKER_ROLES = ("safe", "spec", "neutral")

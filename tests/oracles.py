@@ -13,11 +13,15 @@ written through ``csv.writer`` one ``repr`` at a time as
 a file column by column, not row by row as :func:`rowwise_ingest_csv` does;
 and ``market_data.repair_gaps`` takes each hour-of-week mean over a strided
 slice, not over a mask of the whole series as :func:`masked_repair_gaps`
-does.
+does; and the rewards shape a whole buffer of numpy arrays per call, not
+one float per call as the ``scalar_*`` rewards and
+:class:`ScalarCvarShaper` do.
 """
 
+import bisect
 import csv
 import math
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +43,7 @@ from marsbid.market_data import (
     parse_timestamp,
 )
 from marsbid.policy_net import gaussian_log_prob, sample_action, squash_correction
+from marsbid.reward_shaping import linear_quantile
 
 
 def ppo_loss(log_prob_new, log_prob_old, advantages_normalized, clip_epsilon: float) -> float:
@@ -303,7 +308,7 @@ def stepwise_rollouts(env_factory, policy, reward_fn, seed, workers, T, n_buffer
     ``workers``, made step by step with a frozen ``policy``: per step and
     worker, in round-robin order, one forward, one (A,) action draw and one
     ``env.step`` at ``row_action(action, obs)``, with a reset at each
-    episode end."""
+    episode end. ``reward_fn`` shapes each step as a one-element block."""
     env_seeds, sample_seed, _ = np.random.SeedSequence(seed).spawn(3)
     env_rngs = [np.random.default_rng(s) for s in env_seeds.spawn(workers)]
     sample_rng = np.random.default_rng(sample_seed)
@@ -330,13 +335,53 @@ def stepwise_rollouts(env_factory, policy, reward_fn, seed, workers, T, n_buffer
                 buf.obs[t, i] = x
                 buf.pre[t, i] = s.pre_squash
                 buf.logp[t, i] = s.log_prob
-                buf.rewards[t, i] = float(reward_fn(settled.profit, settled.alpha))
+                one_step = reward_fn(np.array([settled.profit]), np.array([settled.alpha]))
+                buf.rewards[t, i] = one_step[0]
                 buf.values[t, i] = value
                 buf.dones[t, i] = 1.0 if done else 0.0
                 obs[i] = envs[i].reset(rng=env_rngs[i]) if done else next_obs
         buf.bootstrap[:] = [row_forward(policy, x)[2] for x in obs]
         buffers.append(buf)
     return buffers
+
+
+def scalar_reward_safe(pi: float, alpha: float, p) -> float:
+    return pi * alpha - abs(pi) * (1.0 - alpha) * p.lambda_role
+
+
+def scalar_reward_spec(pi: float, alpha: float, p) -> float:
+    return pi * (1.0 - alpha) - abs(pi) * alpha * p.lambda_role
+
+
+def scalar_reward_meta(pi: float, p) -> float:
+    return pi / p.s_linear - 0.5 * p.lambda_risk * (pi / p.s_var) ** 2
+
+
+def scalar_reward_neutral(pi: float, alpha: float, p) -> float:
+    excess = max(0.0, abs(alpha - 0.5) - p.neutral_band)
+    return pi - abs(pi) * p.lambda_role * excess / (0.5 - p.neutral_band)
+
+
+class ScalarCvarShaper:
+    """The CVaR shaper one float per call: each profit is shaped against
+    the window of the profits before it, kept in arrival order and
+    sorted."""
+
+    def __init__(self, p):
+        self.p = p
+        self._window: deque = deque()
+        self._ascending: list = []
+
+    def __call__(self, pi: float) -> float:
+        shaped = pi
+        if len(self._ascending) >= 20:
+            quantile = linear_quantile(self._ascending, self.p.cvar_alpha)
+            shaped = pi - self.p.lambda_risk * max(0.0, quantile - pi)
+        if len(self._window) == self.p.cvar_window:
+            del self._ascending[bisect.bisect_left(self._ascending, self._window.popleft())]
+        self._window.append(pi)
+        bisect.insort(self._ascending, pi)
+        return shaped
 
 
 def repr_cell(value, missing: str) -> str:

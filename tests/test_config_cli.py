@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +410,52 @@ def test_infinite_cell_exits_2_naming_the_row(tmp_path, capsys, cell):
     csv_sets = ["--set", "data.source=csv", "--set", f"data.csv_path={path}"]
     assert run_cli("train", "--phase", "vanilla", "--out", out, *csv_sets, *TINY) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("train", "--phase", "university"), ("ablate",)])
+def test_neutral_band_of_one_half_exits_2_before_training(tmp_path, capsys, command):
+    # the neutral reward divides by 0.5 - neutral_band; safe would train first
+    rc = run_cli(
+        *command, "--out", str(tmp_path), *TINY,
+        "--set", "ensemble.roles=safe,neutral", "--set", "shaping.neutral_band=0.5",
+    )
+    assert rc == 2
+    assert "neutral_band must be in [0, 0.5)" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoints").exists()
+
+
+def _scale_lmp_rt(src: Path, dst: Path, factor: float) -> None:
+    lines = src.read_text().splitlines()
+    j = lines[1].split(",").index("lmp_rt")  # after the stamp comment
+    rows = [line.split(",") for line in lines[2:]]
+    for row in rows:
+        row[j] = repr(float(row[j]) * factor)
+    dst.write_text("\n".join(lines[:2] + [",".join(row) for row in rows]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "policy, factor, message",
+    [
+        # finite profits of about 1e162 whose meta reward overflows
+        ("static", 1e160, "non-finite r_meta from hour 24"),
+        # finite profits near the float limit whose running total overflows
+        ("spec", 1e304, "non-finite profit or profit total from hour 24"),
+    ],
+)
+def test_overflowing_evaluation_exits_4(pipeline_dir, tmp_path, capsys, policy, factor, message):
+    out = tmp_path / "out"
+    shutil.copytree(Path(pipeline_dir) / "checkpoints", out / "checkpoints")
+    path = tmp_path / "scaled.csv"
+    _scale_lmp_rt(Path(pipeline_dir) / "data" / "synthetic.csv", path, factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run_cli(
+            "evaluate", "--policy", policy, "--split", "test1", "--seed", "0", "--out", str(out),
+            *TINY, "--set", "data.source=csv", "--set", f"data.csv_path={path}",
+        )
+    assert rc == 4
+    assert capsys.readouterr().err == f"numeric divergence: {message}\n"
+    assert not any(p.is_file() for p in (out / "eval").rglob("*"))
 
 
 def test_tiny_budget_training_smoke_under_60s(tmp_path):

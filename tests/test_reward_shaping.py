@@ -14,6 +14,14 @@ from marsbid.reward_shaping import (
     reward_spec,
 )
 
+from oracles import (
+    ScalarCvarShaper,
+    scalar_reward_meta,
+    scalar_reward_neutral,
+    scalar_reward_safe,
+    scalar_reward_spec,
+)
+
 P = ShapingParams()
 
 finite_pi = st.floats(-50_000, 50_000, allow_nan=False)
@@ -188,6 +196,70 @@ def test_cvar_shaper_equals_np_quantile_over_a_list_window(stream, window, q):
         history = (history + [pi])[-window:]
 
 
+# -- whole blocks against the scalar formulas, bit for bit -----------------------
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# zeros of both signs, subnormals, and magnitudes up to 1e150, whose meta
+# penalty still squares to a finite float
+edge_pi = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1516.32, 1e150, -1e150]),
+    st.floats(-1e150, 1e150, allow_nan=False),
+)
+edge_alpha = st.one_of(st.sampled_from([0.0, 1.0]), unit)
+
+
+@settings(max_examples=300)
+@given(
+    rows=st.lists(st.tuples(edge_pi, edge_alpha), min_size=1, max_size=40),
+    band=st.sampled_from([0.0, 0.2, 0.49]),
+)
+def test_array_rewards_equal_scalar_oracles_bit_for_bit(rows, band):
+    p = ShapingParams(neutral_band=band)
+    pi = np.array([r[0] for r in rows])
+    alpha = np.array([r[1] for r in rows])
+    for reward, oracle in (
+        (reward_safe, scalar_reward_safe),
+        (reward_spec, scalar_reward_spec),
+        (reward_neutral, scalar_reward_neutral),
+    ):
+        want = bits([oracle(x, a, p) for x, a in rows])
+        assert np.array_equal(bits(reward(pi, alpha, p)), want)
+        assert bits(reward(*rows[0], p)) == want[0]  # a float still works
+    want = bits([scalar_reward_meta(x, p) for x, _ in rows])
+    assert np.array_equal(bits(reward_meta(pi, p)), want)
+    assert bits(reward_meta(rows[0][0], p)) == want[0]
+
+
+def test_meta_squares_like_python_pow():
+    # numpy's ** 2 is x * x, which gives -576.3229056 here
+    pi = -1516.32
+    assert reward_meta(np.array([pi]), P)[0] == scalar_reward_meta(pi, P) == -576.3229055999999
+
+
+@settings(max_examples=100)
+@given(
+    stream=st.lists(st.one_of(profit, st.just(-0.0)), min_size=120, max_size=240),
+    window=st.integers(20, 40),
+    q=quantile,
+    cuts=st.lists(st.integers(0, 240), max_size=8),
+)
+def test_cvar_shaper_blocks_equal_scalar_steps(stream, window, q, cuts):
+    # the stream wraps the window at least three times; one block call and
+    # the stream cut into blocks (empty ones too) equal one step at a time
+    p = ShapingParams(cvar_window=window, cvar_alpha=q)
+    oracle = ScalarCvarShaper(p)
+    want = bits([oracle(pi) for pi in stream])
+    profits = np.array(stream)
+    assert np.array_equal(bits(CvarRewardShaper(p)(profits, 0.5)), want)
+    shaper = CvarRewardShaper(p)
+    blocks = np.split(profits, sorted(c for c in cuts if c <= len(stream)))
+    assert np.array_equal(bits(np.concatenate([shaper(b, 0.5) for b in blocks])), want)
+
+
 # -- params validation -----------------------------------------------------------
 
 
@@ -200,6 +272,8 @@ def test_params_validation():
         ShapingParams(cvar_alpha=1.0)
     with pytest.raises(ValueError):
         ShapingParams(neutral_band=0.6)
+    with pytest.raises(ValueError, match="neutral_band"):
+        ShapingParams(neutral_band=0.5)
 
 
 @settings(max_examples=50)
