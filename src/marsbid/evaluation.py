@@ -29,11 +29,16 @@ CONVENTION = (
 
 
 def sharpe(returns) -> float | None:
-    """Mean over sample std; None when the std is zero."""
+    """Mean over sample std; None when the std is zero. Raises
+    :class:`DivergenceError` when the std is not finite, as when the squares
+    of finite returns overflow."""
     r = np.asarray(returns, dtype=np.float64)
     if r.size < 2:
         raise ValueError("sharpe needs at least 2 returns")
-    std = r.std(ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = r.std(ddof=1)
+    if not np.isfinite(std):
+        raise DivergenceError("non-finite sample std of returns")
     if std == 0.0:
         return None
     return float(r.mean() / std)
@@ -41,11 +46,15 @@ def sharpe(returns) -> float | None:
 
 def sortino(returns) -> float | None:
     """Mean over downside deviation sqrt(mean(min(r,0)^2)); None when there
-    is no downside."""
+    is no downside. Raises :class:`DivergenceError` when the deviation is
+    not finite."""
     r = np.asarray(returns, dtype=np.float64)
     if r.size < 2:
         raise ValueError("sortino needs at least 2 returns")
-    downside = np.sqrt(np.mean(np.minimum(r, 0.0) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        downside = np.sqrt(np.mean(np.minimum(r, 0.0) ** 2))
+    if not np.isfinite(downside):
+        raise DivergenceError("non-finite downside deviation of returns")
     if downside == 0.0:
         return None
     return float(r.mean() / downside)
@@ -112,22 +121,26 @@ def rolling_metrics(returns, window: int = 720):
 
     Returns ``(means, sharpes)`` aligned to the input (NaN before the first
     full window and wherever the window Sharpe is undefined; NaN marks a
-    gap, report writers must map it to NA).
+    gap, report writers must map it to NA). Raises :class:`DivergenceError`
+    when a window's std is not finite.
     """
     r = np.asarray(returns, dtype=np.float64)
     if r.size < window:
         raise ValueError(f"series of {r.size} shorter than window {window}")
     views = np.lib.stride_tricks.sliding_window_view(r, window)
-    window_means = views.mean(axis=1)
     # std materializes each window's deviations: over all windows at once,
     # (n - window + 1) x window floats (44 MB for a year at 720 h). Each
     # row's std is computed alone either way, so blocks give the same bits.
-    window_stds = np.concatenate(
-        [
-            views[i : i + ROLLING_BLOCK].std(axis=1, ddof=1)
-            for i in range(0, len(views), ROLLING_BLOCK)
-        ]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        window_means = views.mean(axis=1)
+        window_stds = np.concatenate(
+            [
+                views[i : i + ROLLING_BLOCK].std(axis=1, ddof=1)
+                for i in range(0, len(views), ROLLING_BLOCK)
+            ]
+        )
+    if not np.isfinite(window_stds).all():  # also when a window's sum overflows
+        raise DivergenceError("non-finite rolling std of returns")
     means = np.full(r.size, np.nan)
     sharpes = np.full(r.size, np.nan)
     means[window - 1 :] = window_means

@@ -32,7 +32,7 @@ FIELD_NAMES = (
 )
 
 CSV_COLUMNS = ("timestamp",) + FIELD_NAMES
-CSV_BLOCK_ROWS = 512  # rows :func:`write_table` formats and joins at once
+BLOCK_ROWS = 512  # rows a pass over a long input reads, checks or formats at once
 
 # Fields that real markets never clear negative (prices can be negative).
 _NONNEGATIVE_FIELDS = ("load_actual", "load_forecast", "gas_price")
@@ -102,7 +102,7 @@ def _column_cells(column: np.ndarray, missing: str) -> list:
 def write_table(path, header_comment: str | None, header, columns, missing: str = "nan") -> None:
     """Write a CSV: the ``# header_comment`` line if there is one, the
     header, then a row per entry of the equal-length arrays ``columns``,
-    formatted :data:`CSV_BLOCK_ROWS` rows at a time. Float columns are
+    formatted :data:`BLOCK_ROWS` rows at a time. Float columns are
     written by :func:`float_cells`, integer columns as ``repr`` and
     ``datetime64[h]`` columns by :func:`format_timestamps`. Cells are joined
     unquoted: none of these can hold a comma, a quote or a line break.
@@ -111,8 +111,8 @@ def write_table(path, header_comment: str | None, header, columns, missing: str 
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            cells = [_column_cells(col[lo : lo + CSV_BLOCK_ROWS], missing) for col in columns]
+        for lo in range(0, len(columns[0]), BLOCK_ROWS):
+            cells = [_column_cells(col[lo : lo + BLOCK_ROWS], missing) for col in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -267,73 +267,104 @@ def ingest_csv(path) -> MarketSeries:
     filled") for :func:`repair_gaps`; a cell that is no number or infinite is
     rejected. A bad file raises for its first fault in file order; within a
     row: field count, timestamp, duplicate, values, non-negative fields.
+
+    The file is read and checked :data:`BLOCK_ROWS` rows at a time, so the
+    memory it takes beyond the parsed columns is bounded by one block, and a
+    bad file is read only up to the end of its first faulty block.
     """
     with open(path, "r", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise MarketDataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    missing_cols = [c for c in CSV_COLUMNS if c not in header]
-    if missing_cols:
-        raise MarketDataError(f"{path}: header missing columns {missing_cols}")
-
-    # Each check passes over the n rows before the first fault found so far,
-    # in the order a row is checked in, so the fault left is the first one.
-    n, fault = len(rows) - 1, None
-    miscounted = np.flatnonzero(np.fromiter(map(len, rows[1:]), np.int64, n) != len(header))
-    if miscounted.size:
-        n = int(miscounted[0])
-        fault = f"{path}: malformed row {n + 1}: wrong field count"
+        rows = (r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
+        header = [h.strip() for h in next(rows, [])]
+        if not header:
+            raise MarketDataError(f"{path}: empty file")
+        missing_cols = [c for c in CSV_COLUMNS if c not in header]
+        if missing_cols:
+            raise MarketDataError(f"{path}: header missing columns {missing_cols}")
+        # n counts the rows whose values are read: up to the first fault
+        n, fault, hour_blocks, value_blocks = 0, None, [], []
+        while fault is None and (block := list(itertools.islice(rows, BLOCK_ROWS))):
+            h0 = int(hour_blocks[-1][-1]) + 1 if hour_blocks else None
+            hours, values, fault = _read_block(path, header, block, n, h0)
+            hour_blocks.append(hours)
+            value_blocks.append(values)
+            n += len(values[0])
     if not n:
         raise MarketDataError(fault or f"{path}: no data rows")
-    columns = list(zip(*rows[1 : n + 1]))
 
-    # Only cells that differ from the hourly run from the first cell's hour,
-    # as format_timestamps writes it, are parsed. A fault in the first cell
-    # raises at once: row 1's field count is right, so nothing precedes it.
-    stamps = columns[header.index("timestamp")]
-    h0 = parse_timestamp(stamps[0])
-    hours = np.arange(h0, h0 + n, dtype=np.int64)
-    expected = format_timestamps(hours[: _LAST_HOUR + 1 - h0]) + [None] * (h0 + n - 1 - _LAST_HOUR)
-    for i in itertools.compress(range(n), map(operator.ne, stamps, expected)):
-        try:
-            hours[i] = parse_timestamp(stamps[i])
-        except MarketDataError as exc:
-            n, fault = i, str(exc)
-            break
-    order = np.argsort(hours[:n], kind="stable")
+    # The hours run up to the first field-count or timestamp fault, so a
+    # repeat at or before a later fault's row is the first fault.
+    hours = np.concatenate(hour_blocks)
+    order = np.argsort(hours, kind="stable")
     ordered = hours[order]
     repeats = order[1:][ordered[1:] == ordered[:-1]]
-    if repeats.size:
+    if repeats.size and repeats.min() <= n:
         n = int(repeats.min())
         fault = f"{path}: duplicate timestamp {format_timestamp(hours[n])} at row {n + 1}"
-
-    values = {}
-    for name in FIELD_NAMES:
-        cells = columns[header.index(name)][:n]
-        try:
-            values[name] = np.fromiter(map(float, map(_BLANK.get, cells, cells)), np.float64, n)
-        except ValueError:  # a blank or malformed cell
-            values[name] = np.fromiter(map(_cell_value, cells), np.float64, n)
-        bad = np.flatnonzero(np.isinf(values[name]))
-        if bad.size:
-            n = int(bad[0])
-            fault = f"{path}: malformed row {n + 1}: bad value {cells[n].strip()!r} for {name}"
-    # Fail fast on invariant violations in observed data.
-    for name in _NONNEGATIVE_FIELDS:
-        negative = np.flatnonzero(values[name][:n] < 0)
-        if negative.size:
-            n = int(negative[0])
-            value, stamp = float(values[name][n]), format_timestamp(hours[n])
-            fault = f"{name} must be non-negative, got {value} at {stamp}"
     if fault:
         raise MarketDataError(fault)
 
     timeline = np.arange(ordered[0], ordered[-1] + 1, dtype=np.int64)
     fields = {name: np.full(timeline.size, np.nan) for name in FIELD_NAMES}
-    for name in FIELD_NAMES:
-        fields[name][hours - timeline[0]] = values[name]
+    for block_hours, values in zip(hour_blocks, value_blocks):
+        for name, column in zip(FIELD_NAMES, values):
+            fields[name][block_hours - timeline[0]] = column
     return MarketSeries(timestamps=timeline, fields=fields, provenance="ingested")
+
+
+def _read_block(path, header: list, block: list, base: int, h0: int | None):
+    """Check and parse a block of data rows, the file's row ``base`` first,
+    whose first hour is expected at ``h0`` (None: the file's first row, read
+    its hour). Returns the hours of the rows before the block's first
+    field-count or timestamp fault, the field arrays of the rows before its
+    first fault of any kind, and that fault's message or None."""
+    # Each check passes over the m rows before the first fault found so far,
+    # in the order a row is checked in, so the fault left is the first one.
+    m, fault = len(block), None
+    miscounted = np.flatnonzero(np.fromiter(map(len, block), np.int64, m) != len(header))
+    if miscounted.size:
+        m = int(miscounted[0])
+        fault = f"{path}: malformed row {base + m + 1}: wrong field count"
+    if not m:
+        return np.empty(0, np.int64), [np.empty(0)] * len(FIELD_NAMES), fault
+    columns = list(zip(*block[:m]))
+
+    # Only cells that differ from the hourly run from h0, as
+    # format_timestamps writes it, are parsed. A fault in the file's first
+    # cell raises at once: its field count is right, so nothing precedes it.
+    stamps = columns[header.index("timestamp")]
+    if h0 is None:
+        h0 = parse_timestamp(stamps[0])
+    hours = np.arange(h0, h0 + m, dtype=np.int64)
+    expected = format_timestamps(hours[: max(0, _LAST_HOUR + 1 - h0)])
+    expected += [None] * (m - len(expected))
+    for i in itertools.compress(range(m), map(operator.ne, stamps, expected)):
+        try:
+            hours[i] = parse_timestamp(stamps[i])
+        except MarketDataError as exc:
+            m, fault = i, str(exc)
+            break
+    hours = hours[:m]
+
+    values = {}
+    for name in FIELD_NAMES:
+        cells = columns[header.index(name)][:m]
+        try:
+            values[name] = np.fromiter(map(float, map(_BLANK.get, cells, cells)), np.float64, m)
+        except ValueError:  # a blank or malformed cell
+            values[name] = np.fromiter(map(_cell_value, cells), np.float64, m)
+        bad = np.flatnonzero(np.isinf(values[name]))
+        if bad.size:
+            m = int(bad[0])
+            cell = cells[m].strip()
+            fault = f"{path}: malformed row {base + m + 1}: bad value {cell!r} for {name}"
+    # Fail fast on invariant violations in observed data.
+    for name in _NONNEGATIVE_FIELDS:
+        negative = np.flatnonzero(values[name][:m] < 0)
+        if negative.size:
+            m = int(negative[0])
+            value, stamp = float(values[name][m]), format_timestamp(hours[m])
+            fault = f"{name} must be non-negative, got {value} at {stamp}"
+    return hours, [values[name][:m] for name in FIELD_NAMES], fault
 
 
 _LAST_HOUR = 70389527  # 9999-12-31T23:00Z; later years have five digits

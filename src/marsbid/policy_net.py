@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CheckpointError, DivergenceError
+from .market_data import BLOCK_ROWS
 from .reward_shaping import TRAINING_REWARDS
 
 CHECKPOINT_MAGIC = b"MARSDA01"
@@ -198,7 +199,9 @@ class PolicyNetwork:
         block. Each layer is the stacked matmul ``(N, 1, D) @ (D, H)``, which
         numpy runs row by row with a lone row's kernel, so a block forward is
         bit-identical to N single ones; a plain ``(N, D) @ (D, H)`` goes
-        through gemm and sums in another order.
+        through gemm and sums in another order. A block of more than
+        :data:`BLOCK_ROWS` rows runs in slices of that many, which changes no
+        bit and bounds the layer temporaries by one slice.
         """
         x = np.asarray(obs, dtype=np.float64)
         single = x.ndim == 1
@@ -207,17 +210,28 @@ class PolicyNetwork:
                 f"observation dim {x.shape[-1]} does not match network input "
                 f"dim {self.layer_dims[0]}"
             )
-        h = x.reshape(-1, 1, x.shape[-1])
+        rows = x.reshape(-1, x.shape[-1])
+        if len(rows) > BLOCK_ROWS:
+            starts = range(0, len(rows), BLOCK_ROWS)
+            slices = [self._forward_rows(rows[i : i + BLOCK_ROWS]) for i in starts]
+            mean, value = (np.concatenate(part) for part in zip(*slices))
+        else:
+            mean, value = self._forward_rows(rows)
+        log_std = self.params["log_std"].copy()
+        if single:
+            return mean[0], log_std, float(value[0])
+        return mean, log_std, value
+
+    def _forward_rows(self, rows: np.ndarray):
+        """The policy mean and value of each row of an (N, obs_dim) block."""
+        h = rows.reshape(-1, 1, rows.shape[-1])
         for i in range(len(self.layer_dims) - 1):
             out = h @ self.params[f"W{i}"]
             out += self.params[f"b{i}"]
             h = np.tanh(out, out=out)
         mean = (h @ self.params["Wp"] + self.params["bp"])[:, 0]
         value = (h @ self.params["Wv"] + self.params["bv"])[:, 0, 0]
-        log_std = self.params["log_std"].copy()
-        if single:
-            return mean[0], log_std, float(value[0])
-        return mean, log_std, value
+        return mean, value
 
     def act_deterministic(self, obs) -> np.ndarray:
         """Mean action: tanh of the policy mean when squashed, raw logits

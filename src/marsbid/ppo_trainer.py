@@ -294,7 +294,7 @@ def train(
     alpha)`` shapes a buffer's profits and allocations, one call per buffer
     with rows in (t, worker) order, so a stateful shaper sees the stream a
     step-by-step rollout would. The policy is updated in place. Raises :class:`DivergenceError`
-    if policy outputs, losses or parameters go non-finite.
+    if policy outputs, settled profits, losses or parameters go non-finite.
     """
     if policy.frozen:
         raise ValueError("cannot train a frozen policy")
@@ -338,16 +338,21 @@ def train(
         flat_obs = buf_obs.reshape(-1, obs_dim)
         mean, log_std, flat_val = policy.forward(flat_obs)
         s = sample_action(mean, log_std, sample_rng, squash=policy.squash)
-        settled = settle(map_action(env_action(s.action, flat_obs)), *buf_dispatch.reshape(6, -1))
-        buf_rew = np.reshape(reward_fn(settled.profit, settled.alpha), (T, workers))
-        buf_raw = settled.profit.reshape(T, workers)
-
         bootstrap = policy.forward(np.array([tape.obs[c] for tape, c in zip(tapes, cursors)]))[2]
-        advantages, returns = compute_gae(
-            buf_rew, flat_val.reshape(T, workers), buf_done, bootstrap, cfg.gamma, cfg.gae_lambda
-        )
-
-        flat_adv = normalize_advantages(advantages.reshape(-1))
+        # an overflow fails closed at a check, as one error and not a trail
+        # of warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = map_action(env_action(s.action, flat_obs))
+            settled = settle(alpha, *buf_dispatch.reshape(6, -1))
+            if not np.isfinite(settled.profit).all():
+                raise DivergenceError(f"non-finite profit at update {update}")
+            buf_rew = np.reshape(reward_fn(settled.profit, settled.alpha), (T, workers))
+            buf_raw = settled.profit.reshape(T, workers)
+            buf_val = flat_val.reshape(T, workers)
+            advantages, returns = compute_gae(
+                buf_rew, buf_val, buf_done, bootstrap, cfg.gamma, cfg.gae_lambda
+            )
+            flat_adv = normalize_advantages(advantages.reshape(-1))
         flat_ret = returns.reshape(-1)
         n = flat_obs.shape[0]
 
@@ -358,15 +363,16 @@ def train(
             kl_epoch = []
             for start in range(0, n, cfg.minibatch_size):
                 idx = perm[start : start + cfg.minibatch_size]
-                lg = loss_and_grads(
-                    policy,
-                    flat_obs[idx],
-                    s.pre_squash[idx],
-                    s.log_prob[idx],
-                    flat_adv[idx],
-                    flat_ret[idx],
-                    cfg,
-                )
+                with np.errstate(over="ignore", invalid="ignore"):
+                    lg = loss_and_grads(
+                        policy,
+                        flat_obs[idx],
+                        s.pre_squash[idx],
+                        s.log_prob[idx],
+                        flat_adv[idx],
+                        flat_ret[idx],
+                        cfg,
+                    )
                 if not np.isfinite(lg.total):
                     raise DivergenceError(f"non-finite loss at update {update}")
                 clip_grad_norm(lg.grads, cfg.max_grad_norm)

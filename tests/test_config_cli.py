@@ -440,6 +440,8 @@ def _scale_lmp_rt(src: Path, dst: Path, factor: float) -> None:
         ("static", 1e160, "non-finite r_meta from hour 24"),
         # finite profits near the float limit whose running total overflows
         ("spec", 1e304, "non-finite profit or profit total from hour 24"),
+        # finite profits of about 1e162 whose squares overflow the sample std
+        ("spec", 1e160, "non-finite sample std of returns"),
     ],
 )
 def test_overflowing_evaluation_exits_4(pipeline_dir, tmp_path, capsys, policy, factor, message):
@@ -456,6 +458,28 @@ def test_overflowing_evaluation_exits_4(pipeline_dir, tmp_path, capsys, policy, 
     assert rc == 4
     assert capsys.readouterr().err == f"numeric divergence: {message}\n"
     assert not any(p.is_file() for p in (out / "eval").rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [
+        # finite profits whose squared value errors overflow
+        (1e160, "non-finite loss at update 0"),
+        # profits that overflow to inf, caught before a reward's input check
+        (5e305, "non-finite profit at update 0"),
+    ],
+)
+def test_overflowing_training_exits_4(pipeline_dir, tmp_path, capsys, factor, message):
+    path = tmp_path / "scaled.csv"
+    _scale_lmp_rt(Path(pipeline_dir) / "data" / "synthetic.csv", path, factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run_cli(
+            "train", "--phase", "university", "--seed", "0", "--out", str(tmp_path / "out"),
+            *TINY, "--set", "data.source=csv", "--set", f"data.csv_path={path}",
+        )
+    assert rc == 4
+    assert capsys.readouterr().err == f"numeric divergence: {message}\n"
 
 
 def test_tiny_budget_training_smoke_under_60s(tmp_path):

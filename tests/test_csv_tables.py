@@ -10,7 +10,7 @@ import pytest
 from marsbid.bidding_env import EpisodeLedger
 from marsbid.evaluation import write_rolling_csv
 from marsbid.market_data import (
-    CSV_BLOCK_ROWS,
+    BLOCK_ROWS,
     CSV_COLUMNS,
     FIELD_NAMES,
     MarketSeries,
@@ -27,7 +27,7 @@ EDGE_VALUES = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-5, 1e-4, 1e15, 1e16, 1e22,
     -1e22, 3.0, -7.0, 2.0**53, 0.1, -123.456, math.nan,
 ]
-BLOCK_EDGES = (0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1)
+BLOCK_EDGES = (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
 LEDGER_COLUMNS = (
     "lmp_da", "lmp_rt", "alpha", "profit", "revenue_da", "revenue_rt",
     "cost_marginal", "cost_startup", "penalty", "volatility",
@@ -104,7 +104,7 @@ def test_ledger_csv_matches_csv_writer(tmp_path, n, blended):
     assert_same_file(tmp_path, write, header, rows, n)
 
 
-@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 1])
 def test_training_log_csv_matches_csv_writer(tmp_path, n):
     log = TrainingLog()
     floats = edge_column(n, 0).tolist()

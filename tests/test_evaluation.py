@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marsbid.bidding_env import EpisodeLedger, StrategicBiddingEnv
+from marsbid.errors import DivergenceError
 from marsbid.evaluation import (
     ROLLING_BLOCK,
     aggregate_reports,
@@ -95,6 +97,19 @@ def test_sortino_hand_values():
     assert sortino([3.0, -4.0]) == pytest.approx(-0.5 / math.sqrt(8.0), abs=1e-9)
     assert sortino([-0.5 / math.sqrt(8.0) * 0, 0.0]) is None  # all zero
     assert sortino([3.0, -4.0]) == pytest.approx(-0.1768, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [sharpe, sortino, lambda r: rolling_metrics(r, window=2)],
+    ids=["sharpe", "sortino", "rolling"],
+)
+def test_overflowing_moments_raise_divergence(metric):
+    # finite returns whose squares overflow fail closed, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="^non-finite"):
+            metric(np.array([2e160, -3e160, 1e160]))
 
 
 def test_max_drawdown_hand_values():

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,21 @@ def test_ingest_reports_the_first_negative_in_file_order(tmp_path):
     # within one row the fields are checked load_actual, load_forecast, gas_price
     with pytest.raises(MarketDataError, match="^load_forecast must be non-negative, got -7.0 at"):
         ingest_csv(_write(tmp_path, ["2021-01-01T00:00:00Z,40,40,1000,-7,10,5,-1"]))
+
+
+def test_ingest_memory_is_bounded_by_a_block(tmp_path):
+    # a reader that holds every cell as a str before it parses any peaks at
+    # about 14 times the arrays it returns
+    path = tmp_path / "long.csv"
+    write_csv(generate_synthetic(SyntheticConfig(n_hours=24_000, seed=3)), path)
+    tracemalloc.start()
+    try:
+        series = ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [series.timestamps, *series.fields.values(), *series.fill_mask.values()]
+    assert peak < 5 * sum(a.nbytes for a in arrays)
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -5,15 +5,18 @@ same error message."""
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marsbid import market_data
 from marsbid.errors import MarketDataError
 from marsbid.market_data import (
     _NONNEGATIVE_FIELDS,
+    BLOCK_ROWS,
     CSV_COLUMNS,
     FIELD_NAMES,
     MarketSeries,
@@ -50,11 +53,18 @@ def assert_same_outcome(got, want):
 # -- ingest_csv ----------------------------------------------------------------
 
 
-def _ingest_both(text: str):
+# ingest_csv reads BLOCK_ROWS rows at a time; blocks of 1-3 rows put faults,
+# repeats and moved rows on and across block edges
+BLOCK_SIZES = (BLOCK_ROWS, 1, 2, 3)
+
+
+def _ingest_both(text: str, block_rows: int = BLOCK_ROWS):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.csv"
         path.write_text(text)
-        return _outcome(ingest_csv, path), _outcome(rowwise_ingest_csv, path)
+        with mock.patch.object(market_data, "BLOCK_ROWS", block_rows):
+            got = _outcome(ingest_csv, path)
+        return got, _outcome(rowwise_ingest_csv, path)
 
 
 def _stamp(hour: int, style: str) -> str:
@@ -131,8 +141,9 @@ def test_ingest_matches_rowwise_oracle(data):
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(lines)))
         lines.insert(at, draw(st.sampled_from(["", "# a comment", "  # indented, comment"])))
-    got, want = _ingest_both("\n".join(lines) + "\n")
-    assert_same_outcome(got, want)
+    for block_rows in BLOCK_SIZES:
+        got, want = _ingest_both("\n".join(lines) + "\n", block_rows)
+        assert_same_outcome(got, want)
 
 
 @pytest.mark.parametrize(
@@ -160,8 +171,9 @@ def test_ingest_matches_rowwise_oracle(data):
     ],
 )
 def test_ingest_fault_order_matches_oracle(rows):
-    got, want = _ingest_both("\n".join([",".join(CSV_COLUMNS)] + rows) + "\n")
-    assert_same_outcome(got, want)
+    for block_rows in BLOCK_SIZES:
+        got, want = _ingest_both("\n".join([",".join(CSV_COLUMNS)] + rows) + "\n", block_rows)
+        assert_same_outcome(got, want)
 
 
 # -- repair_gaps ---------------------------------------------------------------

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marsbid import policy_net
 from marsbid.errors import CheckpointError, DivergenceError
 from marsbid.policy_net import (
     ActionSample,
@@ -85,6 +88,10 @@ def test_block_forward_equals_row_forwards(obs_dim, hidden, action_dim, squash, 
     assert np.array_equal(net.act_deterministic(obs), [row_act(net, x) for x in obs])
     one_mean, _, one_value = net.forward(obs[-1])
     assert np.array_equal(one_mean, mean[-1]) and one_value == value[-1]
+    for block_rows in (1, 7):  # forwards of more rows than a block run in slices
+        with mock.patch.object(policy_net, "BLOCK_ROWS", block_rows):
+            sliced_mean, _, sliced_value = net.forward(obs)
+        assert np.array_equal(sliced_mean, mean) and np.array_equal(sliced_value, value)
 
 
 # -- sampling ----------------------------------------------------------------
