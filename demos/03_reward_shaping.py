@@ -6,8 +6,8 @@ Run:  python demos/03_reward_shaping.py
 import numpy as np
 
 from marsbid import (
+    CvarRewardShaper,
     ShapingParams,
-    reward_cvar_shaped,
     reward_meta,
     reward_neutral,
     reward_safe,
@@ -38,9 +38,12 @@ for pi, r in zip(profits, reward_meta(profits.astype(float), p)):
     print(f"  pi {pi:6d} -> r_meta {r:10.3f} {bar}")
 
 # CVaR-style shaping fines only outcomes below the rolling left-tail
-# quantile of recent profits.
+# quantile of recent profits. The shaper keeps that window across calls, so
+# each profit below is shaped by a fresh shaper fed the same history first.
 rng = np.random.default_rng(0)
 history = rng.normal(100, 50, 200)
 print("\ntail shaping against a N(100, 50) profit history:")
 for pi in (150.0, 50.0, 0.0, -100.0, -500.0):
-    print(f"  pi {pi:7.1f} -> shaped {reward_cvar_shaped(pi, history, p):9.1f}")
+    shaper = CvarRewardShaper(p)
+    shaper(history, None)
+    print(f"  pi {pi:7.1f} -> shaped {shaper(pi, None):9.1f}")

@@ -33,8 +33,8 @@ from .mars_hierarchy import (
 from .policy_net import PolicyNetwork, sample_action
 from .ppo_trainer import PpoConfig, compute_gae, train
 from .reward_shaping import (
+    CvarRewardShaper,
     ShapingParams,
-    reward_cvar_shaped,
     reward_meta,
     reward_neutral,
     reward_safe,

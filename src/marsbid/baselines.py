@@ -1,12 +1,10 @@
-"""Non-hierarchical comparison policies.
+"""Non-hierarchical comparison policies: a bang-bang moving-average
+heuristic over the realized DA-RT spread, and best-single selection by
+train-split Sharpe ratio.
 
-* vanilla PPO on the raw profit (scaled for conditioning),
-* PPO with rolling-tail CVaR shaping,
-* a bang-bang moving-average heuristic over the realized DA-RT spread,
-* best-single selection by train-split Sharpe ratio.
-
-The static equal-weight blend of the frozen workers is
-``mars_hierarchy.BlendPolicy`` with uniform weights.
+Vanilla PPO and CVaR-shaped PPO are ``mars_hierarchy.train_worker`` with the
+roles ``"vanilla"`` and ``"cvar"``. The static equal-weight blend of the
+frozen workers is ``mars_hierarchy.BlendPolicy`` with uniform weights.
 """
 
 from __future__ import annotations
@@ -14,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .mars_hierarchy import train_worker
-from .ppo_trainer import PpoConfig
-from .reward_shaping import ShapingParams
 
 
 @dataclass(frozen=True)
@@ -73,41 +67,6 @@ class RollingOptPolicy:
         for s in means.tolist():
             actions.append(_bang_bang(s, self.cfg.hysteresis, actions[-1]))
         return np.array(actions[1:])
-
-
-def train_vanilla(
-    env,
-    cfg: PpoConfig,
-    shaping: ShapingParams,
-    seed: int = 0,
-    workers: int = 1,
-    checkpoint_cb=None,
-):
-    """Monolithic PPO agent on raw profit divided by s_linear.
-
-    Its seeds are :func:`train_cvar`'s (common random numbers): at one seed
-    both start from the same parameters and roll out over the same episode
-    starts and noise, so their comparison differs only in the reward."""
-    return train_worker(
-        env, cfg, shaping, np.random.SeedSequence(seed), "vanilla", workers, checkpoint_cb
-    )
-
-
-def train_cvar(
-    env,
-    cfg: PpoConfig,
-    shaping: ShapingParams,
-    seed: int = 0,
-    workers: int = 1,
-    checkpoint_cb=None,
-):
-    """PPO with rolling-quantile tail-penalty shaping (risk-averse
-    baseline). The quantile window sees raw dollars; the shaped reward is
-    scaled like the vanilla agent's, and so are the seeds (common random
-    numbers, see :func:`train_vanilla`)."""
-    return train_worker(
-        env, cfg, shaping, np.random.SeedSequence(seed), "cvar", workers, checkpoint_cb
-    )
 
 
 def select_best_single(sharpe_by_name: dict) -> str:

@@ -21,7 +21,7 @@ import traceback
 import numpy as np
 
 from . import market_data as md
-from .baselines import RollingOptPolicy, select_best_single, train_cvar, train_vanilla
+from .baselines import RollingOptPolicy, select_best_single
 from .bidding_env import OBS_HISTORY_HOURS, StrategicBiddingEnv
 from .config import RunConfig, build_config
 from .errors import ConfigError, DivergenceError, MarsbidError, MissingPrerequisiteError
@@ -41,6 +41,7 @@ from .mars_hierarchy import (
     BlendPolicy,
     train_meta,
     train_university,
+    train_worker,
 )
 from .policy_net import PolicyNetwork
 
@@ -225,12 +226,12 @@ def cmd_train(cfg: RunConfig, args) -> int:
         trained = [("meta", meta, log, "meta")]
         done = "meta phase done"
     else:  # vanilla or cvar
-        trainer = train_vanilla if args.phase == "vanilla" else train_cvar
-        net, log = trainer(
+        net, log = train_worker(
             env,
             cfg.ppo_base,
             cfg.shaping,
-            seed=seed,
+            np.random.SeedSequence(seed),
+            args.phase,
             workers=args.workers,
             checkpoint_cb=checkpoint_cb,
         )
@@ -439,9 +440,10 @@ def _ablate_seed(cfg: RunConfig, out_dir, splits, load_scale, workers, seed):
     # same episode starts
     meta2, _ = train_meta(train_env, ens2, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
     meta3, _ = train_meta(train_env, ens_k3, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
+    seed_seq = np.random.SeedSequence(seed)
     singles = [
-        (name, trainer(train_env, cfg.ppo_base, cfg.shaping, seed=seed, workers=workers)[0])
-        for name, trainer in (("vanilla", train_vanilla), ("cvar", train_cvar))
+        (role, train_worker(train_env, cfg.ppo_base, cfg.shaping, seed_seq, role, workers)[0])
+        for role in ("vanilla", "cvar")
     ]
     for name, net in (*ens_k3.workers, ("meta", meta2), *singles):
         net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)

@@ -103,38 +103,27 @@ DEFAULTS = {
 }
 
 
-def _parse_int(section, key, value) -> int:
+_BOOLS = dict.fromkeys(("true", "1", "yes"), True) | dict.fromkeys(("false", "0", "no"), False)
+
+# value kind -> (converter of the text, message for a text it rejects)
+_CONVERTERS = {
+    "int": (int, "expected integer, got {value!r}"),
+    "float": (float, "expected number, got {value!r}"),
+    "hour": (parse_timestamp, "bad timestamp {value!r}: {exc}"),
+    "bool": (lambda text: _BOOLS[text.strip().lower()], "expected true/false, got {value!r}"),
+}
+
+
+def _parse(kind: str, section: str, key: str, value: str):
+    convert, message = _CONVERTERS[kind]
     try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected integer, got {value!r}") from exc
-
-
-def _parse_float(section, key, value) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected number, got {value!r}") from exc
-
-
-def _parse_hour(section, key, value) -> int:
-    try:
-        return parse_timestamp(value)
+        return convert(value)
     except Exception as exc:
-        raise ConfigError(f"{section}.{key}: bad timestamp {value!r}: {exc}") from exc
+        raise ConfigError(f"{section}.{key}: " + message.format(value=value, exc=exc)) from exc
 
 
 def _parse_list(value: str) -> list:
     return [v.strip() for v in value.split(",") if v.strip()]
-
-
-def _parse_bool(section, key, value) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{section}.{key}: expected true/false, got {value!r}")
 
 
 def _parse_field(section: str, f, text: str):
@@ -142,17 +131,13 @@ def _parse_field(section: str, f, text: str):
     annotations, so ``f.type`` is the annotation's text."""
     key = f.name
     if (section, key) == _TIMESTAMP_FIELD:
-        return _parse_hour(section, key, text)
-    if f.type == "int":
-        return _parse_int(section, key, text)
-    if f.type == "float":
-        return _parse_float(section, key, text)
+        return _parse("hour", section, key, text)
     if f.type == "tuple":
-        sizes = tuple(_parse_int(section, key, v) for v in _parse_list(text))
+        sizes = tuple(_parse("int", section, key, v) for v in _parse_list(text))
         if not sizes:
             raise ConfigError(f"{section}.{key} must list at least one layer size")
         return sizes
-    raise TypeError(f"{section}.{key}: no parser for field type {f.type!r}")
+    return _parse(f.type, section, key, text)
 
 
 def _build_typed(raw: dict, section: str):
@@ -254,8 +239,11 @@ def build_config(
     def get(section, key):
         return raw[section][key]
 
+    def value(kind, section, key):
+        return _parse(kind, section, key, get(section, key))
+
     def hour(split_key):
-        return _parse_hour("split", split_key, get("split", split_key))
+        return value("hour", "split", split_key)
 
     source = get("data", "source")
     if source not in ("synthetic", "csv"):
@@ -277,20 +265,20 @@ def build_config(
     roles = tuple(_parse_list(get("ensemble", "roles")))
     if not roles:
         raise ConfigError("ensemble.roles must not be empty")
-    for role in roles:
+    for i, role in enumerate(roles):
         if role not in WORKER_ROLES:
             raise ConfigError(f"ensemble.roles: unknown worker role {role!r}")
+        if role in roles[:i]:
+            raise ConfigError(f"ensemble.roles: duplicate worker role {role!r}")
 
     load_scale_raw = get("env", "load_scale")
-    load_scale = None if load_scale_raw == "auto" else _parse_float(
-        "env", "load_scale", load_scale_raw
-    )
-    price_scale = _parse_float("env", "price_scale", get("env", "price_scale"))
+    load_scale = None if load_scale_raw == "auto" else value("float", "env", "load_scale")
+    price_scale = value("float", "env", "price_scale")
     for key, scale in (("price_scale", price_scale), ("load_scale", load_scale)):
         # the observations are divided by the scales
         if scale is not None and not 0.0 < scale < math.inf:
             raise ConfigError(f"env.{key} must be a finite number > 0, got {scale!r}")
-    episode_len = _parse_int("env", "episode_len", get("env", "episode_len"))
+    episode_len = value("int", "env", "episode_len")
     if episode_len < 1:
         raise ConfigError(f"env.episode_len must be >= 1, got {episode_len}")
     # every split is evaluated in one pass after OBS_HISTORY_HOURS of
@@ -311,14 +299,17 @@ def build_config(
     eval_split = get("eval", "split")
     if eval_split not in SPLIT_NAMES:
         raise ConfigError(f"eval.split must be train, test1 or test2, got {eval_split!r}")
-    rolling_window = _parse_int("eval", "rolling_window", get("eval", "rolling_window"))
+    rolling_window = value("int", "eval", "rolling_window")
     if rolling_window < 2:
         raise ConfigError(f"eval.rolling_window must be >= 2, got {rolling_window}")
-    seeds = tuple(_parse_int("eval", "seeds", s) for s in _parse_list(get("eval", "seeds")))
+    seeds = tuple(_parse("int", "eval", "seeds", s) for s in _parse_list(get("eval", "seeds")))
     if not seeds:
         raise ConfigError("eval.seeds must not be empty")
     if min(seeds) < 0:
         raise ConfigError(f"eval.seeds must be >= 0, got {min(seeds)}")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"eval.seeds: duplicate seed {seed}")
 
     return RunConfig(
         raw=raw,
@@ -332,7 +323,7 @@ def build_config(
         price_scale=price_scale,
         load_scale=load_scale,
         dispatch_mode=dispatch_mode,
-        include_weather=_parse_bool("env", "include_weather", get("env", "include_weather")),
+        include_weather=value("bool", "env", "include_weather"),
         shaping=shaping,
         ppo_base=ppo_base,
         ppo_meta=ppo_meta,
@@ -341,5 +332,5 @@ def build_config(
         eval_seeds=seeds,
         eval_split=eval_split,
         out_dir=get("io", "out_dir"),
-        checkpoint_every=_parse_int("io", "checkpoint_every", get("io", "checkpoint_every")),
+        checkpoint_every=value("int", "io", "checkpoint_every"),
     )

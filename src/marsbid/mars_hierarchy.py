@@ -128,6 +128,10 @@ def train_worker(
     The init seed is ``seed_seq.generate_state(1)[0]`` and the rollout seed
     ``seed_seq.generate_state(2)[1]``. Returns ``(net, log)``; the net is
     left unfrozen.
+
+    The baselines ``"vanilla"`` and ``"cvar"`` train from
+    ``np.random.SeedSequence(seed)``: at one seed they share their init and
+    rollouts (common random numbers) and differ only in the reward.
     """
     net = PolicyNetwork(
         obs_dim=env.obs_dim,

@@ -93,32 +93,17 @@ def linear_quantile(ascending, q: float) -> float:
     return a + (b - a) * t
 
 
-def _tail_shaped(pi: float, ascending, p: ShapingParams) -> float:
-    if len(ascending) < 20:
-        return pi
-    return pi - p.lambda_risk * max(0.0, linear_quantile(ascending, p.cvar_alpha) - pi)
-
-
-def reward_cvar_shaped(pi: float, history, p: ShapingParams) -> float:
-    """Tail-penalty shaping: fine outcomes that fall below the rolling
-    empirical alpha-quantile of recent profits.
-
-    This realizes a risk-averse PPO baseline as reward shaping over the raw
-    profit, an approximation of CVaR-optimizing RL rather than a
-    distributional critic. Passes profit through unchanged until ``history``
-    holds at least 20 values.
-    """
-    _check(pi)
-    return _tail_shaped(pi, sorted(map(float, history)), p)
-
-
 class CvarRewardShaper:
-    """Stateful :func:`reward_cvar_shaped` over a rolling profit window.
+    """Tail-penalty shaping: fine each profit that falls below the empirical
+    ``cvar_alpha``-quantile of the last ``cvar_window`` profits before it,
+    across calls, and pass it through while there are fewer than 20. This
+    realizes a risk-averse PPO baseline as reward shaping over the raw
+    profit, an approximation of CVaR-optimizing RL rather than a
+    distributional critic.
 
     A call shapes a block of profits (or one float) in order; ``alpha`` is
-    unused. Each profit is shaped against the window of profits strictly
-    before it, across calls, which is kept both in arrival order and
-    sorted, so a step costs one bisect and no sort."""
+    unused. The window is kept both in arrival order and sorted, so a step
+    costs one bisect and no sort."""
 
     def __init__(self, params: ShapingParams):
         self.params = params
@@ -128,10 +113,15 @@ class CvarRewardShaper:
     def __call__(self, profit, alpha):
         profit = np.asarray(profit, dtype=np.float64)
         _check(profit)
+        p = self.params
         shaped = []
         for pi in profit.ravel().tolist():
-            shaped.append(_tail_shaped(pi, self._ascending, self.params))
-            if len(self._window) == self.params.cvar_window:
+            if len(self._ascending) < 20:
+                shaped.append(pi)
+            else:
+                tail = linear_quantile(self._ascending, p.cvar_alpha) - pi
+                shaped.append(pi - p.lambda_risk * max(0.0, tail))
+            if len(self._window) == p.cvar_window:
                 # removes a value equal to the oldest: only 0.0 and -0.0 are
                 # equal yet differ, and a zero's sign cannot change a reward
                 del self._ascending[bisect.bisect_left(self._ascending, self._window.popleft())]

@@ -8,13 +8,11 @@ from marsbid.baselines import (
     RollingOptPolicy,
     rolling_opt_action,
     select_best_single,
-    train_cvar,
-    train_vanilla,
 )
 from marsbid.bidding_env import StrategicBiddingEnv, map_action
 from marsbid.evaluation import greedy, max_drawdown, run_policy_episode
 from marsbid.market_data import MarketSeries, SyntheticConfig, generate_synthetic
-from marsbid.mars_hierarchy import AgentEnsemble, BlendPolicy, blend
+from marsbid.mars_hierarchy import AgentEnsemble, BlendPolicy, blend, train_worker
 from marsbid.policy_net import PolicyNetwork
 from marsbid.ppo_trainer import PpoConfig
 from marsbid.reward_shaping import ShapingParams
@@ -152,7 +150,7 @@ def premium_env():
 def test_vanilla_learns_da_premium(premium_env):
     series, train_env = premium_env
     cfg = PpoConfig(total_steps=16384, buffer_size=1024, learning_rate=1e-3, hidden=(16, 16))
-    net, log = train_vanilla(train_env, cfg, ShapingParams(), seed=2)
+    net, log = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(2), "vanilla")
     env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
     led = run_policy_episode(env, greedy(net), start=24)
     assert float(np.mean(led.alpha)) > 0.8
@@ -161,7 +159,8 @@ def test_vanilla_learns_da_premium(premium_env):
 
 def test_vanilla_zero_budget_returns_init(premium_env):
     _, train_env = premium_env
-    net, log = train_vanilla(train_env, PpoConfig(total_steps=0, hidden=(8,)), ShapingParams(), seed=0)
+    cfg = PpoConfig(total_steps=0, hidden=(8,))
+    net, log = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(0), "vanilla")
     assert log.records == [] and net.step_count == 0
 
 
@@ -170,7 +169,7 @@ def test_vanilla_deterministic_log(premium_env, tmp_path):
     cfg = PpoConfig(total_steps=1024, buffer_size=512, hidden=(8, 8))
 
     def run(name):
-        net, log = train_vanilla(train_env, cfg, ShapingParams(), seed=9)
+        net, log = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(9), "vanilla")
         p = tmp_path / name
         log.to_csv(p)
         return p.read_bytes(), net.param_hash()
@@ -183,7 +182,7 @@ def test_vanilla_deterministic_log(premium_env, tmp_path):
 def test_cvar_trains_and_tags(premium_env):
     _, train_env = premium_env
     cfg = PpoConfig(total_steps=1024, buffer_size=512, hidden=(8, 8))
-    net, log = train_cvar(train_env, cfg, ShapingParams(), seed=1)
+    net, log = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(1), "cvar")
     assert net.role == "cvar"
     assert len(log.records) == 2
 
@@ -211,8 +210,9 @@ def test_cvar_drawdown_not_worse_than_vanilla_majority():
     for seed in range(5):
         series = _rare_spike_series(3500, seed=700 + seed)
         train_env = StrategicBiddingEnv(series, episode_len=168)
-        vanilla_net, _ = train_vanilla(train_env, cfg, shaping, seed=seed)
-        cvar_net, _ = train_cvar(train_env, cfg, shaping, seed=seed)
+        seed_seq = np.random.SeedSequence(seed)
+        vanilla_net, _ = train_worker(train_env, cfg, shaping, seed_seq, "vanilla")
+        cvar_net, _ = train_worker(train_env, cfg, shaping, seed_seq, "cvar")
         env = StrategicBiddingEnv(series, episode_len=len(series) - 24)
         mdds = {}
         for name, net in (("vanilla", vanilla_net), ("cvar", cvar_net)):
@@ -228,8 +228,8 @@ def test_vanilla_and_cvar_share_their_first_rollouts():
     series = premium_series(600, seed=3)
     train_env = StrategicBiddingEnv(series, episode_len=48)
     cfg = PpoConfig(total_steps=128, buffer_size=128, hidden=(8,))
-    _, log_v = train_vanilla(train_env, cfg, ShapingParams(), seed=6)
-    _, log_c = train_cvar(train_env, cfg, ShapingParams(), seed=6)
+    _, log_v = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(6), "vanilla")
+    _, log_c = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(6), "cvar")
     assert log_v.records[0].mean_profit == log_c.records[0].mean_profit
     assert log_v.records[0].mean_reward != log_c.records[0].mean_reward
 

@@ -112,6 +112,7 @@ def test_bad_values_are_config_errors():
         "eval.split=test9",
         "synthetic.n_hours=3",
         "ensemble.roles=safe,turbo",
+        "ensemble.roles=safe,safe",
         "ppo.meta.hidden=",
         "generator.min_up=1.5",
         "synthetic.start=2021-01-01T00:30:00Z",
@@ -125,6 +126,7 @@ def test_bad_values_are_config_errors():
         "eval.rolling_window=0",
         "eval.rolling_window=-3",
         "eval.seeds=0,-1",
+        "eval.seeds=0,0",
         # a 10-hour test1 split, and a train split shorter than 24 h of
         # history plus one 168-hour episode
         "split.test1_end=2022-01-01T10:00:00Z",
@@ -133,6 +135,34 @@ def test_bad_values_are_config_errors():
         # the message names the key
         with pytest.raises(ConfigError, match=override.split("=")[0].rsplit(".", 1)[1]):
             build_config(overrides=[override], environ={})
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("io.checkpoint_every=x", "io.checkpoint_every: expected integer, got 'x'"),
+        ("shaping.cvar_window=x", "shaping.cvar_window: expected integer, got 'x'"),
+        ("ppo.meta.hidden=8,x", "ppo.meta.hidden: expected integer, got 'x'"),
+        ("env.price_scale=abc", "env.price_scale: expected number, got 'abc'"),
+        ("shaping.lambda_risk=abc", "shaping.lambda_risk: expected number, got 'abc'"),
+        ("env.include_weather=maybe", "env.include_weather: expected true/false, got 'maybe'"),
+        (
+            "split.train_start=yesterday",
+            "split.train_start: bad timestamp 'yesterday': unparseable timestamp 'yesterday'",
+        ),
+        (
+            "synthetic.start=2021-01-01T00:30:00Z",
+            "synthetic.start: bad timestamp '2021-01-01T00:30:00Z': "
+            "timestamp '2021-01-01T00:30:00Z' is not on an hour boundary",
+        ),
+    ],
+)
+def test_unparsable_value_messages(override, message):
+    # one case per value kind, through build_config and through the typed
+    # sections' fields
+    with pytest.raises(ConfigError) as info:
+        build_config(overrides=[override], environ={})
+    assert str(info.value) == message
 
 
 TYPED_SECTIONS = {
@@ -424,6 +454,29 @@ def test_neutral_band_of_one_half_exits_2_before_training(tmp_path, capsys, comm
     assert not (tmp_path / "checkpoints").exists()
 
 
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        (
+            ("train", "--phase", "university"),
+            "ensemble.roles=safe,safe",
+            "ensemble.roles: duplicate worker role 'safe'",
+        ),
+        (("ablate",), "eval.seeds=0,0", "eval.seeds: duplicate seed 0"),
+    ],
+    ids=["roles", "seeds"],
+)
+def test_duplicates_exit_2_before_training(tmp_path, capsys, command, override, message):
+    # unchecked, a repeated role would train its first worker before the
+    # ensemble rejects it, and repeated seeds would write the same files
+    # from two processes at once
+    rc = run_cli(*command, "--out", str(tmp_path), *TINY, "--set", override)
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "checkpoints").exists()
+    assert not (tmp_path / "ablation").exists()
+
+
 def _scale_lmp_rt(src: Path, dst: Path, factor: float) -> None:
     lines = src.read_text().splitlines()
     j = lines[1].split(",").index("lmp_rt")  # after the stamp comment
@@ -599,14 +652,14 @@ def test_ablate_seeds_in_processes_equal_inline(tmp_path, monkeypatch, capsys):
 
 def test_divergence_in_a_seed_process_exits_4(tmp_path, monkeypatch, capsys):
     parent = os.getpid()
-    real_train_cvar = cli.train_cvar
+    real_train_worker = cli.train_worker
 
-    def diverging_in_child(*args, seed, **kwargs):
-        if os.getpid() != parent and seed == 1:
+    def diverging_in_child(env, cfg, shaping, seed_seq, role, *args, **kwargs):
+        if os.getpid() != parent and role == "cvar" and seed_seq.entropy == 1:
             raise DivergenceError("non-finite loss at update 0")
-        return real_train_cvar(*args, seed=seed, **kwargs)
+        return real_train_worker(env, cfg, shaping, seed_seq, role, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "train_cvar", diverging_in_child)
+    monkeypatch.setattr(cli, "train_worker", diverging_in_child)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     args = TINY + [
         "--set", "eval.seeds=0,1", "--set", "ppo.base.total_steps=0", "--set", "ppo.meta.total_steps=0"

@@ -7,7 +7,6 @@ from marsbid.reward_shaping import (
     CvarRewardShaper,
     ShapingParams,
     linear_quantile,
-    reward_cvar_shaped,
     reward_meta,
     reward_neutral,
     reward_safe,
@@ -132,19 +131,26 @@ def test_neutral_band_half_rejected():
 # -- cvar shaping ---------------------------------------------------------------
 
 
+def cvar_shaped(pi, history):
+    """``pi`` shaped by a fresh shaper that has seen ``history`` first."""
+    shaper = CvarRewardShaper(P)
+    shaper(history, 0.5)
+    return shaper(pi, 0.5)
+
+
 def test_cvar_above_quantile_passthrough():
     history = np.linspace(-100, 100, 50)
-    assert reward_cvar_shaped(50.0, history, P) == 50.0
+    assert cvar_shaped(50.0, history) == 50.0
 
 
 def test_cvar_constant_history_hand_value():
     history = np.zeros(100)
-    assert reward_cvar_shaped(-10.0, history, P) == pytest.approx(-60.0)
+    assert cvar_shaped(-10.0, history) == pytest.approx(-60.0)
 
 
 def test_cvar_warmup_passthrough():
-    assert reward_cvar_shaped(-123.0, [], P) == -123.0
-    assert reward_cvar_shaped(-123.0, list(range(19)), P) == -123.0
+    assert cvar_shaped(-123.0, []) == -123.0
+    assert cvar_shaped(-123.0, list(range(19))) == -123.0
 
 
 def test_cvar_shaper_uses_preceding_window():
