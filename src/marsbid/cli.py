@@ -21,11 +21,17 @@ import traceback
 import numpy as np
 
 from . import market_data as md
-from .baselines import RollingOptPolicy, select_best_single
 from .bidding_env import OBS_HISTORY_HOURS, StrategicBiddingEnv
 from .config import RunConfig, build_config
-from .errors import ConfigError, DivergenceError, MarsbidError, MissingPrerequisiteError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    DivergenceError,
+    MarsbidError,
+    MissingPrerequisiteError,
+)
 from .evaluation import (
+    RollingOptPolicy,
     aggregate_reports,
     compute_report,
     csv_cell,
@@ -252,13 +258,22 @@ def _eval_policy(cfg, out_dir, policy, splits, load_scale, seed, obs_dim, roles)
     if policy in ("mars", "static"):
         ensemble = _load_ensemble(out_dir, seed, obs_dim, roles)
         if policy == "mars":
-            return BlendPolicy(ensemble, _load_ckpt(out_dir, seed, "meta", obs_dim))
+            meta = _load_ckpt(out_dir, seed, "meta", obs_dim)
+            if meta.action_dim != ensemble.k:
+                path = _ckpt_path(out_dir, seed, "meta")
+                raise CheckpointError(f"{path}: action_dim {meta.action_dim} != {ensemble.k} roles")
+            return BlendPolicy(ensemble, meta)
         return BlendPolicy(ensemble, np.full(ensemble.k, 1.0 / ensemble.k))
     if policy == "rolling_opt":
         return RollingOptPolicy()
     if policy == "best_single":
         policy = _pick_best_single(cfg, out_dir, splits, load_scale, seed)
     return greedy(_load_ckpt(out_dir, seed, policy, obs_dim))
+
+
+def select_best_single(sharpes: dict) -> str:
+    """The name of the highest Sharpe, None the lowest; ties go to the first name."""
+    return min(sorted(sharpes), key=lambda n: np.inf if sharpes[n] is None else -sharpes[n])
 
 
 def _pick_best_single(cfg, out_dir, splits, load_scale, seed) -> str:
@@ -522,7 +537,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     if not os.path.isdir(eval_root):
         raise MissingPrerequisiteError(f"no evaluation outputs under {eval_root}")
     rows = []
-    for policy in sorted(os.listdir(eval_root)):
+    for policy in sorted(next(os.walk(eval_root))[1]):  # directories only
         for split_name in sorted(os.listdir(os.path.join(eval_root, policy))):
             agg_path = os.path.join(eval_root, policy, split_name, "aggregate.json")
             if not os.path.exists(agg_path):

@@ -194,6 +194,8 @@ def load_raw(
                 parser.read_file(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {config_path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{config_path}: cannot read: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"{config_path}: {exc}") from exc
         for section in parser.sections():

@@ -1,5 +1,6 @@
-"""Risk and alignment metrics over episode ledgers, report emission, and
-the one episode runner that fills a ledger for any policy.
+"""Risk and alignment metrics over episode ledgers, report emission, the
+one episode runner that fills a ledger for any policy, and the two runner
+policies that blend nothing: :func:`greedy` and :class:`RollingOptPolicy`.
 
 Conventions: per-step profits, zero risk-free rate, no annualization; Sharpe
 uses the sample standard deviation, Sortino the root mean square of
@@ -262,6 +263,27 @@ def greedy(net):
     """A single policy's deterministic action per tape hour, as a runner
     policy."""
     return lambda tape: net.act_deterministic(tape.obs)[:, 0]
+
+
+class RollingOptPolicy:
+    """Bang-bang rule on the mean realized (lmp_da - lmp_rt) spread of the
+    ``window`` hours before each tape hour: full DA (+1) above the
+    ``hysteresis`` band, full RT (-1) below it, else the previous action (0 at first)."""
+
+    window = 24
+    hysteresis = 0.0
+
+    def __call__(self, tape) -> np.ndarray:
+        w, band = self.window, self.hysteresis
+        if tape.start < w:
+            raise ValueError(f"only {tape.start} hours of history before the tape, need {w}")
+        hours = slice(tape.start - w, tape.start + len(tape) - 1)
+        spread = tape.series.fields["lmp_da"][hours] - tape.series.fields["lmp_rt"][hours]
+        means = np.lib.stride_tricks.sliding_window_view(spread, w).mean(axis=1)
+        actions = [0.0]
+        for s in means.tolist():
+            actions.append(1.0 if s > band else -1.0 if s < -band else actions[-1])
+        return np.array(actions[1:])
 
 
 def run_policy_episode(

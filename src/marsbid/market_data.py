@@ -265,29 +265,33 @@ def ingest_csv(path) -> MarketSeries:
     order and are placed by timestamp; duplicate timestamps are rejected.
     Missing hours and blank or ``nan`` cells stay NaN ("gaps recorded, not
     filled") for :func:`repair_gaps`; a cell that is no number or infinite is
-    rejected. A bad file raises for its first fault in file order; within a
-    row: field count, timestamp, duplicate, values, non-negative fields.
+    rejected, as is a file that cannot be read as text. A bad file raises for
+    its first fault in file order; within a row: field count, timestamp,
+    duplicate, values, non-negative fields.
 
     The file is read and checked :data:`BLOCK_ROWS` rows at a time, so the
     memory it takes beyond the parsed columns is bounded by one block, and a
     bad file is read only up to the end of its first faulty block.
     """
-    with open(path, "r", newline="") as fh:
-        rows = (r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
-        header = [h.strip() for h in next(rows, [])]
-        if not header:
-            raise MarketDataError(f"{path}: empty file")
-        missing_cols = [c for c in CSV_COLUMNS if c not in header]
-        if missing_cols:
-            raise MarketDataError(f"{path}: header missing columns {missing_cols}")
-        # n counts the rows whose values are read: up to the first fault
-        n, fault, hour_blocks, value_blocks = 0, None, [], []
-        while fault is None and (block := list(itertools.islice(rows, BLOCK_ROWS))):
-            h0 = int(hour_blocks[-1][-1]) + 1 if hour_blocks else None
-            hours, values, fault = _read_block(path, header, block, n, h0)
-            hour_blocks.append(hours)
-            value_blocks.append(values)
-            n += len(values[0])
+    try:
+        with open(path, "r", newline="") as fh:
+            rows = (r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
+            header = [h.strip() for h in next(rows, [])]
+            if not header:
+                raise MarketDataError(f"{path}: empty file")
+            missing_cols = [c for c in CSV_COLUMNS if c not in header]
+            if missing_cols:
+                raise MarketDataError(f"{path}: header missing columns {missing_cols}")
+            # n counts the rows whose values are read: up to the first fault
+            n, fault, hour_blocks, value_blocks = 0, None, [], []
+            while fault is None and (block := list(itertools.islice(rows, BLOCK_ROWS))):
+                h0 = int(hour_blocks[-1][-1]) + 1 if hour_blocks else None
+                hours, values, fault = _read_block(path, header, block, n, h0)
+                hour_blocks.append(hours)
+                value_blocks.append(values)
+                n += len(values[0])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MarketDataError(f"{path}: cannot read: {exc}") from exc
     if not n:
         raise MarketDataError(fault or f"{path}: no data rows")
 

@@ -15,7 +15,9 @@ and ``market_data.repair_gaps`` takes each hour-of-week mean over a strided
 slice, not over a mask of the whole series as :func:`masked_repair_gaps`
 does; and the rewards shape a whole buffer of numpy arrays per call, not
 one float per call as the ``scalar_*`` rewards and
-:class:`ScalarCvarShaper` do.
+:class:`ScalarCvarShaper` do; and ``evaluation.RollingOptPolicy`` takes one
+sliding-window mean over a whole tape, not one mean per hour as
+:func:`rolling_opt_action` does.
 """
 
 import bisect
@@ -26,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from marsbid.baselines import rolling_opt_action
 from marsbid.bidding_env import OBS_HISTORY_HOURS, UnitState
 from marsbid.errors import MarketDataError
 from marsbid.market_data import (
@@ -280,14 +281,33 @@ def blend_rows(ensemble, meta, tape):
     return actions, weights, proposals
 
 
-def rolling_opt_scan(tape, cfg) -> np.ndarray:
+def rolling_opt_action(history, window, hysteresis, prev_action=0.0) -> float:
+    """Bang-bang rule on the trailing mean DA-RT spread.
+
+    ``history`` holds the realized (lmp_da - lmp_rt) spreads for at least
+    ``window`` past hours. Goes full DA (+1) when the mean spread clears
+    the hysteresis band, full RT (-1) below it, and holds the previous
+    action inside the band.
+    """
+    spreads = np.asarray(history, dtype=np.float64)
+    if spreads.size < window:
+        raise ValueError(f"need {window} hours of history, got {spreads.size}")
+    mean_spread = float(spreads[-window:].mean())
+    if mean_spread > hysteresis:
+        return 1.0
+    if mean_spread < -hysteresis:
+        return -1.0
+    return prev_action
+
+
+def rolling_opt_scan(tape, window, hysteresis) -> np.ndarray:
     """The rolling-opt actions of a tape: :func:`rolling_opt_action` on the
     realized spreads before each hour, from a neutral action."""
     f = tape.series.fields
     spread = f["lmp_da"] - f["lmp_rt"]
     actions = [0.0]
     for i in range(tape.start, tape.start + len(tape)):
-        actions.append(rolling_opt_action(spread[i - cfg.window : i], cfg, actions[-1]))
+        actions.append(rolling_opt_action(spread[i - window : i], window, hysteresis, actions[-1]))
     return np.array(actions[1:])
 
 

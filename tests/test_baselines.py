@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marsbid.baselines import (
-    RollingOptConfig,
-    RollingOptPolicy,
-    rolling_opt_action,
-    select_best_single,
-)
 from marsbid.bidding_env import StrategicBiddingEnv, map_action
-from marsbid.evaluation import greedy, max_drawdown, run_policy_episode
+from marsbid.cli import select_best_single
+from marsbid.evaluation import RollingOptPolicy, greedy, max_drawdown, run_policy_episode
 from marsbid.market_data import MarketSeries, SyntheticConfig, generate_synthetic
 from marsbid.mars_hierarchy import AgentEnsemble, BlendPolicy, blend, train_worker
 from marsbid.policy_net import PolicyNetwork
@@ -18,42 +13,42 @@ from marsbid.ppo_trainer import PpoConfig
 from marsbid.reward_shaping import ShapingParams
 
 from conftest import make_series, premium_series
-from oracles import rolling_opt_scan
+from oracles import rolling_opt_action, rolling_opt_scan
 
-CFG = RollingOptConfig()
+# the policy's constant settings
+CFG = (RollingOptPolicy.window, RollingOptPolicy.hysteresis)
 
 
 # -- rolling opt ---------------------------------------------------------------
 
 
 def test_rolling_opt_constant_positive_spread():
-    assert rolling_opt_action(np.full(24, 10.0), CFG) == 1.0
+    assert rolling_opt_action(np.full(24, 10.0), *CFG) == 1.0
 
 
 def test_rolling_opt_constant_negative_spread():
-    assert rolling_opt_action(np.full(24, -10.0), CFG) == -1.0
+    assert rolling_opt_action(np.full(24, -10.0), *CFG) == -1.0
 
 
 def test_rolling_opt_zero_spread_keeps_initial_neutral():
-    assert rolling_opt_action(np.zeros(24), CFG, prev_action=0.0) == 0.0
+    assert rolling_opt_action(np.zeros(24), *CFG, prev_action=0.0) == 0.0
 
 
 def test_rolling_opt_balanced_window_holds_previous():
     window = np.tile([10.0, -10.0], 12)
     assert window.mean() == 0.0
-    assert rolling_opt_action(window, CFG, prev_action=1.0) == 1.0
-    assert rolling_opt_action(window, CFG, prev_action=-1.0) == -1.0
+    assert rolling_opt_action(window, *CFG, prev_action=1.0) == 1.0
+    assert rolling_opt_action(window, *CFG, prev_action=-1.0) == -1.0
 
 
 def test_rolling_opt_hysteresis_band():
-    cfg = RollingOptConfig(hysteresis=5.0)
-    assert rolling_opt_action(np.full(24, 4.0), cfg, prev_action=-1.0) == -1.0
-    assert rolling_opt_action(np.full(24, 6.0), cfg, prev_action=-1.0) == 1.0
+    assert rolling_opt_action(np.full(24, 4.0), 24, 5.0, prev_action=-1.0) == -1.0
+    assert rolling_opt_action(np.full(24, 6.0), 24, 5.0, prev_action=-1.0) == 1.0
 
 
 def test_rolling_opt_insufficient_history():
     with pytest.raises(ValueError):
-        rolling_opt_action(np.ones(10), CFG)
+        rolling_opt_action(np.ones(10), *CFG)
 
 
 @settings(max_examples=50)
@@ -61,8 +56,8 @@ def test_rolling_opt_insufficient_history():
 def test_rolling_opt_scale_equivariant(scale, seed):
     rng = np.random.default_rng(seed)
     window = rng.normal(0, 5, 24)
-    base = rolling_opt_action(window, CFG, prev_action=0.0)
-    scaled = rolling_opt_action(window * scale, CFG, prev_action=0.0)
+    base = rolling_opt_action(window, *CFG, prev_action=0.0)
+    scaled = rolling_opt_action(window * scale, *CFG, prev_action=0.0)
     assert base == scaled
 
 
@@ -81,9 +76,10 @@ _SPREAD_ENV = StrategicBiddingEnv(
 )
 def test_rolling_opt_policy_equals_per_hour_scan(window, hysteresis, start):
     _SPREAD_ENV.reset(start=start)
-    cfg = RollingOptConfig(window=window, hysteresis=hysteresis)
+    policy = RollingOptPolicy()
+    policy.window, policy.hysteresis = window, hysteresis
     assert np.array_equal(
-        RollingOptPolicy(cfg)(_SPREAD_ENV.tape), rolling_opt_scan(_SPREAD_ENV.tape, cfg)
+        policy(_SPREAD_ENV.tape), rolling_opt_scan(_SPREAD_ENV.tape, window, hysteresis)
     )
 
 

@@ -380,6 +380,18 @@ def test_evaluate_unknown_policy(pipeline_dir):
     assert run_cli("evaluate", "--policy", "nope", "--out", pipeline_dir, *TINY) == 2
 
 
+def test_meta_checkpoint_of_wrong_width_exits_2(pipeline_dir, tmp_path, capsys):
+    # a third worker beside a meta controller trained to blend two
+    ckpts = tmp_path / "checkpoints" / "seed0"
+    shutil.copytree(Path(pipeline_dir) / "checkpoints" / "seed0", ckpts)
+    shutil.copy(ckpts / "safe.ckpt", ckpts / "neutral.ckpt")
+    rc = run_cli("evaluate", "--policy", "mars", "--split", "test1", "--seed", "0",
+                 "--out", str(tmp_path), *TINY, "--set", "ensemble.roles=safe,spec,neutral")
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {ckpts / 'meta.ckpt'}: action_dim 2 != 3 roles\n"
+    assert not any(p.is_file() for p in (tmp_path / "eval").rglob("*"))
+
+
 def test_rolling_opt_needs_no_checkpoints(tmp_path):
     out = str(tmp_path)
     assert run_cli("evaluate", "--policy", "rolling_opt", "--split", "test1",
@@ -404,6 +416,19 @@ def test_report_command(pipeline_dir, capsys):
     assert len(printed) == len(lines) - 1 > 1
 
 
+def test_report_skips_stray_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("evaluate", "--policy", "rolling_opt", "--split", "test1",
+                   "--out", str(out), "--seed", "0", *TINY) == 0
+    assert run_cli("report", "--out", str(out), *TINY) == 0
+    clean = (out / "report.csv").read_bytes()
+    (out / "eval" / ".DS_Store").touch()
+    capsys.readouterr()
+    assert run_cli("report", "--out", str(out), *TINY) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "report.csv").read_bytes() == clean
+
+
 def test_outputs_embed_config_hash(pipeline_dir):
     from marsbid.config import build_config as bc
 
@@ -422,6 +447,37 @@ def test_missing_data_csv_is_prereq_error(tmp_path):
         "--set", "data.source=csv", "--set", "data.csv_path=/does/not/exist.csv", *TINY,
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "kind, contents",
+    [
+        ("config", b"[env]\nepisode_len = 100\n# \xff\n"),
+        ("config", None),
+        ("csv", b"timestamp,lmp_da\n\xff\xfe\n"),
+        ("csv", None),
+    ],
+    ids=["config-not-utf8", "config-directory", "csv-not-utf8", "csv-directory"],
+)
+def test_unreadable_input_file_exits_2(tmp_path, capsys, kind, contents):
+    # None stands for a directory where the file should be
+    path = tmp_path / f"input.{kind}"
+    if contents is None:
+        path.mkdir()
+    else:
+        path.write_bytes(contents)
+    out = tmp_path / "out"
+    if kind == "config":
+        rc = run_cli("ingest", "--out", str(out), "--config", str(path), *TINY)
+        prefix = "config error"
+    else:
+        rc = run_cli("ingest", "--out", str(out), *TINY, "--set", f"data.csv_path={path}")
+        prefix = "error"
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix}: {path}: cannot read: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not any(p.is_file() for p in out.rglob("*"))
 
 
 @pytest.mark.parametrize("cell", ["inf", "1e999"])
