@@ -11,7 +11,6 @@ divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -34,7 +33,6 @@ from .evaluation import (
     RollingOptPolicy,
     aggregate_reports,
     compute_report,
-    csv_cell,
     greedy,
     rolling_metrics,
     run_policy_episode,
@@ -505,16 +503,14 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
             per_config[name].append(report)
 
     table_path = os.path.join(out_dir, "ablation.csv")
-    with open(table_path, "w", newline="") as fh:
-        fh.write(f"# {_stamp(cfg, ','.join(str(s) for s in cfg.eval_seeds))}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["configuration", *(f"{m}_{stat}" for m, stat in ABLATION_COLUMNS), "n_seeds"]
-        )
-        for name, reports in per_config.items():
-            agg = aggregate_reports(reports)
-            cells = (csv_cell(agg[m][stat]) for m, stat in ABLATION_COLUMNS)
-            writer.writerow([name, *cells, len(reports)])
+    aggs = [aggregate_reports(reports) for reports in per_config.values()]
+    # a float array holds a None statistic as NaN, written NA
+    columns = [np.array(list(per_config), dtype=str)]
+    columns += [np.array([a[m][stat] for a in aggs], float) for m, stat in ABLATION_COLUMNS]
+    columns.append(np.array([len(reports) for reports in per_config.values()]))
+    header = ("configuration", *(f"{m}_{stat}" for m, stat in ABLATION_COLUMNS), "n_seeds")
+    stamp = _stamp(cfg, ",".join(str(s) for s in cfg.eval_seeds))
+    md.write_table(table_path, stamp, header, columns, missing="NA")
     print(f"wrote {table_path}")
     return 0
 
@@ -542,21 +538,22 @@ def cmd_report(cfg: RunConfig, args) -> int:
             agg_path = os.path.join(eval_root, policy, split_name, "aggregate.json")
             if not os.path.exists(agg_path):
                 continue
-            with open(agg_path) as fh:
-                m = json.load(fh)["metrics"]
-            rows.append(
-                (policy, split_name, *(_fmt4(m[metric]["mean"]) for _, metric in REPORT_COLUMNS))
-            )
+            try:
+                with open(agg_path) as fh:
+                    m = json.load(fh)["metrics"]
+                means = [_fmt4(m[metric]["mean"]) for _, metric in REPORT_COLUMNS]
+            except (OSError, ValueError, LookupError, TypeError) as exc:
+                raise MarsbidError(f"{agg_path}: not an evaluation aggregate: {exc!r}") from exc
+            rows.append((policy, split_name, *means))
     header = ("policy", "split", *(column for column, _ in REPORT_COLUMNS))
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
     for row in [header] + rows:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
-    with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg.config_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    columns = np.array(rows, dtype=str).reshape(-1, len(header)).T  # one per header cell
+    md.write_table(
+        os.path.join(out_dir, "report.csv"), f"config_hash={cfg.config_hash}", header, columns
+    )
     return 0
 
 

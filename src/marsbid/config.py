@@ -105,10 +105,19 @@ DEFAULTS = {
 
 _BOOLS = dict.fromkeys(("true", "1", "yes"), True) | dict.fromkeys(("false", "0", "no"), False)
 
+
+def _finite_float(text: str) -> float:
+    """No float setting takes NaN or an infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 # value kind -> (converter of the text, message for a text it rejects)
 _CONVERTERS = {
     "int": (int, "expected integer, got {value!r}"),
-    "float": (float, "expected number, got {value!r}"),
+    "float": (_finite_float, "expected number, got {value!r}"),
     "hour": (parse_timestamp, "bad timestamp {value!r}: {exc}"),
     "bool": (lambda text: _BOOLS[text.strip().lower()], "expected true/false, got {value!r}"),
 }
@@ -278,8 +287,8 @@ def build_config(
     price_scale = value("float", "env", "price_scale")
     for key, scale in (("price_scale", price_scale), ("load_scale", load_scale)):
         # the observations are divided by the scales
-        if scale is not None and not 0.0 < scale < math.inf:
-            raise ConfigError(f"env.{key} must be a finite number > 0, got {scale!r}")
+        if scale is not None and scale <= 0.0:
+            raise ConfigError(f"env.{key} must be > 0, got {scale!r}")
     episode_len = value("int", "env", "episode_len")
     if episode_len < 1:
         raise ConfigError(f"env.episode_len must be >= 1, got {episode_len}")

@@ -11,9 +11,8 @@ None, never coerced to a number.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -167,36 +166,15 @@ class MetricReport:
     config_hash: str = ""
     seed: int | None = None
 
-    METRIC_FIELDS = (
-        "cumulative_return",
-        "sharpe",
-        "sortino",
-        "max_drawdown_abs",
-        "max_drawdown_rel",
-        "allocation_entropy",
-        "regime_alignment",
-        "regime_alignment_expost",
-    )
-
     def to_json(self, path) -> None:
-        payload = {name: getattr(self, name) for name in self.METRIC_FIELDS}
-        payload.update(
-            n_steps=self.n_steps,
-            convention=CONVENTION,
-            config_hash=self.config_hash,
-            seed=self.seed,
-        )
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump({**asdict(self), "convention": CONVENTION}, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def csv_row(self) -> list:
-        return [csv_cell(getattr(self, name)) for name in self.METRIC_FIELDS]
 
-
-def csv_cell(value) -> str:
-    """A metric's CSV cell: the float's ``repr``, or NA when undefined."""
-    return "NA" if value is None else repr(float(value))
+# the report's metrics: its fields before n_steps
+_NAMES = [f.name for f in fields(MetricReport)]
+METRIC_FIELDS = tuple(_NAMES[: _NAMES.index("n_steps")])
 
 
 def compute_report(
@@ -226,14 +204,12 @@ def compute_report(
 
 
 def write_reports_csv(path, rows: dict, header_comment: str | None = None) -> None:
-    """One CSV row per named report (policy, seed, configuration...)."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("name",) + MetricReport.METRIC_FIELDS)
-        for name, report in rows.items():
-            writer.writerow([name] + report.csv_row())
+    """One CSV row per named report (policy, seed, configuration...); an
+    undefined metric is NA."""
+    # a float array holds a None metric as NaN
+    columns = [np.array(list(rows), dtype=str)]
+    columns += [np.array([getattr(r, m) for r in rows.values()], float) for m in METRIC_FIELDS]
+    write_table(path, header_comment, ("name", *METRIC_FIELDS), columns, missing="NA")
 
 
 def write_rolling_csv(path, means, sharpes, header_comment: str | None = None) -> None:
@@ -245,7 +221,7 @@ def aggregate_reports(reports: list) -> dict:
     """Mean and sample std per metric across seeds; None values are skipped
     and a metric that is undefined everywhere aggregates to None."""
     out: dict = {}
-    for name in MetricReport.METRIC_FIELDS:
+    for name in METRIC_FIELDS:
         values = [getattr(r, name) for r in reports if getattr(r, name) is not None]
         if not values:
             out[name] = {"mean": None, "std": None, "n": 0}

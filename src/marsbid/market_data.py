@@ -96,6 +96,9 @@ def _column_cells(column: np.ndarray, missing: str) -> list:
         return format_timestamps(column)
     if column.dtype.kind == "f":
         return float_cells(column, missing)
+    if column.dtype.kind == "U":
+        cells = column.tolist()
+        return ['"' + c.replace('"', '""') + '"' if {",", '"', "\n"} & set(c) else c for c in cells]
     return list(map(repr, column.tolist()))
 
 
@@ -103,9 +106,11 @@ def write_table(path, header_comment: str | None, header, columns, missing: str 
     """Write a CSV: the ``# header_comment`` line if there is one, the
     header, then a row per entry of the equal-length arrays ``columns``,
     formatted :data:`BLOCK_ROWS` rows at a time. Float columns are
-    written by :func:`float_cells`, integer columns as ``repr`` and
-    ``datetime64[h]`` columns by :func:`format_timestamps`. Cells are joined
-    unquoted: none of these can hold a comma, a quote or a line break.
+    written by :func:`float_cells`, integer columns as ``repr``,
+    ``datetime64[h]`` columns by :func:`format_timestamps` and ``str``
+    columns as they are, except that a ``str`` cell holding a comma, a quote
+    or a line break is quoted as ``csv.writer`` quotes it. No other cell can
+    hold one, so cells are joined as they are.
     """
     with open(path, "w", newline="") as fh:
         if header_comment:
@@ -472,16 +477,9 @@ def split(series: MarketSeries, spec: SplitSpec):
 
 
 def _simulate_regimes(rng: np.random.Generator, n: int, dwell_hours: float) -> np.ndarray:
-    """Symmetric two-state chain; switch probability 1/dwell per hour."""
-    p_switch = 1.0 / dwell_hours
-    draws = rng.random(n)
-    states = np.empty(n, dtype=np.int8)
-    state = 0
-    for t in range(n):
-        if draws[t] < p_switch:
-            state = 1 - state
-        states[t] = state
-    return states
+    """Symmetric two-state chain from state 0; switch probability 1/dwell
+    per hour, so the state is the parity of the switches so far."""
+    return (np.cumsum(rng.random(n) < 1.0 / dwell_hours) % 2).astype(np.int8)
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> MarketSeries:

@@ -282,7 +282,9 @@ class PolicyNetwork:
                 f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
             )
         (role_len,) = struct.unpack("<B", take(1))
-        role = take(role_len).decode("ascii")
+        role = take(role_len).decode("ascii", "replace")
+        if role not in ROLES:
+            raise CheckpointError(f"{path}: unknown role {role!r}")
         (squash,) = struct.unpack("<B", take(1))
         (n_dims,) = struct.unpack("<I", take(4))
         dims = [struct.unpack("<I", take(4))[0] for _ in range(n_dims)]
@@ -294,6 +296,8 @@ class PolicyNetwork:
         flat = np.frombuffer(take(int(n_params) * 8), dtype="<f8")
         if off != len(data):
             raise CheckpointError(f"{path}: trailing bytes after parameters")
+        if min(dims, default=0) < 1 or action_dim < 1:
+            raise CheckpointError(f"{path}: bad dims {dims}, action_dim {action_dim}")
         if expect_obs_dim is not None and dims[0] != expect_obs_dim:
             raise CheckpointError(
                 f"{path}: checkpoint obs dim {dims[0]} does not match "

@@ -53,6 +53,8 @@ class PpoConfig:
             raise ValueError("gae_lambda must be in [0, 1]")
         if self.buffer_size < 1 or self.minibatch_size < 1:
             raise ValueError("buffer and minibatch sizes must be >= 1")
+        if any(size < 1 for size in self.hidden):
+            raise ValueError(f"hidden sizes must be >= 1, got {self.hidden}")
         if self.epochs_per_update < 1:
             raise ValueError("epochs_per_update must be >= 1")
         if self.total_steps < 0:

@@ -7,10 +7,12 @@ environment settles and observes an episode from a tape built once per
 reset, not hour by hour as :func:`stepwise_episode` does; and every policy
 runs one forward per block of rows, not one per hour as
 :func:`stepwise_rollouts` and the ``row_*`` functions do; and every
-per-row CSV is joined block by block by ``market_data.write_table``, not
-written through ``csv.writer`` one ``repr`` at a time as
-:func:`csv_writer_table` does; ``market_data.ingest_csv`` checks and parses
-a file column by column, not row by row as :func:`rowwise_ingest_csv` does;
+CSV, the metric tables included, is joined block by block by
+``market_data.write_table``, not written through ``csv.writer`` one
+``repr`` at a time as :func:`csv_writer_table` does; and the synthetic
+regime chain is the parity of a cumulative sum of switches, not a state
+flipped hour by hour as in :func:`loop_regimes`; and
+``market_data.ingest_csv`` checks and parses a file column by column, not row by row as :func:`rowwise_ingest_csv` does;
 and ``market_data.repair_gaps`` takes each hour-of-week mean over a strided
 slice, not over a mask of the whole series as :func:`masked_repair_gaps`
 does; and the rewards shape a whole buffer of numpy arrays per call, not
@@ -419,6 +421,20 @@ def csv_writer_table(path, header_comment, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def loop_regimes(rng: np.random.Generator, n: int, dwell_hours: float) -> np.ndarray:
+    """The synthetic regime chain hour by hour: from state 0, switch where
+    the hour's draw is below 1 / dwell_hours."""
+    p_switch = 1.0 / dwell_hours
+    draws = rng.random(n)
+    states = np.empty(n, dtype=np.int8)
+    state = 0
+    for t in range(n):
+        if draws[t] < p_switch:
+            state = 1 - state
+        states[t] = state
+    return states
 
 
 def rowwise_ingest_csv(path) -> MarketSeries:

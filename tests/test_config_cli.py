@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shutil
+import struct
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from marsbid.config import DEFAULTS, build_config, config_hash, load_raw
 from marsbid.errors import ConfigError, DivergenceError
 from marsbid.market_data import SyntheticConfig, format_timestamp, ingest_csv
 from marsbid.mars_hierarchy import train_meta
-from marsbid.policy_net import PolicyNetwork
+from marsbid.policy_net import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, PolicyNetwork
 from marsbid.ppo_trainer import PpoConfig
 from marsbid.reward_shaping import ShapingParams
 
@@ -478,6 +479,99 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, kind, contents):
     assert err.startswith(f"{prefix}: {path}: cannot read: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not any(p.is_file() for p in out.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "synthetic.calm_mean=nan",
+        "synthetic.regime_dwell_hours=nan",
+        "generator.ramp_rate=nan",
+        "shaping.lambda_role=nan",
+        "synthetic.volatile_mean=inf",
+        "shaping.lambda_risk=-inf",
+        "generator.startup_cost=1e999",
+    ],
+)
+def test_non_finite_float_setting_exits_2(tmp_path, capsys, override):
+    # each passed every range check: a NaN compares false both ways
+    key, value = override.split("=")
+    assert run_cli("generate-data", "--out", str(tmp_path), *TINY, "--set", override) == 2
+    assert capsys.readouterr().err == f"config error: {key}: expected number, got {value!r}\n"
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "override, sizes",
+    [("ppo.base.hidden=-5", (-5,)), ("ppo.base.hidden=0", (0,)), ("ppo.meta.hidden=8,0", (8, 0))],
+)
+def test_hidden_size_below_1_exits_2(tmp_path, capsys, override, sizes):
+    rc = run_cli("train", "--phase", "vanilla", "--out", str(tmp_path), *TINY, "--set", override)
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: hidden sizes must be >= 1, got {sizes}\n"
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+def write_checkpoint_header(path, role: bytes, dims, action_dim: int) -> None:
+    """A checkpoint laid out as ``PolicyNetwork.save`` writes one, with the
+    header's fields as given and zeros for as many parameters as its dims
+    imply."""
+    n_params = PolicyNetwork(dims[0], dims[1:], action_dim).params.flat.size if dims else 0
+    path.write_bytes(
+        CHECKPOINT_MAGIC + struct.pack("<IB", CHECKPOINT_VERSION, len(role)) + role
+        + struct.pack(f"<BI{len(dims)}IIQHQ", 1, len(dims), *dims, action_dim, 0, 0, n_params)
+        + bytes(8 * n_params)
+    )
+
+
+@pytest.mark.parametrize(
+    "role, dims, action_dim, message",
+    [
+        (b"\xff\xfe", ("obs", 8), 1, "unknown role '\ufffd\ufffd'"),
+        (b"turbo", ("obs", 8), 1, "unknown role 'turbo'"),
+        (b"vanilla", (), 1, "bad dims [], action_dim 1"),
+        (b"vanilla", ("obs", 0), 1, "bad dims [{obs}, 0], action_dim 1"),
+        (b"vanilla", ("obs", 8), 0, "bad dims [{obs}, 8], action_dim 0"),
+    ],
+    ids=["role-not-ascii", "role-unknown", "no-dims", "hidden-0", "action-dim-0"],
+)
+def test_corrupt_checkpoint_header_exits_2(
+    pipeline_dir, tmp_path, capsys, role, dims, action_dim, message
+):
+    # "obs" stands for the configured obs dim, so only the named field is wrong
+    obs = PolicyNetwork.load(Path(pipeline_dir) / "checkpoints" / "seed0" / "safe.ckpt")
+    dims = tuple(obs.layer_dims[0] if d == "obs" else d for d in dims)
+    path = tmp_path / "checkpoints" / "seed0" / "vanilla.ckpt"
+    path.parent.mkdir(parents=True)
+    write_checkpoint_header(path, role, dims, action_dim)
+    rc = run_cli("evaluate", "--policy", "vanilla", "--split", "test1", "--seed", "0",
+                 "--out", str(tmp_path), *TINY)
+    assert rc == 2
+    expected = f"error: {path}: {message.format(obs=obs.layer_dims[0])}\n"
+    assert capsys.readouterr().err == expected
+    assert not any(p.is_file() for p in (tmp_path / "eval").rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [None, '{"seeds": [0]}', '{"metrics": {}}', "[]"],
+    ids=["truncated", "no-metrics", "empty-metrics", "not-an-object"],
+)
+def test_unreadable_aggregate_exits_2(tmp_path, capsys, contents):
+    # None stands for the file evaluate wrote, cut off halfway
+    out = tmp_path / "out"
+    assert run_cli("evaluate", "--policy", "rolling_opt", "--split", "test1",
+                   "--out", str(out), "--seed", "0", *TINY) == 0
+    path = out / "eval" / "rolling_opt" / "test1" / "aggregate.json"
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2] if contents is None else contents.encode())
+    files = sorted(out.rglob("*"))
+    capsys.readouterr()
+    assert run_cli("report", "--out", str(out), *TINY) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not an evaluation aggregate: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert sorted(out.rglob("*")) == files
 
 
 @pytest.mark.parametrize("cell", ["inf", "1e999"])

@@ -1,6 +1,6 @@
-"""``ingest_csv`` and ``repair_gaps`` against their row-by-row and
-mask-loop references in ``oracles``: the same series to the bit, or the
-same error message."""
+"""``ingest_csv``, ``repair_gaps`` and the synthetic regime chain against
+their row-by-row, mask-loop and hour-loop references in ``oracles``: the
+same series to the bit, or the same error message."""
 
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -20,13 +20,14 @@ from marsbid.market_data import (
     CSV_COLUMNS,
     FIELD_NAMES,
     MarketSeries,
+    _simulate_regimes,
     format_timestamp,
     ingest_csv,
     repair_gaps,
 )
 
 from conftest import START_2021
-from oracles import masked_repair_gaps, rowwise_ingest_csv
+from oracles import loop_regimes, masked_repair_gaps, rowwise_ingest_csv
 
 def _outcome(fn, arg):
     try:
@@ -202,3 +203,16 @@ def test_repair_gaps_bit_identical_to_mask_loop(data):
         timestamps=np.arange(start, start + n), fields=fields, provenance="ingested"
     )
     assert_same_outcome(_outcome(repair_gaps, series), _outcome(masked_repair_gaps, series))
+
+
+@pytest.mark.parametrize("dwell", [1.0, 1.5, 2.0, 72.0, 1e4, 1e9])
+@pytest.mark.parametrize("seed", range(4))
+def test_regime_chain_equals_hour_loop(seed, dwell):
+    for n in (0, 1, 48, 43824):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        states = _simulate_regimes(ours, n, dwell)
+        assert states.dtype == np.int8
+        np.testing.assert_array_equal(states, loop_regimes(ref, n, dwell))
+        assert ours.random() == ref.random()  # the same draws were taken
+        if dwell == 1.0:  # every draw is below 1: a switch every hour
+            np.testing.assert_array_equal(states, np.arange(1, n + 1) % 2)
