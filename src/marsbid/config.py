@@ -151,7 +151,12 @@ def _parse_field(section: str, f, text: str):
 
 def _build_typed(raw: dict, section: str):
     cls, _ = _TYPED_SECTIONS[section]
-    return cls(**{f.name: _parse_field(section, f, raw[section][f.name]) for f in fields(cls)})
+    kwargs = {f.name: _parse_field(section, f, raw[section][f.name]) for f in fields(cls)}
+    try:
+        return cls(**kwargs)
+    except (ValueError, MarketDataError) as exc:
+        # the dataclass validators' messages name the field, not the section
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -260,18 +265,17 @@ def build_config(
     if source not in ("synthetic", "csv"):
         raise ConfigError(f"data.source must be synthetic or csv, got {source!r}")
 
+    synthetic = _build_typed(raw, "synthetic")
     try:
-        synthetic = _build_typed(raw, "synthetic")
         split = SplitSpec(
             **{name: DateRange(hour(f"{name}_start"), hour(f"{name}_end")) for name in SPLIT_NAMES}
         )
-        generator = _build_typed(raw, "generator")
-        shaping = _build_typed(raw, "shaping")
-        ppo_base = _build_typed(raw, "ppo.base")
-        ppo_meta = _build_typed(raw, "ppo.meta")
-    except (ValueError, MarketDataError) as exc:
-        # the dataclass validators' messages name the offending field
-        raise ConfigError(str(exc)) from exc
+    except MarketDataError as exc:
+        raise ConfigError(f"split: {exc}") from exc
+    generator = _build_typed(raw, "generator")
+    shaping = _build_typed(raw, "shaping")
+    ppo_base = _build_typed(raw, "ppo.base")
+    ppo_meta = _build_typed(raw, "ppo.meta")
 
     roles = tuple(_parse_list(get("ensemble", "roles")))
     if not roles:

@@ -94,16 +94,23 @@ def allocation_entropy(weights) -> float:
 
 def regime_alignment(spec_weights, volatility) -> float | None:
     """Pearson correlation between the speculator weight series and market
-    volatility; None when either series is constant."""
+    volatility; None when either series is constant, or when their
+    covariance overflows (a NaN, or a silent 0 once only a variance does)."""
     x = np.asarray(spec_weights, dtype=np.float64)
     y = np.asarray(volatility, dtype=np.float64)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("correlation needs at least 2 points")
-    if x.std() == 0.0 or y.std() == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.std() == 0.0 or y.std() == 0.0:
+            return None
+        cov = np.cov(x, y)
+    if not np.isfinite(cov).all():
         return None
-    return float(np.corrcoef(x, y)[0, 1])
+    # np.corrcoef's operations on its one off-diagonal entry
+    sx, sy = np.sqrt(np.diag(cov))
+    return float(np.clip(cov[0, 1] / sx / sy, -1.0, 1.0))
 
 
 def regime_alignment_expost(spec_weights, lmp_da, lmp_rt) -> float | None:

@@ -5,8 +5,10 @@ optimizer with global gradient-norm clipping.
 Rollouts may fan out over N workers, each with its own rng and its own
 current episode tape from the one environment's pure ``episode``; a buffer
 is read off the tapes as one block: one forward, one action draw and one
-settlement. The update phase is single-writer. A run with a fixed seed is
-exactly reproducible.
+settlement. The update phase is single-writer: each epoch gathers its
+shuffled rows once, each minibatch is a slice of them, and every
+minibatch's gradient is written into one buffer that ``train`` owns. A run
+with a fixed seed is exactly reproducible.
 """
 
 from __future__ import annotations
@@ -81,16 +83,22 @@ def compute_gae(rewards, values, dones, bootstrap_value, gamma: float, lam: floa
             f"length mismatch: rewards {rewards.shape}, values {values.shape}, "
             f"dones {dones.shape}"
         )
-    T = rewards.shape[0]
-    advantages = np.zeros_like(rewards)
-    next_value = np.broadcast_to(np.asarray(bootstrap_value, dtype=np.float64), rewards.shape[1:])
-    gae = np.zeros(rewards.shape[1:])
-    for t in range(T - 1, -1, -1):
-        nonterminal = 1.0 - dones[t]
-        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
-        gae = delta + gamma * lam * nonterminal * gae
-        advantages[t] = gae
-        next_value = values[t]
+    T = len(rewards)
+    bootstrap = np.broadcast_to(np.asarray(bootstrap_value, dtype=np.float64), rewards.shape[1:])
+    # per column over Python floats, far cheaper than a numpy call per row;
+    # the operation order below fixes the bits
+    columns = (x.reshape(T, bootstrap.size).T.tolist() for x in (rewards, values, dones))
+    advantages = np.empty((bootstrap.size, T))
+    for j, (rew, val, done, next_value) in enumerate(zip(*columns, bootstrap.ravel().tolist())):
+        adv, gae = [0.0] * T, 0.0
+        for t in range(T - 1, -1, -1):
+            nonterminal = 1.0 - done[t]
+            delta = rew[t] + gamma * next_value * nonterminal - val[t]
+            gae = delta + gamma * lam * nonterminal * gae
+            adv[t] = gae
+            next_value = val[t]
+        advantages[j] = adv
+    advantages = advantages.T.reshape(rewards.shape)
     return advantages, advantages + values
 
 
@@ -146,8 +154,12 @@ class Adam:
 def clip_grad_norm(grads: ParamVector, max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is at most
     ``max_norm``; returns the pre-clip norm, summed array by array in
-    ``param_names()`` order."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    ``param_names()`` order over one squared copy of ``grads.flat``."""
+    squares, pos, total = grads.flat * grads.flat, 0, 0.0
+    for g in grads.values():
+        total += float(squares[pos : pos + g.size].sum())
+        pos += g.size
+    total = float(np.sqrt(total))
     if max_norm > 0 and total > max_norm:
         grads.flat *= max_norm / total
     return total
@@ -186,7 +198,7 @@ class LossAndGrads(NamedTuple):
     value_loss: float
     entropy: float
     ratio: np.ndarray  # (B,) probability ratio new / old
-    grads: ParamVector  # d total / d parameter, laid out as ``policy.params``
+    grads: ParamVector  # d total / d parameter: the ``grads`` argument, or a new one
 
 
 def loss_and_grads(
@@ -197,6 +209,7 @@ def loss_and_grads(
     advantages: np.ndarray,
     returns: np.ndarray,
     cfg: PpoConfig,
+    grads: ParamVector | None = None,
 ) -> LossAndGrads:
     """Total PPO loss on one minibatch and its exact gradient.
 
@@ -209,13 +222,21 @@ def loss_and_grads(
     than a negation; the three ``log_std`` terms summed std path, density,
     entropy), so gradients and every artifact downstream match that sweep
     bit for bit.
+
+    ``grads``, laid out as ``policy.params``, receives the gradient in place
+    like numpy's ``out=``: every view is overwritten, so a reused buffer needs
+    no reset; None allocates one. An outer product (inner dimension 1) is
+    the broadcast ``a * b``, which has the bits of ``a @ b``.
     """
     p = policy.params
+    grads = p.zeros_like() if grads is None else grads
     n_layers = len(policy.layer_dims) - 1
     B, A = actions_pre.shape
     hs = [np.asarray(obs, dtype=np.float64)]
     for i in range(n_layers):
-        hs.append(np.tanh(hs[i] @ p[f"W{i}"] + p[f"b{i}"]))
+        out = hs[i] @ p[f"W{i}"]
+        out += p[f"b{i}"]
+        hs.append(np.tanh(out, out=out))
     h = hs[-1]
     mean = h @ p["Wp"] + p["bp"]
     value = h @ p["Wv"] + p["bv"]
@@ -229,10 +250,10 @@ def loss_and_grads(
     ratio = np.exp(logp - log_prob_old)
     lo, hi = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
     surr1 = ratio * advantages
-    surr2 = np.clip(ratio, lo, hi) * advantages
-    policy_loss = -np.minimum(surr1, surr2).mean()
+    surr2 = np.minimum(np.maximum(ratio, lo), hi) * advantages
+    policy_loss = -(np.minimum(surr1, surr2).sum() / B)
     value_err = value - returns.reshape(-1, 1)
-    value_loss = (value_err**2).mean()
+    value_loss = (value_err**2).sum() / B
     entropy = log_std.sum() + A * (0.5 + HALF_LOG_2PI)
     total = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
 
@@ -247,27 +268,23 @@ def loss_and_grads(
     g_std = (-g_z * diff / std**2).sum(axis=0)
     g_value = cfg.value_coef / B * 2.0 * value_err
 
-    grads = p.zeros_like()
-    grads["Wp"] = h.T @ g_mean
-    grads["bp"] = g_mean.sum(axis=0)
-    grads["Wv"] = h.T @ g_value
-    grads["bv"] = g_value.sum(axis=0)
+    np.matmul(h.T, g_mean, out=grads["Wp"])
+    g_mean.sum(axis=0, out=grads["bp"])
+    np.matmul(h.T, g_value, out=grads["Wv"])
+    g_value.sum(axis=0, out=grads["bv"])
     grads["log_std"] = g_std * std + (-g_logp).sum() - cfg.entropy_coef
-    g_h = g_mean @ p["Wp"].T + g_value @ p["Wv"].T
+    g_h = g_mean * p["Wp"].T if A == 1 else g_mean @ p["Wp"].T
+    g_h += g_value * p["Wv"].T
     for i in reversed(range(n_layers)):
-        g_pre = g_h * (1.0 - hs[i + 1] * hs[i + 1])
-        grads[f"W{i}"] = hs[i].T @ g_pre
-        grads[f"b{i}"] = g_pre.sum(axis=0)
+        g_pre = hs[i + 1] * hs[i + 1]  # then g_h * (1 - h * h), in place
+        np.subtract(1.0, g_pre, out=g_pre)
+        g_pre *= g_h
+        np.matmul(hs[i].T, g_pre, out=grads[f"W{i}"])
+        g_pre.sum(axis=0, out=grads[f"b{i}"])
         if i:
             g_h = g_pre @ p[f"W{i}"].T
-    return LossAndGrads(
-        total=float(total),
-        policy_loss=float(policy_loss),
-        value_loss=float(value_loss),
-        entropy=float(entropy),
-        ratio=ratio,
-        grads=grads,
-    )
+    losses = (float(total), float(policy_loss), float(value_loss), float(entropy))
+    return LossAndGrads(*losses, ratio, grads)
 
 
 def scalar_action(actions, obs) -> np.ndarray:
@@ -315,6 +332,7 @@ def train(
     T = cfg.buffer_size // workers
     obs_dim = policy.layer_dims[0]
     optimizer = Adam(policy.params.flat, lr=cfg.learning_rate)
+    grads = policy.params.zeros_like()  # every minibatch's gradient, in place
     log = TrainingLog()
 
     steps_done = 0
@@ -362,27 +380,20 @@ def train(
         n_batches = 0
         for _ in range(cfg.epochs_per_update):
             perm = shuffle_rng.permutation(n)
+            epoch = [x[perm] for x in (flat_obs, s.pre_squash, s.log_prob, flat_adv, flat_ret)]
             kl_epoch = []
             for start in range(0, n, cfg.minibatch_size):
-                idx = perm[start : start + cfg.minibatch_size]
+                batch = [x[start : start + cfg.minibatch_size] for x in epoch]
                 with np.errstate(over="ignore", invalid="ignore"):
-                    lg = loss_and_grads(
-                        policy,
-                        flat_obs[idx],
-                        s.pre_squash[idx],
-                        s.log_prob[idx],
-                        flat_adv[idx],
-                        flat_ret[idx],
-                        cfg,
-                    )
+                    lg = loss_and_grads(policy, *batch, cfg, grads=grads)
                 if not np.isfinite(lg.total):
                     raise DivergenceError(f"non-finite loss at update {update}")
-                clip_grad_norm(lg.grads, cfg.max_grad_norm)
-                optimizer.step(lg.grads.flat)
+                clip_grad_norm(grads, cfg.max_grad_norm)
+                optimizer.step(grads.flat)
                 policy.clamp_log_std()
 
                 r = lg.ratio
-                kl_epoch.append(float(np.mean(r - 1.0 - np.log(r))))
+                kl_epoch.append(float((r - 1.0 - np.log(r)).sum() / len(r)))
                 pl_sum += lg.policy_loss
                 vl_sum += lg.value_loss
                 ent_last = lg.entropy

@@ -19,7 +19,11 @@ does; and the rewards shape a whole buffer of numpy arrays per call, not
 one float per call as the ``scalar_*`` rewards and
 :class:`ScalarCvarShaper` do; and ``evaluation.RollingOptPolicy`` takes one
 sliding-window mean over a whole tape, not one mean per hour as
-:func:`rolling_opt_action` does.
+:func:`rolling_opt_action` does; and ``ppo_trainer.compute_gae`` runs its
+recursion over Python floats one column at a time, not over numpy rows as
+:func:`numpy_gae` does; and ``ppo_trainer.loss_and_grads`` writes into one
+reused gradient buffer, with broadcast outer products, not into fresh
+arrays as :func:`fresh_loss_and_grads` does.
 """
 
 import bisect
@@ -45,7 +49,12 @@ from marsbid.market_data import (
     hour_of_week,
     parse_timestamp,
 )
-from marsbid.policy_net import gaussian_log_prob, sample_action, squash_correction
+from marsbid.policy_net import (
+    HALF_LOG_2PI,
+    gaussian_log_prob,
+    sample_action,
+    squash_correction,
+)
 from marsbid.reward_shaping import linear_quantile
 
 
@@ -226,6 +235,79 @@ def dict_clip_grad_norm(grads: dict, max_norm: float) -> float:
         for g in grads.values():
             g *= scale
     return total
+
+def numpy_gae(rewards, values, dones, bootstrap_value, gamma: float, lam: float):
+    """Generalized advantage estimation as one numpy recursion over the rows
+    of a (T,) or (T, N) buffer; returns ``(advantages, returns)``."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    dones = np.asarray(dones, dtype=np.float64)
+    advantages = np.zeros_like(rewards)
+    next_value = np.broadcast_to(np.asarray(bootstrap_value, dtype=np.float64), rewards.shape[1:])
+    gae = np.zeros(rewards.shape[1:])
+    for t in range(rewards.shape[0] - 1, -1, -1):
+        nonterminal = 1.0 - dones[t]
+        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
+        gae = delta + gamma * lam * nonterminal * gae
+        advantages[t] = gae
+        next_value = values[t]
+    return advantages, advantages + values
+
+
+def fresh_loss_and_grads(policy, obs, actions_pre, log_prob_old, advantages, returns, cfg):
+    """The PPO loss of one minibatch and its gradient, as
+    ``(total, policy_loss, value_loss, entropy, ratio, grads)``, with every
+    intermediate a fresh array, matrix products for the outer products,
+    ``np.clip`` and ``.mean()``, and ``grads`` a new ``ParamVector``."""
+    p = policy.params
+    n_layers = len(policy.layer_dims) - 1
+    B, A = actions_pre.shape
+    hs = [np.asarray(obs, dtype=np.float64)]
+    for i in range(n_layers):
+        hs.append(np.tanh(hs[i] @ p[f"W{i}"] + p[f"b{i}"]))
+    h = hs[-1]
+    mean = h @ p["Wp"] + p["bp"]
+    value = h @ p["Wv"] + p["bv"]
+    log_std = p["log_std"]
+    std = np.exp(log_std)
+    diff = actions_pre - mean
+    z = diff / std
+    logp = (z**2 * -0.5).sum(axis=1) - log_std.sum() - A * HALF_LOG_2PI
+    if policy.squash:
+        logp = logp - squash_correction(np.tanh(actions_pre))
+    ratio = np.exp(logp - log_prob_old)
+    lo, hi = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
+    surr1 = ratio * advantages
+    surr2 = np.clip(ratio, lo, hi) * advantages
+    policy_loss = -np.minimum(surr1, surr2).mean()
+    value_err = value - returns.reshape(-1, 1)
+    value_loss = (value_err**2).mean()
+    entropy = log_std.sum() + A * (0.5 + HALF_LOG_2PI)
+    total = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
+
+    g_min = -1.0 / B
+    take1 = surr1 <= surr2
+    inside = (ratio > lo) & (ratio < hi)
+    g_logp = (g_min * take1 * advantages + g_min * ~take1 * advantages * inside) * ratio
+    g_z = g_logp[:, None] * -0.5 * 2.0 * z
+    g_mean = -(g_z / std)
+    g_std = (-g_z * diff / std**2).sum(axis=0)
+    g_value = cfg.value_coef / B * 2.0 * value_err
+
+    grads = p.zeros_like()
+    grads["Wp"] = h.T @ g_mean
+    grads["bp"] = g_mean.sum(axis=0)
+    grads["Wv"] = h.T @ g_value
+    grads["bv"] = g_value.sum(axis=0)
+    grads["log_std"] = g_std * std + (-g_logp).sum() - cfg.entropy_coef
+    g_h = g_mean @ p["Wp"].T + g_value @ p["Wv"].T
+    for i in reversed(range(n_layers)):
+        g_pre = g_h * (1.0 - hs[i + 1] * hs[i + 1])
+        grads[f"W{i}"] = hs[i].T @ g_pre
+        grads[f"b{i}"] = g_pre.sum(axis=0)
+        if i:
+            g_h = g_pre @ p[f"W{i}"].T
+    return float(total), float(policy_loss), float(value_loss), float(entropy), ratio, grads
 
 
 # -- one row at a time -----------------------------------------------------------

@@ -508,7 +508,30 @@ def test_non_finite_float_setting_exits_2(tmp_path, capsys, override):
 def test_hidden_size_below_1_exits_2(tmp_path, capsys, override, sizes):
     rc = run_cli("train", "--phase", "vanilla", "--out", str(tmp_path), *TINY, "--set", override)
     assert rc == 2
-    assert capsys.readouterr().err == f"config error: hidden sizes must be >= 1, got {sizes}\n"
+    section = override.split(".hidden")[0]
+    message = f"config error: {section}: hidden sizes must be >= 1, got {sizes}\n"
+    assert capsys.readouterr().err == message
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+def test_validator_errors_name_their_section(tmp_path, capsys):
+    # ppo.base and ppo.meta share one validator: only the section tells them apart
+    errs = []
+    for section in ("ppo.base", "ppo.meta"):
+        rc = run_cli("generate-data", "--out", str(tmp_path), *TINY, "--set", f"{section}.hidden=4,0")
+        assert rc == 2
+        errs.append(capsys.readouterr().err)
+    assert errs == [
+        f"config error: {section}: hidden sizes must be >= 1, got (4, 0)\n"
+        for section in ("ppo.base", "ppo.meta")
+    ]
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+def test_zero_kl_target_exits_2_naming_its_section(tmp_path, capsys):
+    rc = run_cli("generate-data", "--out", str(tmp_path), *TINY, "--set", "ppo.meta.kl_target=0")
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: ppo.meta: kl_target must be > 0\n"
     assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
 

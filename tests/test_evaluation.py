@@ -318,6 +318,34 @@ def test_report_with_weights_has_alignment():
     assert rep.regime_alignment_expost is not None
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e300, 1.7e308])
+def test_overflowing_alignment_is_na(tmp_path, scale):
+    # the covariance overflows: np.corrcoef gives NaN or a silent 0 here
+    rng = np.random.default_rng(5)
+    n = 60
+    w = rng.random((n, 2))
+    w = w / w.sum(axis=1, keepdims=True)
+    led = _ledger_with(rng.normal(0, 10, n), weights=list(w), roles=("safe", "spec"))
+    led.volatility = scale * rng.random(n)
+    rep = compute_report(led)
+    assert rep.regime_alignment is None
+    path = tmp_path / "r.json"
+    rep.to_json(path)
+    data = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert data["regime_alignment"] is None
+
+
+def test_alignment_has_corrcoef_bits():
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 1.0, 1e6, 1e150):
+        x, y = rng.random(500), scale * rng.standard_normal(500)
+        assert regime_alignment(x, y) == float(np.corrcoef(x, y)[0, 1])
+
+
 def test_aggregate_mean_equals_mean_of_reports():
     reps = [
         compute_report(_ledger_with(np.random.default_rng(s).normal(0, 5, 40)))

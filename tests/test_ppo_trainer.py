@@ -24,6 +24,8 @@ from conftest import BanditEnv, make_series
 from oracles import (
     DictAdam,
     dict_clip_grad_norm,
+    fresh_loss_and_grads,
+    numpy_gae,
     ppo_loss,
     row_blend,
     row_proposals,
@@ -97,6 +99,23 @@ def test_gae_multi_column_matches_per_column():
         adv1, ret1 = compute_gae(r[:, i], v[:, i], d[:, i], float(boot[i]), 0.99, 0.95)
         np.testing.assert_allclose(adv2[:, i], adv1, atol=1e-12)
         np.testing.assert_allclose(ret2[:, i], ret1, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma, lam", [(0.99, 0.95), (0.0, 0.95), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)])
+@pytest.mark.parametrize("shape", [(257,), (257, 1), (129, 3)])
+def test_gae_bits_equal_the_numpy_recursion(shape, gamma, lam):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    r, v = rng.normal(size=shape), rng.normal(size=shape)
+    d = (rng.random(shape) < 0.05).astype(float)
+    d[len(d) // 2] = 1.0  # an episode end in every column
+    bootstraps = [float(rng.normal())]
+    if len(shape) == 2:
+        bootstraps.append(rng.normal(size=shape[1]))
+    for boot in bootstraps:
+        adv, ret = compute_gae(r, v, d, boot, gamma, lam)
+        want_adv, want_ret = numpy_gae(r, v, d, boot, gamma, lam)
+        assert adv.shape == want_adv.shape and ret.shape == want_ret.shape
+        assert np.array_equal(adv, want_adv) and np.array_equal(ret, want_ret)
 
 
 # -- advantage normalization ---------------------------------------------------
@@ -177,6 +196,33 @@ def test_ppo_dead_zone_zero_gradient(rng):
             return -min(r * a, np.clip(r, 0.8, 1.2) * a)
 
         assert (f(logr + h) - f(logr - h)) / (2 * h) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("squash", [True, False])
+@pytest.mark.parametrize("A", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [(64, 64), (16, 8)])
+def test_loss_and_grads_bits_equal_the_fresh_arrays_oracle(hidden, A, squash):
+    rng = np.random.default_rng(A + 10 * squash + hidden[-1])
+    net = PolicyNetwork(obs_dim=33, hidden=hidden, action_dim=A, squash=squash, seed=A)
+    net.params.flat[:] += rng.normal(0.0, 0.3, net.params.flat.size)
+    cfg = PpoConfig(total_steps=0)
+    grads = net.params.zeros_like()
+    grads.flat[:] = rng.normal(size=grads.flat.size)  # stale values from a last call
+    for B in (64, 64, 37, 1):
+        batch = (
+            rng.standard_normal((B, 33)),
+            rng.standard_normal((B, A)),
+            rng.standard_normal(B),
+            rng.standard_normal(B),
+            rng.standard_normal(B),
+        )
+        *losses, ratio, want = fresh_loss_and_grads(net, *batch, cfg)
+        for lg in (loss_and_grads(net, *batch, cfg), loss_and_grads(net, *batch, cfg, grads=grads)):
+            assert lg[:4] == tuple(losses)  # total, policy, value, entropy
+            assert np.array_equal(lg.ratio, ratio)
+            assert np.array_equal(lg.grads.flat, want.flat)
+        assert lg.grads is grads
+        grads.flat *= -3.0  # as clip_grad_norm scales the buffer in place
 
 
 def test_total_loss_components_finite(rng):

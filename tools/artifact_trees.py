@@ -12,7 +12,10 @@ phases with ``--workers 2``; ``evaluate`` of eight policies on test1;
 ``economic`` and ``economic_weather`` (``economic`` with
 ``env.include_weather=true``). One more, ``ablate_3seeds``, runs
 ``ablate --workers 2`` alone with ``eval.seeds=0,1,2``, so its seeds run in
-a process pool where the machine has two CPUs. The last, ``ingest``, runs
+a process pool where the machine has two CPUs. ``ablate_64`` runs
+``ablate --workers 2`` alone with the default 64-64 nets
+(``ppo.base.hidden`` and ``ppo.meta.hidden``), whose products take other
+BLAS paths than the 8-8 nets of every other tree. The last, ``ingest``, runs
 ``generate-data``, writes ``data/holes.csv``, a copy of ``synthetic.csv``
 with fixed gaps punched in and some rows moved (see :func:`punch_gaps`),
 and then ``ingest``, ``train --phase vanilla`` and ``evaluate --policy
@@ -150,6 +153,8 @@ def main(argv=None) -> int:
         return 2
     trees = {name: (pipeline(), {**OVERRIDES, **extra}) for name, extra in TREES.items()}
     trees["ablate_3seeds"] = ([["ablate", "--workers", "2"]], {**OVERRIDES, "eval.seeds": "0,1,2"})
+    wide = {"ppo.base.hidden": "64,64", "ppo.meta.hidden": "64,64"}
+    trees["ablate_64"] = ([["ablate", "--workers", "2"]], {**OVERRIDES, **wide})
     os.makedirs(out)
     failed = 0
     for name, (runs, overrides) in trees.items():
