@@ -12,7 +12,11 @@ from marsbid import (
     reward_neutral,
     reward_safe,
     reward_spec,
+    settle,
 )
+from marsbid.bidding_env import OBS_HISTORY_HOURS
+from marsbid.cli import load_series, make_env
+from marsbid.config import build_config
 
 p = ShapingParams()
 
@@ -36,6 +40,19 @@ profits = np.array([-1000, -100, 0, 2, 100, 1000, 5000])
 for pi, r in zip(profits, reward_meta(profits.astype(float), p)):
     bar = "#" * max(0, int(40 + r * 1.5))
     print(f"  pi {pi:6d} -> r_meta {r:10.3f} {bar}")
+
+# At these default scales the peak lies far below an hour's profit on the
+# default market: bidding all DA earns more than 2 $ in most hours, and in
+# each of them the utility falls as profit rises. Profit is linear in the
+# allocation, so all DA is one settlement over a split's contiguous pass.
+cfg = build_config(environ={})
+splits, load_scale = load_series(cfg)
+peak = p.s_var**2 / (p.lambda_risk * p.s_linear)
+print(f"\nutility peak s_var^2 / (lambda_risk * s_linear) = {peak:g} $/h; all-DA hours above it:")
+for name in ("train", "test1"):
+    env = make_env(cfg, splits[name], len(splits[name]) - OBS_HISTORY_HOURS, load_scale)
+    profit = settle(1.0, *env.episode(env.min_start).dispatch).profit
+    print(f"  {name:6s} {np.mean(profit > peak):.4f} of {len(profit)} hours")
 
 # CVaR-style shaping fines only outcomes below the rolling left-tail
 # quantile of recent profits. The shaper keeps that window across calls, so

@@ -37,7 +37,7 @@ ensemble, logs = train_university(
 
 print("training done; mean shaped reward over updates:")
 for role, log in logs.items():
-    trail = ", ".join(f"{r.mean_reward:+.3f}" for r in log.records[-4:])
+    trail = ", ".join(f"{r.mean_reward:+.3f}" for r in log[-4:])
     print(f"  {role}: ... {trail}")
 
 env = StrategicBiddingEnv(series, episode_len=len(series) - 24)

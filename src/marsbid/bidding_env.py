@@ -54,8 +54,9 @@ class GeneratorSpec:
     mutd_penalty: float = 1000.0  # $ per blocked transition
 
     def __post_init__(self):
-        if not 0 <= self.p_min <= self.p_max:
-            raise ValueError("generator requires 0 <= p_min <= p_max")
+        # the observations divide by p_max
+        if not (0 <= self.p_min <= self.p_max and self.p_max > 0):
+            raise ValueError("generator requires 0 <= p_min <= p_max and p_max > 0")
         if self.ramp_rate <= 0:
             raise ValueError("ramp_rate must be > 0")
         if self.min_up < 0 or self.min_down < 0:

@@ -30,11 +30,11 @@ from .errors import (
     MissingPrerequisiteError,
 )
 from .evaluation import (
-    RollingOptPolicy,
     aggregate_reports,
     compute_report,
     greedy,
     rolling_metrics,
+    rolling_opt,
     run_policy_episode,
     sharpe,
     write_reports_csv,
@@ -48,6 +48,7 @@ from .mars_hierarchy import (
     train_worker,
 )
 from .policy_net import PolicyNetwork
+from .ppo_trainer import write_log
 
 SINGLE_POLICIES = ("safe", "spec", "neutral", "vanilla", "cvar")
 POLICY_NAMES = ("mars", "static", "rolling_opt", "best_single") + SINGLE_POLICIES
@@ -243,9 +244,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         done = f"{args.phase} training done"
     for name, net, log, log_name in trained:
         net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)
-        log.to_csv(
-            os.path.join(logs_dir, f"{log_name}_seed{seed}.csv"), header_comment=_stamp(cfg, seed)
-        )
+        write_log(os.path.join(logs_dir, f"{log_name}_seed{seed}.csv"), log, _stamp(cfg, seed))
     print(f"{done} -> {out_dir}")
     return 0
 
@@ -263,7 +262,7 @@ def _eval_policy(cfg, out_dir, policy, splits, load_scale, seed, obs_dim, roles)
             return BlendPolicy(ensemble, meta)
         return BlendPolicy(ensemble, np.full(ensemble.k, 1.0 / ensemble.k))
     if policy == "rolling_opt":
-        return RollingOptPolicy()
+        return rolling_opt
     if policy == "best_single":
         policy = _pick_best_single(cfg, out_dir, splits, load_scale, seed)
     return greedy(_load_ckpt(out_dir, seed, policy, obs_dim))

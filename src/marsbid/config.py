@@ -317,6 +317,9 @@ def build_config(
     rolling_window = value("int", "eval", "rolling_window")
     if rolling_window < 2:
         raise ConfigError(f"eval.rolling_window must be >= 2, got {rolling_window}")
+    checkpoint_every = value("int", "io", "checkpoint_every")
+    if checkpoint_every < 0:
+        raise ConfigError(f"io.checkpoint_every must be >= 0, got {checkpoint_every}")
     seeds = tuple(_parse("int", "eval", "seeds", s) for s in _parse_list(get("eval", "seeds")))
     if not seeds:
         raise ConfigError("eval.seeds must not be empty")
@@ -347,5 +350,5 @@ def build_config(
         eval_seeds=seeds,
         eval_split=eval_split,
         out_dir=get("io", "out_dir"),
-        checkpoint_every=value("int", "io", "checkpoint_every"),
+        checkpoint_every=checkpoint_every,
     )

@@ -1,6 +1,6 @@
 """Risk and alignment metrics over episode ledgers, report emission, the
 one episode runner that fills a ledger for any policy, and the two runner
-policies that blend nothing: :func:`greedy` and :class:`RollingOptPolicy`.
+policies that blend nothing: :func:`greedy` and :func:`rolling_opt`.
 
 Conventions: per-step profits, zero risk-free rate, no annualization; Sharpe
 uses the sample standard deviation, Sortino the root mean square of
@@ -28,36 +28,32 @@ CONVENTION = (
 )
 
 
-def sharpe(returns) -> float | None:
-    """Mean over sample std; None when the std is zero. Raises
-    :class:`DivergenceError` when the std is not finite, as when the squares
-    of finite returns overflow."""
+def _mean_over(returns, name: str, deviation_name: str, deviation) -> float | None:
+    """Mean of ``returns`` over ``deviation`` of them; None when that is
+    zero. Raises :class:`DivergenceError` when it is not finite, as when the
+    squares of finite returns overflow."""
     r = np.asarray(returns, dtype=np.float64)
     if r.size < 2:
-        raise ValueError("sharpe needs at least 2 returns")
+        raise ValueError(f"{name} needs at least 2 returns")
     with np.errstate(over="ignore", invalid="ignore"):
-        std = r.std(ddof=1)
-    if not np.isfinite(std):
-        raise DivergenceError("non-finite sample std of returns")
-    if std == 0.0:
+        dev = deviation(r)
+    if not np.isfinite(dev):
+        raise DivergenceError(f"non-finite {deviation_name} of returns")
+    if dev == 0.0:
         return None
-    return float(r.mean() / std)
+    return float(r.mean() / dev)
+
+
+def sharpe(returns) -> float | None:
+    """Mean over sample std; None when it is zero, DivergenceError when not finite."""
+    return _mean_over(returns, "sharpe", "sample std", lambda r: r.std(ddof=1))
 
 
 def sortino(returns) -> float | None:
     """Mean over downside deviation sqrt(mean(min(r,0)^2)); None when there
-    is no downside. Raises :class:`DivergenceError` when the deviation is
-    not finite."""
-    r = np.asarray(returns, dtype=np.float64)
-    if r.size < 2:
-        raise ValueError("sortino needs at least 2 returns")
-    with np.errstate(over="ignore", invalid="ignore"):
-        downside = np.sqrt(np.mean(np.minimum(r, 0.0) ** 2))
-    if not np.isfinite(downside):
-        raise DivergenceError("non-finite downside deviation of returns")
-    if downside == 0.0:
-        return None
-    return float(r.mean() / downside)
+    is no downside, DivergenceError when the deviation is not finite."""
+    downside = lambda r: np.sqrt(np.mean(np.minimum(r, 0.0) ** 2))  # noqa: E731
+    return _mean_over(returns, "sortino", "downside deviation", downside)
 
 
 def max_drawdown(equity):
@@ -248,25 +244,24 @@ def greedy(net):
     return lambda tape: net.act_deterministic(tape.obs)[:, 0]
 
 
-class RollingOptPolicy:
+ROLLING_OPT_WINDOW = 24  # hours of realized spread behind each rolling_opt action
+
+
+def rolling_opt(tape) -> np.ndarray:
     """Bang-bang rule on the mean realized (lmp_da - lmp_rt) spread of the
-    ``window`` hours before each tape hour: full DA (+1) above the
-    ``hysteresis`` band, full RT (-1) below it, else the previous action (0 at first)."""
-
-    window = 24
-    hysteresis = 0.0
-
-    def __call__(self, tape) -> np.ndarray:
-        w, band = self.window, self.hysteresis
-        if tape.start < w:
-            raise ValueError(f"only {tape.start} hours of history before the tape, need {w}")
-        hours = slice(tape.start - w, tape.start + len(tape) - 1)
-        spread = tape.series.fields["lmp_da"][hours] - tape.series.fields["lmp_rt"][hours]
-        means = np.lib.stride_tricks.sliding_window_view(spread, w).mean(axis=1)
-        actions = [0.0]
-        for s in means.tolist():
-            actions.append(1.0 if s > band else -1.0 if s < -band else actions[-1])
-        return np.array(actions[1:])
+    :data:`ROLLING_OPT_WINDOW` hours before each tape hour: full DA (+1)
+    when it is positive, full RT (-1) when negative, else the previous
+    action (0 at first)."""
+    w = ROLLING_OPT_WINDOW
+    if tape.start < w:
+        raise ValueError(f"only {tape.start} hours of history before the tape, need {w}")
+    hours = slice(tape.start - w, tape.start + len(tape) - 1)
+    spread = tape.series.fields["lmp_da"][hours] - tape.series.fields["lmp_rt"][hours]
+    means = np.lib.stride_tricks.sliding_window_view(spread, w).mean(axis=1)
+    actions = [0.0]
+    for s in means.tolist():
+        actions.append(1.0 if s > 0.0 else -1.0 if s < 0.0 else actions[-1])
+    return np.array(actions[1:])
 
 
 def run_policy_episode(

@@ -98,7 +98,7 @@ def _column_cells(column: np.ndarray, missing: str) -> list:
         return float_cells(column, missing)
     if column.dtype.kind == "U":
         cells = column.tolist()
-        return ['"' + c.replace('"', '""') + '"' if {",", '"', "\n"} & set(c) else c for c in cells]
+        return ['"' + c.replace('"', '""') + '"' if set(',"\n\r') & set(c) else c for c in cells]
     return list(map(repr, column.tolist()))
 
 
@@ -109,8 +109,8 @@ def write_table(path, header_comment: str | None, header, columns, missing: str 
     written by :func:`float_cells`, integer columns as ``repr``,
     ``datetime64[h]`` columns by :func:`format_timestamps` and ``str``
     columns as they are, except that a ``str`` cell holding a comma, a quote
-    or a line break is quoted as ``csv.writer`` quotes it. No other cell can
-    hold one, so cells are joined as they are.
+    or a line break (line feed or carriage return) is quoted as ``csv.writer``
+    quotes it. No other cell can hold one, so cells are joined as they are.
     """
     with open(path, "w", newline="") as fh:
         if header_comment:

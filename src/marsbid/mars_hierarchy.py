@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .policy_net import PolicyNetwork
-from .ppo_trainer import PpoConfig, TrainingLog, train
+from .ppo_trainer import PpoConfig, train
 from .reward_shaping import TRAINING_REWARDS, ShapingParams
 
 SIMPLEX_TOL = 1e-9
@@ -170,7 +170,7 @@ def train_university(
     Returns ``(ensemble, logs)`` with logs keyed by role.
     """
     trained = []
-    logs: dict[str, TrainingLog] = {}
+    logs: dict[str, list] = {}
     role_seeds = np.random.SeedSequence(seed).spawn(len(roles))
     for role, role_seed in zip(roles, role_seeds):
         net, logs[role] = train_worker(

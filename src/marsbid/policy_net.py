@@ -211,12 +211,9 @@ class PolicyNetwork:
                 f"dim {self.layer_dims[0]}"
             )
         rows = x.reshape(-1, x.shape[-1])
-        if len(rows) > BLOCK_ROWS:
-            starts = range(0, len(rows), BLOCK_ROWS)
-            slices = [self._forward_rows(rows[i : i + BLOCK_ROWS]) for i in starts]
-            mean, value = (np.concatenate(part) for part in zip(*slices))
-        else:
-            mean, value = self._forward_rows(rows)
+        starts = range(0, max(len(rows), 1), BLOCK_ROWS)  # one slice of a zero-row block
+        slices = [self._forward_rows(rows[i : i + BLOCK_ROWS]) for i in starts]
+        mean, value = (np.concatenate(part) for part in zip(*slices))
         log_std = self.params["log_std"].copy()
         if single:
             return mean[0], log_std, float(value[0])

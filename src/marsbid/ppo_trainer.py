@@ -13,7 +13,7 @@ with a fixed seed is exactly reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -177,19 +177,12 @@ class UpdateRecord:
     approx_kl: float
 
 
-@dataclass
-class TrainingLog:
-    records: list = field(default_factory=list)
-
-    def append(self, rec: UpdateRecord) -> None:
-        self.records.append(rec)
-
-    def to_csv(self, path, header_comment: str | None = None) -> None:
-        """One column per :class:`UpdateRecord` field, each cell its value's
-        ``repr``."""
-        cols = [f.name for f in fields(UpdateRecord)]
-        columns = [np.array([getattr(r, c) for r in self.records]) for c in cols]
-        write_table(path, header_comment, cols, columns)
+def write_log(path, records: list, header_comment: str | None = None) -> None:
+    """A training log as CSV: one column per :class:`UpdateRecord` field,
+    each cell its value's ``repr``."""
+    cols = [f.name for f in fields(UpdateRecord)]
+    columns = [np.array([getattr(r, c) for r in records]) for c in cols]
+    write_table(path, header_comment, cols, columns)
 
 
 class LossAndGrads(NamedTuple):
@@ -302,7 +295,7 @@ def train(
     workers: int = 1,
     checkpoint_cb=None,
     env_action=scalar_action,
-) -> TrainingLog:
+) -> list[UpdateRecord]:
     """Run PPO until ``cfg.total_steps`` environment steps.
 
     Each rollout worker reads the next rows of its current tape and, at
@@ -333,7 +326,7 @@ def train(
     obs_dim = policy.layer_dims[0]
     optimizer = Adam(policy.params.flat, lr=cfg.learning_rate)
     grads = policy.params.zeros_like()  # every minibatch's gradient, in place
-    log = TrainingLog()
+    log = []
 
     steps_done = 0
     update = 0

@@ -17,7 +17,7 @@ and ``market_data.repair_gaps`` takes each hour-of-week mean over a strided
 slice, not over a mask of the whole series as :func:`masked_repair_gaps`
 does; and the rewards shape a whole buffer of numpy arrays per call, not
 one float per call as the ``scalar_*`` rewards and
-:class:`ScalarCvarShaper` do; and ``evaluation.RollingOptPolicy`` takes one
+:class:`ScalarCvarShaper` do; and ``evaluation.rolling_opt`` takes one
 sliding-window mean over a whole tape, not one mean per hour as
 :func:`rolling_opt_action` does; and ``ppo_trainer.compute_gae`` runs its
 recursion over Python floats one column at a time, not over numpy rows as
@@ -28,6 +28,7 @@ arrays as :func:`fresh_loss_and_grads` does.
 
 import bisect
 import csv
+import io
 import math
 from collections import deque
 from typing import NamedTuple
@@ -496,13 +497,17 @@ def repr_cell(value, missing: str) -> str:
 def csv_writer_table(path, header_comment, header, rows) -> None:
     """A CSV written through ``csv.writer``, which quotes any cell that
     holds a comma, a quote or a line break: the optional ``# header_comment``
-    line, the header, then ``rows``, each a sequence of string cells."""
+    line, the header, then ``rows``, each a sequence of string cells. Each
+    row is written with the default CR LF line terminator, then ended with
+    LF instead: ``csv.writer`` quotes a carriage return only when its line
+    terminator holds one, and a bare one ends a record for ``csv.reader``."""
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in [header, *rows]:
+            line = io.StringIO()
+            csv.writer(line).writerow(row)
+            fh.write(line.getvalue()[: -len("\r\n")] + "\n")
 
 
 def loop_regimes(rng: np.random.Generator, n: int, dwell_hours: float) -> np.ndarray:

@@ -336,6 +336,9 @@ def regime_runs():
         )
         spec_net = dict(ens.workers)["spec"]
         solo_spec = run_policy_episode(env, greedy(spec_net), start=24)
+        # reported beside MARS, not gated: a constant policy and the safe worker
+        all_da = run_policy_episode(env, lambda tape: np.ones(len(tape)), start=24)
+        solo_safe = run_policy_episode(env, greedy(dict(ens.workers)["safe"]), start=24)
         runs.append(
             {
                 "entropy": allocation_entropy(mars.weights),
@@ -343,6 +346,8 @@ def regime_runs():
                 "mdd_spec": max_drawdown(np.cumsum(solo_spec.profit))[0],
                 "sharpe_mars": sharpe(mars.profit),
                 "sharpe_static": sharpe(static.profit),
+                "sharpe_all_da": sharpe(all_da.profit),
+                "sharpe_safe": sharpe(solo_safe.profit),
             }
         )
     return runs
@@ -373,7 +378,12 @@ def test_criterion_07_ablation_ordering(regime_runs):
     )
     # this criterion tests the method itself; a failure here must surface
     assert mars >= static, f"ORDERING VIOLATED: {detail}"
-    report(f"criterion 7 PASS: {detail}")
+    all_da = float(np.mean([r["sharpe_all_da"] for r in regime_runs]))
+    safe = float(np.mean([r["sharpe_safe"] for r in regime_runs]))
+    report(
+        f"criterion 7 PASS: {detail}; not gated, mean sharpe all DA {all_da:.4f}, "
+        f"safe worker alone {safe:.4f}"
+    )
 
 
 # -- 8. metrics oracle --------------------------------------------------------------------

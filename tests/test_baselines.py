@@ -3,20 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marsbid import evaluation
 from marsbid.bidding_env import StrategicBiddingEnv, map_action
 from marsbid.cli import select_best_single
-from marsbid.evaluation import RollingOptPolicy, greedy, max_drawdown, run_policy_episode
+from marsbid.evaluation import greedy, max_drawdown, rolling_opt, run_policy_episode
 from marsbid.market_data import MarketSeries, SyntheticConfig, generate_synthetic
 from marsbid.mars_hierarchy import AgentEnsemble, BlendPolicy, blend, train_worker
 from marsbid.policy_net import PolicyNetwork
-from marsbid.ppo_trainer import PpoConfig
+from marsbid.ppo_trainer import PpoConfig, write_log
 from marsbid.reward_shaping import ShapingParams
 
 from conftest import make_series, premium_series
 from oracles import rolling_opt_action, rolling_opt_scan
 
-# the policy's constant settings
-CFG = (RollingOptPolicy.window, RollingOptPolicy.hysteresis)
+# the policy's window and its hysteresis band, which is none
+CFG = (evaluation.ROLLING_OPT_WINDOW, 0.0)
 
 
 # -- rolling opt ---------------------------------------------------------------
@@ -71,24 +72,30 @@ _SPREAD_ENV = StrategicBiddingEnv(
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    window=st.integers(1, 48), hysteresis=st.floats(0.0, 3.0), start=st.integers(48, 180)
-)
-def test_rolling_opt_policy_equals_per_hour_scan(window, hysteresis, start):
+@given(window=st.integers(1, 48), start=st.integers(48, 180))
+def test_rolling_opt_policy_equals_per_hour_scan(window, start):
     _SPREAD_ENV.reset(start=start)
-    policy = RollingOptPolicy()
-    policy.window, policy.hysteresis = window, hysteresis
-    assert np.array_equal(
-        policy(_SPREAD_ENV.tape), rolling_opt_scan(_SPREAD_ENV.tape, window, hysteresis)
-    )
+    default, evaluation.ROLLING_OPT_WINDOW = evaluation.ROLLING_OPT_WINDOW, window
+    try:
+        actions = rolling_opt(_SPREAD_ENV.tape)
+    finally:
+        evaluation.ROLLING_OPT_WINDOW = default
+    assert np.array_equal(actions, rolling_opt_scan(_SPREAD_ENV.tape, window, 0.0))
 
 
 def test_rolling_opt_policy_over_env():
     # DA pays 10 over RT everywhere: after warm-up the policy sits at +1
     series = make_series(lmp_da=np.full(300, 50.0), lmp_rt=np.full(300, 40.0))
     env = StrategicBiddingEnv(series, episode_len=100)
-    ledger = run_policy_episode(env, RollingOptPolicy(), start=30)
+    ledger = run_policy_episode(env, rolling_opt, start=30)
     assert np.allclose(ledger.alpha, 1.0)
+
+
+def test_rolling_opt_has_no_band():
+    # a mean spread of any sign switches, however small; zero holds
+    spread = np.repeat([0.0, 1e-300, 0.0, -1e-300], 24)
+    env = StrategicBiddingEnv(make_series(lmp_da=spread, lmp_rt=np.zeros(96)), episode_len=72)
+    assert np.array_equal(rolling_opt(env.episode(24)), [0.0] + [1.0] * 48 + [-1.0] * 23)
 
 
 # -- static blend ----------------------------------------------------------------
@@ -157,7 +164,7 @@ def test_vanilla_zero_budget_returns_init(premium_env):
     _, train_env = premium_env
     cfg = PpoConfig(total_steps=0, hidden=(8,))
     net, log = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(0), "vanilla")
-    assert log.records == [] and net.step_count == 0
+    assert log == [] and net.step_count == 0
 
 
 def test_vanilla_deterministic_log(premium_env, tmp_path):
@@ -167,7 +174,7 @@ def test_vanilla_deterministic_log(premium_env, tmp_path):
     def run(name):
         net, log = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(9), "vanilla")
         p = tmp_path / name
-        log.to_csv(p)
+        write_log(p, log)
         return p.read_bytes(), net.param_hash()
 
     b1, h1 = run("a.csv")
@@ -180,7 +187,7 @@ def test_cvar_trains_and_tags(premium_env):
     cfg = PpoConfig(total_steps=1024, buffer_size=512, hidden=(8, 8))
     net, log = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(1), "cvar")
     assert net.role == "cvar"
-    assert len(log.records) == 2
+    assert len(log) == 2
 
 
 def _rare_spike_series(n, seed):
@@ -226,8 +233,8 @@ def test_vanilla_and_cvar_share_their_first_rollouts():
     cfg = PpoConfig(total_steps=128, buffer_size=128, hidden=(8,))
     _, log_v = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(6), "vanilla")
     _, log_c = train_worker(train_env, cfg, ShapingParams(), np.random.SeedSequence(6), "cvar")
-    assert log_v.records[0].mean_profit == log_c.records[0].mean_profit
-    assert log_v.records[0].mean_reward != log_c.records[0].mean_reward
+    assert log_v[0].mean_profit == log_c[0].mean_profit
+    assert log_v[0].mean_reward != log_c[0].mean_reward
 
 
 # -- best single ----------------------------------------------------------------------

@@ -132,10 +132,14 @@ def test_bad_values_are_config_errors():
         # history plus one 168-hour episode
         "split.test1_end=2022-01-01T10:00:00Z",
         "split.train_start=2021-12-25T00:00:00Z",
+        # the observations divide by p_max
+        "generator.p_min=0 generator.p_max=0",
+        "io.checkpoint_every=-3",
     ):
-        # the message names the key
-        with pytest.raises(ConfigError, match=override.split("=")[0].rsplit(".", 1)[1]):
-            build_config(overrides=[override], environ={})
+        # the message names the (last) key
+        overrides = override.split()
+        with pytest.raises(ConfigError, match=overrides[-1].split("=")[0].rsplit(".", 1)[1]):
+            build_config(overrides=overrides, environ={})
 
 
 @pytest.mark.parametrize(
@@ -511,6 +515,26 @@ def test_hidden_size_below_1_exits_2(tmp_path, capsys, override, sizes):
     section = override.split(".hidden")[0]
     message = f"config error: {section}: hidden sizes must be >= 1, got {sizes}\n"
     assert capsys.readouterr().err == message
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            ("generator.p_min=0", "generator.p_max=0"),
+            "generator: generator requires 0 <= p_min <= p_max and p_max > 0",
+        ),
+        (("io.checkpoint_every=-3",), "io.checkpoint_every must be >= 0, got -3"),
+    ],
+    ids=["p_max", "checkpoint_every"],
+)
+def test_zero_p_max_and_negative_checkpoint_every_exit_2(tmp_path, capsys, overrides, message):
+    # at p_max 0 training diverged (exit 4); a negative period meant "final only"
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    rc = run_cli("train", "--phase", "vanilla", "--out", str(tmp_path), *TINY, *sets)
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
 

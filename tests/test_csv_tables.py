@@ -3,6 +3,7 @@ training log, and the per-seed, ablation and report tables) against a
 ``csv.writer`` reference, byte for byte: on edge values, at the block edges
 of ``write_table``, and with text cells that need quoting."""
 
+import csv
 import json
 import math
 
@@ -28,7 +29,7 @@ from marsbid.market_data import (
     format_timestamps,
     write_csv,
 )
-from marsbid.ppo_trainer import TrainingLog, UpdateRecord
+from marsbid.ppo_trainer import UpdateRecord, write_log
 
 from conftest import START_2021
 from oracles import csv_writer_table, repr_cell
@@ -46,8 +47,9 @@ ROLES = ("safe", "spec", "neutral")
 COMMENT = "config_hash=0123456789abcdef seed=7"
 # a metric is a finite float or None (undefined); the drawdowns may be inf
 METRIC_VALUES = [None, 0.0, -0.0, 5e-324, 1e-5, 1e16, -1e22, 3.0, 2.0**53, 0.1, -123.456, None]
-# text cells, some of which csv.writer quotes
-NAMES = ["seed0", "a,b", 'say "hi"', "two\nlines", "", "mars_k2"]
+# text cells, some of which csv.writer quotes; the first three also name
+# directories
+NAMES = ["seed0", 'say "hi"', "a\rb", "a,b", "two\nlines", ""]
 
 
 def edge_column(n: int, shift: int) -> np.ndarray:
@@ -120,13 +122,13 @@ def test_ledger_csv_matches_csv_writer(tmp_path, n, blended):
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 1])
 def test_training_log_csv_matches_csv_writer(tmp_path, n):
-    log = TrainingLog()
+    log = []
     floats = edge_column(n, 0).tolist()
     for i, x in enumerate(floats):
         log.append(UpdateRecord(i + 1, 512 * (i + 1), x, -x, 2.0 * x, 0.5, x / 3.0, 1e-5))
     header = list(UpdateRecord.__dataclass_fields__)
-    rows = ([repr(getattr(r, c)) for c in header] for r in log.records)
-    write = lambda path: log.to_csv(path, header_comment=COMMENT)  # noqa: E731
+    rows = ([repr(getattr(r, c)) for c in header] for r in log)
+    write = lambda path: write_log(path, log, header_comment=COMMENT)  # noqa: E731
     assert_same_file(tmp_path, write, header, rows, n)
     if n:
         assert (tmp_path / "ours.csv").read_text().split("\n")[2].startswith("1,512,")
@@ -211,4 +213,6 @@ def test_report_csv_matches_csv_writer(tmp_path, n_policies):
     header = ["policy", "split", "sharpe", "sortino", "mdd_abs", "entropy", "alignment"]
     comment = f"config_hash={build_config().config_hash}"
     assert_matches_csv_writer(tmp_path / "report.csv", comment, header, rows)
-    assert len((tmp_path / "report.csv").read_text().splitlines()) == 2 + 2 * n_policies
+    # csv.reader ends a record at a bare carriage return
+    with open(tmp_path / "report.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 2 + 2 * n_policies

@@ -88,7 +88,7 @@ def test_sharpe_hand_values():
     assert sharpe([1.0, -1.0, 1.0, -1.0]) == 0.0
     assert sharpe([2.0, 4.0]) == pytest.approx(3.0 / math.sqrt(2.0), abs=1e-9)
     assert sharpe([5.0, 5.0, 5.0]) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sharpe needs at least 2 returns"):
         sharpe([1.0])
 
 
@@ -97,6 +97,8 @@ def test_sortino_hand_values():
     assert sortino([3.0, -4.0]) == pytest.approx(-0.5 / math.sqrt(8.0), abs=1e-9)
     assert sortino([-0.5 / math.sqrt(8.0) * 0, 0.0]) is None  # all zero
     assert sortino([3.0, -4.0]) == pytest.approx(-0.1768, abs=1e-4)
+    with pytest.raises(ValueError, match="sortino needs at least 2 returns"):
+        sortino([1.0])
 
 
 @pytest.mark.parametrize(

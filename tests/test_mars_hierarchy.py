@@ -324,7 +324,7 @@ def test_meta_phase_keeps_workers_frozen(trained_pair):
     )
     assert param_hashes(ens) == hashes_before
     assert meta.action_dim == 2 and not meta.squash
-    assert len(log.records) == 2
+    assert len(log) == 2
 
 
 def test_zero_meta_budget_returns_init_near_uniform(trained_pair):
@@ -333,7 +333,7 @@ def test_zero_meta_budget_returns_init_near_uniform(trained_pair):
     meta, log = train_meta(
         StrategicBiddingEnv(series, episode_len=168), ens, cfg, ShapingParams(), seed=0
     )
-    assert log.records == []
+    assert log == []
     env = StrategicBiddingEnv(series, episode_len=48)
     env.reset(start=24)
     w = BlendPolicy(ens, meta)(env.tape).weights[0]

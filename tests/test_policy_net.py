@@ -94,6 +94,13 @@ def test_block_forward_equals_row_forwards(obs_dim, hidden, action_dim, squash, 
         assert np.array_equal(sliced_mean, mean) and np.array_equal(sliced_value, value)
 
 
+def test_zero_row_block_forward():
+    # an empty block still runs one (empty) slice
+    net = PolicyNetwork(obs_dim=5, hidden=(4,), action_dim=2, seed=0)
+    mean, _, value = net.forward(np.zeros((0, 5)))
+    assert mean.shape == (0, 2) and value.shape == (0,)
+
+
 # -- sampling ----------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from marsbid.ppo_trainer import (
     normalize_advantages,
     scalar_action,
     train,
+    write_log,
 )
 from marsbid.reward_shaping import CvarRewardShaper, ShapingParams, reward_meta, reward_safe
 
@@ -315,7 +316,7 @@ def test_zero_total_steps_no_op():
         PpoConfig(total_steps=0, hidden=(8,)),
         seed=0,
     )
-    assert net.param_hash() == before and log.records == []
+    assert net.param_hash() == before and log == []
 
 
 def test_training_log_deterministic_for_fixed_seed(tmp_path):
@@ -325,7 +326,7 @@ def test_training_log_deterministic_for_fixed_seed(tmp_path):
             total_steps=1024, buffer_size=256, learning_rate=1e-3, hidden=(8, 8)
         )
         log = train(BanditEnv(), net, lambda pi, alpha: pi, cfg, seed=11)
-        log.to_csv(path, header_comment="t")
+        write_log(path, log, header_comment="t")
         return net.param_hash()
 
     h1 = run(tmp_path / "a.csv")
@@ -346,7 +347,7 @@ def test_bandit_learns_positive_action():
     net = PolicyNetwork(obs_dim=4, hidden=(16, 16), seed=42)
     log = train(BanditEnv(), net, lambda pi, alpha: pi, cfg, seed=42)
     assert float(net.act_deterministic(np.zeros(4))[0]) > 0.8
-    assert log.records[-1].mean_reward > log.records[0].mean_reward
+    assert log[-1].mean_reward > log[0].mean_reward
 
 
 def test_config_validation():
@@ -389,7 +390,7 @@ def test_multi_worker_collection_trains():
     net = PolicyNetwork(obs_dim=4, hidden=(8, 8), seed=0)
     log = train(BanditEnv(), net, lambda pi, a: pi, cfg, seed=3, workers=4)
     # 512 // 4 = 128 steps per worker per update, x4 workers per update
-    assert [r.steps for r in log.records] == [512, 1024]
+    assert [r.steps for r in log] == [512, 1024]
     with pytest.raises(ValueError):
         train(BanditEnv(), net, lambda pi, a: pi, cfg, seed=3, workers=0)
 

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marsbid import cli
+from marsbid.bidding_env import OBS_HISTORY_HOURS, settle
+from marsbid.config import build_config
 from marsbid.reward_shaping import (
     CvarRewardShaper,
     ShapingParams,
@@ -97,6 +100,26 @@ def test_meta_argmax_at_two():
     h = 1e-6
     derivative = (reward_meta(2.0 + h, P) - reward_meta(2.0 - h, P)) / (2 * h)
     assert derivative == pytest.approx(0.0, abs=1e-9)
+
+
+def test_default_meta_utility_falls_in_most_default_all_da_hours():
+    # a report, not a gate: at the CLI's default scales the meta utility
+    # peaks at $2/h, and above the peak it falls as profit rises; that is
+    # most hours of the default market at all DA (profit is linear in alpha,
+    # so all DA is one settle over each split's contiguous pass)
+    cfg = build_config(environ={})
+    p = cfg.shaping
+    peak = p.s_var**2 / (p.lambda_risk * p.s_linear)
+    assert peak == 2.0
+    assert reward_meta(peak, p) > max(reward_meta(peak - 1.0, p), reward_meta(peak + 1.0, p))
+    splits, load_scale = cli.load_series(cfg)
+    shares = {}
+    for name in ("train", "test1"):
+        series = splits[name]
+        env = cli.make_env(cfg, series, len(series) - OBS_HISTORY_HOURS, load_scale)
+        profit = settle(1.0, *env.episode(env.min_start).dispatch).profit
+        shares[name] = round(float(np.mean(profit > peak)), 4)
+    assert shares == {"train": 0.8709, "test1": 0.6306}
 
 
 @given(start=st.floats(-5000, 5000), step=st.floats(0.01, 100))
