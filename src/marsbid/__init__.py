@@ -7,7 +7,6 @@ from .bidding_env import (
     Settlement,
     StrategicBiddingEnv,
     Tape,
-    UnitState,
     map_action,
     settle,
 )

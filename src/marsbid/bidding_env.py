@@ -14,9 +14,9 @@ Two dispatch modes:
   subject to minimum up/down times (infeasible transitions are blocked and
   fined) and ramp limits (clamped to feasibility and fined per MW clamped).
 
-The dynamics are exogenous: :func:`dispatch`, the unit-state transition,
-reads the prices and the unit but never alpha. So an episode is a pure
-function of its start: one scan of the unit state fixes it as a
+The dynamics are exogenous: :func:`unit_schedule`, the unit's state and
+dispatch over a whole tape, reads the prices but never alpha. So an
+episode is a pure function of its start: one schedule fixes it as a
 :class:`Tape`, its observations and, per hour, the capacity, marginal cost,
 startup cost and fines. :func:`settle` is then elementwise arithmetic in
 alpha, for one hour or for a whole tape at once, and ``step`` is a cursor
@@ -63,17 +63,11 @@ class GeneratorSpec:
             raise ValueError("min_up and min_down must be >= 0")
         if min(self.startup_cost, self.ramp_penalty, self.mutd_penalty) < 0:
             raise ValueError("costs must be >= 0")
+        if self.heat_rate < 0:
+            raise ValueError(f"heat_rate must be >= 0, got {self.heat_rate}")
 
     def marginal_cost(self, gas_price: float) -> float:
         return self.heat_rate * gas_price
-
-
-class UnitState(NamedTuple):
-    """Commitment status and ramp memory of the unit."""
-
-    committed: bool
-    hours_in_state: int
-    prev_output: float
 
 
 class Settlement(NamedTuple):
@@ -101,60 +95,58 @@ def map_action(a_raw):
     return (np.minimum(np.maximum(a_raw, -1.0), 1.0) + 1.0) / 2.0
 
 
-def dispatch(
-    unit: UnitState,
-    lmp_da: float,
-    lmp_rt: float,
-    marginal_cost: float,
-    spec: GeneratorSpec,
-    dispatch_mode: str = "always_on",
-):
-    """Run the unit through one hour at the given prices and marginal cost
-    ($/MWh); alpha plays no part.
+def unit_schedule(spec: GeneratorSpec, dispatch_mode: str, lmp_da, lmp_rt, marginal_cost):
+    """The unit's schedule over a tape's prices and marginal costs ($/MWh);
+    alpha plays no part.
 
-    Returns ``(capacity, cost_startup, penalty, next_unit)``: the MW to
-    settle, the startup cost and fines in $, and the advanced unit state.
+    Returns a (6, T) float64 array. Its rows are the unit entering each hour
+    (committed 1 or 0, hours in that state, previous output in MW), then the
+    hour's capacity to settle, startup cost and fines in $. The unit starts
+    committed at full output with its minimum-up time already served, so
+    ``always_on``, which keeps it there, never pays a startup cost or a fine
+    and needs no scan.
     """
-    penalty = 0.0
-    startup = False
-
+    n = len(lmp_da)
     if dispatch_mode == "always_on":
-        startup = not unit.committed
-        capacity = spec.p_max
-        committed = True
-    elif dispatch_mode == "economic":
-        want_on = marginal_cost <= max(lmp_da, lmp_rt)
-        committed = unit.committed
-        if unit.committed and not want_on:
-            if unit.hours_in_state < spec.min_up:
+        schedule = np.zeros((6, n))
+        schedule[0] = 1.0
+        schedule[1] = spec.min_up + np.arange(n, dtype=np.float64)
+        schedule[2:4] = spec.p_max
+        return schedule
+    if dispatch_mode != "economic":
+        raise ValueError(f"unknown dispatch mode {dispatch_mode!r}")
+    committed, hours_in_state, prev_output = True, spec.min_up, spec.p_max
+    rows = []
+    for da, rt, mc in zip(lmp_da.tolist(), lmp_rt.tolist(), marginal_cost.tolist()):
+        penalty = 0.0
+        startup = False
+        want_on = mc <= max(da, rt)
+        on = committed
+        if committed and not want_on:
+            if hours_in_state < spec.min_up:
                 penalty += spec.mutd_penalty  # shutdown blocked
             else:
-                committed = False
-        elif not unit.committed and want_on:
-            if unit.hours_in_state < spec.min_down:
+                on = False
+        elif not committed and want_on:
+            if hours_in_state < spec.min_down:
                 penalty += spec.mutd_penalty  # startup blocked
             else:
-                committed = True
-                startup = True
-        if not committed:
+                on = startup = True
+        if not on:
             capacity = 0.0
         elif startup:
             # Startup ramps from zero; exempt from the ramp fine.
             capacity = min(spec.p_max, max(spec.p_min, spec.ramp_rate))
         else:
-            lo = max(spec.p_min, unit.prev_output - spec.ramp_rate)
-            hi = min(spec.p_max, unit.prev_output + spec.ramp_rate)
+            lo = max(spec.p_min, prev_output - spec.ramp_rate)
+            hi = min(spec.p_max, prev_output + spec.ramp_rate)
             capacity = min(max(spec.p_max, lo), hi)
             penalty += spec.ramp_penalty * (spec.p_max - capacity)
-    else:
-        raise ValueError(f"unknown dispatch mode {dispatch_mode!r}")
-
-    next_unit = UnitState(
-        committed=committed,
-        hours_in_state=unit.hours_in_state + 1 if committed == unit.committed else 1,
-        prev_output=capacity,
-    )
-    return capacity, spec.startup_cost if startup else 0.0, penalty, next_unit
+        cost_startup = spec.startup_cost if startup else 0.0
+        rows.append((committed, hours_in_state, prev_output, capacity, cost_startup, penalty))
+        hours_in_state = hours_in_state + 1 if on == committed else 1
+        committed, prev_output = on, capacity
+    return np.array(rows, dtype=np.float64).reshape(n, 6).T
 
 
 def settle(alpha, lmp_da, lmp_rt, marginal_cost, capacity, cost_startup, penalty) -> Settlement:
@@ -200,10 +192,10 @@ class StrategicBiddingEnv:
     The market is exogenous: prices, volatility, load, time and weather
     never depend on the action. So the 24-hour DA price windows and one
     read-only hour-feature matrix are built once, and :meth:`episode`
-    builds an episode's :class:`Tape` from them and one scan of the unit
-    state, touching nothing else: one instance serves every rollout worker.
-    ``reset`` and ``step`` are the stepwise view, one cursor over
-    ``env.tape``. An observation is a read-only float64 vector of
+    builds an episode's :class:`Tape` from them and the unit's
+    :func:`unit_schedule`, touching nothing else: one instance serves every
+    rollout worker. ``reset`` and ``step`` are the stepwise view, one cursor
+    over ``env.tape``. An observation is a read-only float64 vector of
     ``obs_dim`` cells:
 
     * 0-23: the DA LMPs of the 24 hours before the current one, oldest
@@ -294,11 +286,8 @@ class StrategicBiddingEnv:
     ) -> Tape:
         """The tape of the episode at ``start`` (or a uniform random valid
         index drawn from ``rng``, else the first valid one). Pure: it leaves
-        ``env.tape`` and the step cursor alone.
-
-        The unit starts committed at full output with its minimum-up time
-        already served, so the default mode never pays a startup cost; there
-        the unit never changes state and its columns need no scan.
+        ``env.tape`` and the step cursor alone. The unit's cells and
+        columns come from one :func:`unit_schedule`.
         """
         if start is None:
             if rng is None:
@@ -319,29 +308,16 @@ class StrategicBiddingEnv:
         spec = self.spec
         lmp_da, lmp_rt = f["lmp_da"][hours], f["lmp_rt"][hours]
         mc = spec.marginal_cost(f["gas_price"][hours])
-        if self.dispatch_mode == "always_on":
-            committed = np.ones(self.episode_len)
-            hours_in_state = spec.min_up + np.arange(self.episode_len, dtype=np.float64)
-            prev_output = np.full(self.episode_len, spec.p_max, dtype=np.float64)
-            hour_columns = (prev_output, np.zeros(self.episode_len), np.zeros(self.episode_len))
-        else:
-            unit = UnitState(committed=True, hours_in_state=spec.min_up, prev_output=spec.p_max)
-            rows = []  # the unit entering each hour, then the hour's dispatch
-            for prices in zip(lmp_da.tolist(), lmp_rt.tolist(), mc.tolist()):
-                *hour, next_unit = dispatch(unit, *prices, spec, self.dispatch_mode)
-                rows.append((*unit, *hour))
-                unit = next_unit
-            committed, hours_in_state, prev_output, *hour_columns = np.array(
-                rows, dtype=np.float64
-            ).T
+        schedule = unit_schedule(spec, self.dispatch_mode, lmp_da, lmp_rt, mc)
         obs = np.empty((self.episode_len, self.obs_dim))
         windows = self._windows[start - OBS_HISTORY_HOURS : hours.stop - OBS_HISTORY_HOURS]
         np.divide(windows, self.price_scale, out=obs[:, :OBS_HISTORY_HOURS])
         obs[:, OBS_HISTORY_HOURS:] = self._hour_features[hours]
+        committed, hours_in_state, prev_output = schedule[:3]
         obs[:, UNIT_CELLS] = np.column_stack(
             (committed, np.minimum(1.0, hours_in_state / 24.0), prev_output / spec.p_max)
         )
-        table = np.vstack((lmp_da, lmp_rt, mc, *hour_columns))
+        table = np.vstack((lmp_da, lmp_rt, mc, schedule[3:]))
         for arr in (obs, table):
             arr.flags.writeable = False
         return Tape(series=self.series, start=start, obs=obs, dispatch=table)

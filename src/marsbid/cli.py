@@ -157,8 +157,8 @@ def _check_workers(workers: int, ppo_by_section: dict) -> None:
 
 
 def cmd_generate_data(cfg: RunConfig, args) -> int:
-    out_dir = _ensure_dir(os.path.join(_outdir(cfg, args), "data"))
     series = md.generate_synthetic(cfg.synthetic)
+    out_dir = _ensure_dir(os.path.join(_outdir(cfg, args), "data"))
     path = os.path.join(out_dir, "synthetic.csv")
     md.write_csv(series, path, header_comment=_stamp(cfg, cfg.synthetic.seed))
     da = series.fields["lmp_da"]

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import MarketDataError
+from .errors import DivergenceError, MarketDataError
 
 FIELD_NAMES = (
     "lmp_da",
@@ -38,6 +38,7 @@ BLOCK_ROWS = 512  # rows a pass over a long input reads, checks or formats at on
 _NONNEGATIVE_FIELDS = ("load_actual", "load_forecast", "gas_price")
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_LAST_HOUR = 70389527  # 9999-12-31T23:00Z; later years have five digits
 
 # Hours in the hour-of-week profile that fills long gaps.
 SEASONAL_PERIOD = 168
@@ -258,6 +259,14 @@ class SyntheticConfig:
             raise MarketDataError("regime_dwell_hours must be >= 1")
         if not 0.0 <= self.rt_spike_prob <= 1.0:
             raise MarketDataError("rt_spike_prob must be in [0, 1]")
+        if self.seed < 0:
+            raise MarketDataError(f"seed must be >= 0, got {self.seed}")
+        if self.start + self.n_hours - 1 > _LAST_HOUR:
+            # ingest_csv reads no later hour back
+            raise MarketDataError(
+                f"n_hours={self.n_hours} from {format_timestamp(self.start)} runs past "
+                f"{format_timestamp(_LAST_HOUR)}"
+            )
 
 
 def ingest_csv(path) -> MarketSeries:
@@ -313,10 +322,12 @@ def ingest_csv(path) -> MarketSeries:
         raise MarketDataError(fault)
 
     timeline = np.arange(ordered[0], ordered[-1] + 1, dtype=np.int64)
-    fields = {name: np.full(timeline.size, np.nan) for name in FIELD_NAMES}
-    for block_hours, values in zip(hour_blocks, value_blocks):
-        for name, column in zip(FIELD_NAMES, values):
-            fields[name][block_hours - timeline[0]] = column
+    fields = {}
+    for j, name in enumerate(FIELD_NAMES):  # one field at a time, each block dropped once placed
+        fields[name] = np.full(timeline.size, np.nan)
+        for block_hours, values in zip(hour_blocks, value_blocks):
+            fields[name][block_hours - timeline[0]] = values[j]
+            values[j] = None
     return MarketSeries(timestamps=timeline, fields=fields, provenance="ingested")
 
 
@@ -376,7 +387,6 @@ def _read_block(path, header: list, block: list, base: int, h0: int | None):
     return hours, [values[name][:m] for name in FIELD_NAMES], fault
 
 
-_LAST_HOUR = 70389527  # 9999-12-31T23:00Z; later years have five digits
 _BLANK = {"": "nan"}  # _BLANK.get(cell, cell) reads an empty cell as "nan"
 
 
@@ -496,38 +506,33 @@ def generate_synthetic(cfg: SyntheticConfig) -> MarketSeries:
     hod = hour_of_day(ts).astype(np.float64)
     diurnal = np.sin(2.0 * np.pi * (hod - 6.0) / 24.0)
 
-    # Draw order is fixed so output is reproducible for a given seed.
+    # Draw order is fixed so output is reproducible for a given seed. Each
+    # draw is used as soon as it is made, so few full-length arrays live at once.
     regimes = _simulate_regimes(rng, n, cfg.regime_dwell_hours)
-    da_noise = rng.standard_normal(n)
-    rt_noise = rng.standard_normal(n)
-    spike_u = rng.random(n)
-    spike_mag = rng.exponential(1.0, n)
-    load_noise = rng.standard_normal(n)
-    temp_noise = rng.standard_normal(n)
-    wind_noise = rng.standard_normal(n)
-    gas_steps = rng.standard_normal(n)
-
     volatile = regimes == 1
-    mean = np.where(volatile, cfg.volatile_mean, cfg.calm_mean)
-    std = np.where(volatile, cfg.volatile_std, cfg.calm_std)
-    lmp_da = mean + cfg.diurnal_amplitude * diurnal + std * da_noise
-
-    spread_scale = np.where(volatile, cfg.volatile_std / cfg.calm_std, 1.0)
-    lmp_rt = lmp_da + cfg.rt_spread_std * spread_scale * rt_noise
-    if cfg.rt_spike_prob > 0.0:
-        hit = volatile & (spike_u < cfg.rt_spike_prob)
-        lmp_rt = lmp_rt + np.where(hit, cfg.rt_spike_mean * (1.0 + spike_mag), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lmp_da = np.where(volatile, cfg.volatile_mean, cfg.calm_mean)  # the regime mean
+        lmp_da += cfg.diurnal_amplitude * diurnal
+        lmp_da += np.where(volatile, cfg.volatile_std, cfg.calm_std) * rng.standard_normal(n)
+        lmp_rt = np.where(volatile, cfg.volatile_std / cfg.calm_std, 1.0)  # the spread's scale
+        lmp_rt = lmp_da + cfg.rt_spread_std * lmp_rt * rng.standard_normal(n)
+        if cfg.rt_spike_prob > 0.0:
+            hit = volatile & (rng.random(n) < cfg.rt_spike_prob)
+            lmp_rt += np.where(hit, cfg.rt_spike_mean * (1.0 + rng.exponential(1.0, n)), 0.0)
+        else:  # the spike draws still happen, so the later draws do not move
+            rng.random(n), rng.exponential(1.0, n)
 
     load_shape = LOAD_BASE + LOAD_AMPLITUDE * diurnal
-    load_actual = np.maximum(0.0, load_shape + LOAD_NOISE_STD * load_noise)
+    load_actual = np.maximum(0.0, load_shape + LOAD_NOISE_STD * rng.standard_normal(n))
     load_forecast = np.maximum(0.0, load_shape)
-    temperature = 12.0 + 8.0 * np.sin(2.0 * np.pi * (hod - 8.0) / 24.0) + 1.5 * temp_noise
-    wind_speed = np.maximum(0.0, 5.0 + 2.5 * wind_noise)
+    temperature = 12.0 + 8.0 * np.sin(2.0 * np.pi * (hod - 8.0) / 24.0)
+    temperature += 1.5 * rng.standard_normal(n)
+    wind_speed = np.maximum(0.0, 5.0 + 2.5 * rng.standard_normal(n))
 
     # Daily gas price: one random-walk step per UTC day, constant within it.
     days = (ts // 24) - (ts[0] // 24)
     day_steps = np.zeros(int(days[-1]) + 1)
-    day_steps[1:] = gas_steps[1 : day_steps.size]
+    day_steps[1:] = rng.standard_normal(n)[1 : day_steps.size]
     gas_daily = np.clip(GAS_BASE + np.cumsum(0.05 * day_steps), 0.5, None)
     gas_price = gas_daily[days]
 
@@ -540,6 +545,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> MarketSeries:
         "wind_speed": wind_speed,
         "gas_price": gas_price,
     }
+    for name, values in fields.items():
+        if not np.isfinite(values).all():
+            raise DivergenceError(f"non-finite {name} in the synthetic market")
     return MarketSeries(
         timestamps=ts, fields=fields, provenance="synthetic", regimes=regimes
     )

@@ -12,6 +12,8 @@ CSV, the metric tables included, is joined block by block by
 ``repr`` at a time as :func:`csv_writer_table` does; and the synthetic
 regime chain is the parity of a cumulative sum of switches, not a state
 flipped hour by hour as in :func:`loop_regimes`; and
+``market_data.generate_synthetic`` uses each noise draw as soon as it is
+drawn, not after drawing them all as :func:`drawn_first_synthetic` does; and
 ``market_data.ingest_csv`` checks and parses a file column by column, not row by row as :func:`rowwise_ingest_csv` does;
 and ``market_data.repair_gaps`` takes each hour-of-week mean over a strided
 slice, not over a mask of the whole series as :func:`masked_repair_gaps`
@@ -35,10 +37,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from marsbid.bidding_env import OBS_HISTORY_HOURS, UnitState
+from marsbid.bidding_env import OBS_HISTORY_HOURS
 from marsbid.errors import MarketDataError
 from marsbid.market_data import (
     _NONNEGATIVE_FIELDS,
+    GAS_BASE,
+    LOAD_AMPLITUDE,
+    LOAD_BASE,
+    LOAD_NOISE_STD,
     CSV_COLUMNS,
     FIELD_NAMES,
     SEASONAL_PERIOD,
@@ -83,6 +89,14 @@ def rolling_volatility(prices) -> float:
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite price in volatility window")
     return float(arr.std())
+
+
+class Unit(NamedTuple):
+    """The unit entering an hour: commitment status and ramp memory."""
+
+    committed: bool
+    hours_in_state: int
+    prev_output: float
 
 
 def observation(env, i: int, unit) -> np.ndarray:
@@ -169,7 +183,7 @@ def settle_hour(alpha, lmp_da, lmp_rt, gas_price, spec, unit, dispatch_mode="alw
     cost_marginal = mc * (q_da + q_rt)
     cost_startup = spec.startup_cost if startup else 0.0
     profit = revenue_da + revenue_rt - cost_marginal - cost_startup - penalty
-    next_unit = UnitState(
+    next_unit = Unit(
         committed=committed,
         hours_in_state=unit.hours_in_state + 1 if committed == unit.committed else 1,
         prev_output=capacity,
@@ -185,7 +199,7 @@ def stepwise_episode(env, start: int, actions):
     array of the settled columns in ``Settlement`` field order.
     """
     f = env.series.fields
-    unit = UnitState(committed=True, hours_in_state=env.spec.min_up, prev_output=env.spec.p_max)
+    unit = Unit(committed=True, hours_in_state=env.spec.min_up, prev_output=env.spec.p_max)
     obs, rows = [], []
     for t, a in enumerate(actions):
         i = start + t
@@ -522,6 +536,46 @@ def loop_regimes(rng: np.random.Generator, n: int, dwell_hours: float) -> np.nda
             state = 1 - state
         states[t] = state
     return states
+
+
+def drawn_first_synthetic(cfg) -> dict:
+    """The synthetic market's fields and regimes, every noise series drawn
+    before any is used: regimes, DA noise, RT noise, spike uniforms, spike
+    sizes, load, temperature and wind noise, then the daily gas steps."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_hours
+    ts = np.arange(cfg.start, cfg.start + n, dtype=np.int64)
+    hod = hour_of_day(ts).astype(np.float64)
+    diurnal = np.sin(2.0 * np.pi * (hod - 6.0) / 24.0)
+    regimes = loop_regimes(rng, n, cfg.regime_dwell_hours)
+    da_noise, rt_noise = rng.standard_normal(n), rng.standard_normal(n)
+    spike_u, spike_mag = rng.random(n), rng.exponential(1.0, n)
+    load_noise, temp_noise = rng.standard_normal(n), rng.standard_normal(n)
+    wind_noise, gas_steps = rng.standard_normal(n), rng.standard_normal(n)
+
+    volatile = regimes == 1
+    mean = np.where(volatile, cfg.volatile_mean, cfg.calm_mean)
+    std = np.where(volatile, cfg.volatile_std, cfg.calm_std)
+    lmp_da = mean + cfg.diurnal_amplitude * diurnal + std * da_noise
+    spread_scale = np.where(volatile, cfg.volatile_std / cfg.calm_std, 1.0)
+    lmp_rt = lmp_da + cfg.rt_spread_std * spread_scale * rt_noise
+    if cfg.rt_spike_prob > 0.0:
+        hit = volatile & (spike_u < cfg.rt_spike_prob)
+        lmp_rt = lmp_rt + np.where(hit, cfg.rt_spike_mean * (1.0 + spike_mag), 0.0)
+    load_shape = LOAD_BASE + LOAD_AMPLITUDE * diurnal
+    days = (ts // 24) - (ts[0] // 24)
+    day_steps = np.zeros(int(days[-1]) + 1)
+    day_steps[1:] = gas_steps[1 : day_steps.size]
+    return {
+        "lmp_da": lmp_da,
+        "lmp_rt": lmp_rt,
+        "load_actual": np.maximum(0.0, load_shape + LOAD_NOISE_STD * load_noise),
+        "load_forecast": np.maximum(0.0, load_shape),
+        "temperature": 12.0 + 8.0 * np.sin(2.0 * np.pi * (hod - 8.0) / 24.0) + 1.5 * temp_noise,
+        "wind_speed": np.maximum(0.0, 5.0 + 2.5 * wind_noise),
+        "gas_price": np.clip(GAS_BASE + np.cumsum(0.05 * day_steps), 0.5, None)[days],
+        "regimes": regimes,
+    }
 
 
 def rowwise_ingest_csv(path) -> MarketSeries:

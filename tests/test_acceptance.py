@@ -12,13 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from marsbid.bidding_env import (
-    GeneratorSpec,
-    StrategicBiddingEnv,
-    UnitState,
-    dispatch,
-    settle,
-)
+from marsbid.bidding_env import GeneratorSpec, StrategicBiddingEnv, settle
 from marsbid.cli import main as cli_main
 from marsbid.evaluation import (
     allocation_entropy,
@@ -89,10 +83,9 @@ def test_criterion_01_equation_oracles():
         gas = rng.uniform(0, 12)
         alpha = rng.uniform(0, 1)
         offline = rng.random() < 0.3
-        unit = UnitState(committed=not offline, hours_in_state=5, prev_output=0.0 if offline else 100.0)
         lmp_da, lmp_rt, mc = float(lmp_da), float(lmp_rt), gen.marginal_cost(float(gas))
-        capacity, cost_startup, penalty, _ = dispatch(unit, lmp_da, lmp_rt, mc, gen)
-        out = settle(alpha, lmp_da, lmp_rt, mc, capacity, cost_startup, penalty)
+        cost_startup = gen.startup_cost if offline else 0.0
+        out = settle(alpha, lmp_da, lmp_rt, mc, gen.p_max, cost_startup, 0.0)
         q_da = alpha * gen.p_max
         q_rt = gen.p_max - q_da
         expected = (

@@ -8,30 +8,34 @@ from marsbid.bidding_env import (
     GeneratorSpec,
     Settlement,
     StrategicBiddingEnv,
-    UnitState,
-    dispatch,
     map_action,
     settle,
+    unit_schedule,
 )
 
 from conftest import make_series
 from oracles import rolling_volatility, stepwise_episode
 
 SPEC = GeneratorSpec()  # p_max 100, heat_rate 7.5
-ON = UnitState(committed=True, hours_in_state=4, prev_output=100.0)
-OFF = UnitState(committed=False, hours_in_state=4, prev_output=0.0)
+ON = (SPEC.p_max, 0.0, 0.0)  # an always-on hour: capacity, startup cost, fines
 
 
 def rec(lmp_da=50.0, lmp_rt=60.0, gas=4.0):
-    """One hour's market inputs: (lmp_da, lmp_rt, gas_price)."""
-    return float(lmp_da), float(lmp_rt), float(gas)
+    """One hour's prices and marginal cost: (lmp_da, lmp_rt, mc)."""
+    return float(lmp_da), float(lmp_rt), SPEC.marginal_cost(float(gas))
 
 
-def settle_at(alpha, lmp_da, lmp_rt, gas, spec, unit, dispatch_mode="always_on"):
-    """One hour through the program: dispatch the unit, then settle alpha."""
-    mc = spec.marginal_cost(gas)
-    capacity, cost_startup, penalty, nxt = dispatch(unit, lmp_da, lmp_rt, mc, spec, dispatch_mode)
-    return settle(alpha, lmp_da, lmp_rt, mc, capacity, cost_startup, penalty), nxt
+EXPENSIVE = rec(lmp_da=10.0, lmp_rt=12.0, gas=10.0)  # mc 75, above both prices
+CHEAP = rec(lmp_da=80.0, lmp_rt=70.0, gas=4.0)  # mc 30, below both prices
+
+
+def economic(pattern, spec=SPEC):
+    """The economic schedule over hours that are expensive ("E") or cheap
+    ("C"), and their settlement at alpha 0.5. The unit enters the first hour
+    committed at full output with its minimum-up time served."""
+    lmp_da, lmp_rt, mc = np.array([EXPENSIVE if c == "E" else CHEAP for c in pattern]).T
+    schedule = unit_schedule(spec, "economic", lmp_da, lmp_rt, mc)
+    return schedule, settle(np.full(len(pattern), 0.5), lmp_da, lmp_rt, mc, *schedule[3:])
 
 
 # -- map_action --------------------------------------------------------------
@@ -68,31 +72,29 @@ def test_map_action_range(a):
 
 def test_settle_hand_example():
     # 100 MW at alpha 0.6: 60 MW at 50 $ + 40 MW at 60 $ - 100 MW at 30 $
-    out, nxt = settle_at(0.6, *rec(), SPEC, ON)
+    out = settle(0.6, *rec(), *ON)
     assert out.profit == pytest.approx(2400.0, abs=1e-9)
     assert out.revenue_da == pytest.approx(3000.0)
     assert out.revenue_rt == pytest.approx(2400.0)
     assert out.cost_marginal == pytest.approx(3000.0)
     assert out.cost_startup == 0.0
-    assert nxt.committed and nxt.hours_in_state == 5 and nxt.prev_output == 100.0
 
 
 def test_settle_zero_case():
-    out, _ = settle_at(0.5, *rec(lmp_da=0.0, lmp_rt=0.0, gas=0.0),
-                       GeneratorSpec(startup_cost=0.0), ON)
+    out = settle(0.5, *rec(lmp_da=0.0, lmp_rt=0.0, gas=0.0), *ON)
     assert out.profit == 0.0
 
 
 def test_settle_startup_cost_from_offline():
-    out, nxt = settle_at(0.6, *rec(), SPEC, OFF)
+    # the hour a unit starts from offline pays the startup cost
+    out = settle(0.6, *rec(), SPEC.p_max, SPEC.startup_cost, 0.0)
     assert out.profit == pytest.approx(1900.0, abs=1e-9)
     assert out.cost_startup == 500.0
-    assert nxt.committed and nxt.hours_in_state == 1
 
 
 def test_settle_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        settle_at(1.2, *rec(), SPEC, ON)
+        settle(1.2, *rec(), *ON)
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,56 +105,76 @@ def test_settle_rejects_bad_alpha():
     alpha=st.floats(0, 1),
 )
 def test_settle_decomposition_identity(lmp_da, lmp_rt, gas, alpha):
-    out, _ = settle_at(alpha, *rec(lmp_da, lmp_rt, gas), SPEC, ON)
+    out = settle(alpha, *rec(lmp_da, lmp_rt, gas), *ON)
     total = out.revenue_da + out.revenue_rt - out.cost_marginal - out.cost_startup - out.penalty
     assert out.profit == pytest.approx(total, abs=1e-9)
 
 
 @given(alpha=st.floats(0, 1))
 def test_settle_capacity_identity(alpha):
-    out, _ = settle_at(alpha, *rec(), SPEC, ON)
+    out = settle(alpha, *rec(), *ON)
     q_da = out.revenue_da / 50.0
     q_rt = out.revenue_rt / 60.0
     assert q_da + q_rt == pytest.approx(SPEC.p_max, abs=1e-9)
 
 
 def test_settle_alpha_irrelevant_when_prices_equal():
-    pis = [
-        settle_at(a, *rec(lmp_da=47.0, lmp_rt=47.0), SPEC, ON)[0].profit
-        for a in (0.0, 0.3, 0.9, 1.0)
-    ]
+    pis = [settle(a, *rec(lmp_da=47.0, lmp_rt=47.0), *ON).profit for a in (0.0, 0.3, 0.9, 1.0)]
     assert max(pis) - min(pis) < 1e-9
 
 
+# -- unit_schedule -------------------------------------------------------------
+
+
+def test_always_on_schedule_stays_committed_at_p_max():
+    prices = np.array([EXPENSIVE, CHEAP, EXPENSIVE]).T
+    schedule = unit_schedule(SPEC, "always_on", *prices)
+    assert schedule.shape == (6, 3) and schedule.dtype == np.float64
+    assert schedule[0].tolist() == [1.0] * 3
+    assert schedule[1].tolist() == [4.0, 5.0, 6.0]  # min_up served, one more per hour
+    assert schedule[2].tolist() == schedule[3].tolist() == [100.0] * 3
+    assert not schedule[4:].any()
+
+
+def test_unknown_dispatch_mode_rejected():
+    with pytest.raises(ValueError, match="dispatch mode"):
+        unit_schedule(SPEC, "peaker", *np.array([CHEAP]).T)
+
+
 def test_settle_economic_shutdown_and_blocked_restart():
-    # marginal cost above both prices: unit wants off
-    expensive = rec(lmp_da=10.0, lmp_rt=12.0, gas=10.0)  # mc = 75
-    out, nxt = settle_at(0.5, *expensive, SPEC, ON, dispatch_mode="economic")
-    assert not nxt.committed and out.profit == 0.0
-    # still in min_down: restart blocked and fined
-    cheap = rec(lmp_da=80.0, lmp_rt=70.0, gas=4.0)
-    out2, nxt2 = settle_at(0.5, *cheap, SPEC, UnitState(False, 1, 0.0), dispatch_mode="economic")
-    assert not nxt2.committed
-    assert out2.penalty == SPEC.mutd_penalty
-    # min_down served: restart happens, startup cost paid, output ramp-limited
-    out3, nxt3 = settle_at(0.5, *cheap, SPEC, UnitState(False, 4, 0.0), dispatch_mode="economic")
-    assert nxt3.committed
-    assert out3.cost_startup == SPEC.startup_cost
-    assert nxt3.prev_output == 50.0  # ramp_rate-limited startup
+    # rows: committed, hours in state, previous output, capacity, startup, fines
+    schedule, out = economic("ECCCCC")
+    # marginal cost above both prices: the unit shuts down and earns nothing
+    assert schedule[:, 0].tolist() == [1.0, 4.0, 100.0, 0.0, 0.0, 0.0]
+    assert out.profit[0] == 0.0
+    # still in min_down: the restart is blocked and fined, three times
+    assert schedule[:, 1].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, SPEC.mutd_penalty]
+    assert schedule[5, 1:4].tolist() == [SPEC.mutd_penalty] * 3
+    assert out.penalty[1] == SPEC.mutd_penalty
+    # min_down served: the restart happens, the startup cost is paid and the
+    # output is ramp-limited, unfined
+    assert schedule[:, 4].tolist() == [0.0, 4.0, 0.0, 50.0, SPEC.startup_cost, 0.0]
+    assert out.cost_startup[4] == SPEC.startup_cost
+    # entering the next hour: committed for one hour at 50 MW
+    assert schedule[:3, 5].tolist() == [1.0, 1.0, 50.0]
 
 
 def test_settle_economic_blocked_shutdown_fined():
-    expensive = rec(lmp_da=10.0, lmp_rt=12.0, gas=10.0)
-    out, nxt = settle_at(0.5, *expensive, SPEC, UnitState(True, 2, 100.0), dispatch_mode="economic")
-    assert nxt.committed  # min_up not served
-    assert out.penalty == SPEC.mutd_penalty
+    schedule, out = economic("ECCCCE")
+    # one hour after the restart, min_up is not served: the shutdown is blocked
+    assert schedule[:3, 5].tolist() == [1.0, 1.0, 50.0]
+    assert schedule[3, 5] == 100.0 and out.penalty[5] == SPEC.mutd_penalty
 
 
 def test_settle_economic_ramp_clamp_fined():
     spec = GeneratorSpec(ramp_rate=30.0)
-    out, nxt = settle_at(0.5, *rec(), spec, UnitState(True, 10, 40.0), dispatch_mode="economic")
-    assert nxt.prev_output == 70.0  # 40 + 30
-    assert out.penalty == pytest.approx(spec.ramp_penalty * 30.0)
+    schedule, out = economic("ECCCCCCC", spec)
+    # the restart gives 30 MW; each later hour climbs at most 30 MW and is
+    # fined per MW short of p_max
+    assert schedule[3, 4:].tolist() == [30.0, 60.0, 90.0, 100.0]
+    assert schedule[5, 4:].tolist() == [0.0, 1000.0, 250.0, 0.0]
+    assert schedule[2, 5:].tolist() == [30.0, 60.0, 90.0]
+    assert out.penalty[6] == pytest.approx(spec.ramp_penalty * 10.0)
 
 
 # -- rolling volatility --------------------------------------------------------
@@ -306,7 +328,8 @@ def test_optional_weather_extras():
 _RNG = np.random.default_rng(21)
 _N = 240
 # DA/RT prices straddle the marginal cost (30 $/MWh), so economic dispatch
-# shuts the unit down, blocks restarts and clamps ramps.
+# shuts the unit down and blocks restarts; a ramp rate of 30 MW/h keeps a
+# restarted unit below p_max for two hours, so it also clamps ramps.
 _SERIES = make_series(
     lmp_da=_RNG.normal(35.0, 20.0, _N),
     lmp_rt=_RNG.normal(35.0, 25.0, _N),
@@ -317,7 +340,11 @@ _SERIES = make_series(
 )
 _ENVS = {
     (mode, weather): StrategicBiddingEnv(
-        _SERIES, episode_len=48, dispatch_mode=mode, include_weather=weather
+        _SERIES,
+        spec=GeneratorSpec(ramp_rate=30.0) if mode == "economic" else SPEC,
+        episode_len=48,
+        dispatch_mode=mode,
+        include_weather=weather,
     )
     for mode in ("always_on", "economic")
     for weather in (False, True)
@@ -334,8 +361,8 @@ _ENVS = {
 def test_tape_and_step_equal_stepwise_oracle(mode, weather, start, actions):
     env = _ENVS[(mode, weather)]
     want_obs, want = stepwise_episode(env, start, actions)
-    if mode == "economic":  # every 48-hour window pays a startup and a fine
-        assert want[5].any() and want[6].any()
+    if mode == "economic":  # every 48-hour window pays a startup and a ramp fine
+        assert want[5].any() and np.any(want[6] % env.spec.mutd_penalty)
     # the tape's observation block, read-only
     first = env.reset(start=start)
     tape = env.tape
@@ -361,3 +388,11 @@ def test_tape_and_step_equal_stepwise_oracle(mode, weather, start, actions):
             assert next_obs is None
         else:
             assert np.array_equal(next_obs, want_obs[t + 1]) and not next_obs.flags.writeable
+
+
+def test_oracle_economic_tapes_fine_ramp_clamps():
+    env = _ENVS[("economic", False)]
+    fines = {x for start in range(env.min_start, env.max_start + 1)
+             for x in env.episode(start).dispatch[5].tolist()}
+    # a clamp alone (250), and one in the hour of a blocked shutdown (1250)
+    assert {250.0, 1250.0} <= fines

@@ -135,6 +135,13 @@ def test_bad_values_are_config_errors():
         # the observations divide by p_max
         "generator.p_min=0 generator.p_max=0",
         "io.checkpoint_every=-3",
+        # numpy seeds are >= 0; a negative heat rate is a negative fuel cost
+        "synthetic.seed=-1",
+        "generator.heat_rate=-7.5",
+        # a series past 9999-12-31T23:00Z cannot be read back; a huge one
+        # is rejected before anything is allocated
+        "synthetic.start=9999-12-01 synthetic.n_hours=2000",
+        "synthetic.n_hours=100000000000",
     ):
         # the message names the (last) key
         overrides = override.split()
@@ -536,6 +543,49 @@ def test_zero_p_max_and_negative_checkpoint_every_exit_2(tmp_path, capsys, overr
     assert rc == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "overrides, code, message",
+    [
+        (("synthetic.seed=-1",), 2, "config error: synthetic: seed must be >= 0, got -1"),
+        (
+            ("generator.heat_rate=-7.5",),
+            2,
+            "config error: generator: heat_rate must be >= 0, got -7.5",
+        ),
+        (
+            ("synthetic.start=9999-12-01", "synthetic.n_hours=2000"),
+            2,
+            "config error: synthetic: n_hours=2000 from 9999-12-01T00:00:00Z runs past "
+            "9999-12-31T23:00:00Z",
+        ),
+        (
+            ("synthetic.volatile_std=1e308",),
+            4,
+            "numeric divergence: non-finite lmp_da in the synthetic market",
+        ),
+        (
+            ("synthetic.rt_spread_std=1e308",),
+            4,
+            "numeric divergence: non-finite lmp_rt in the synthetic market",
+        ),
+    ],
+    ids=["seed", "heat_rate", "past_9999", "volatile_std", "rt_spread_std"],
+)
+@pytest.mark.parametrize("command", [("generate-data",), ("train", "--phase", "vanilla")])
+def test_bad_market_and_generator_settings_fail_closed(
+    tmp_path, capsys, command, overrides, code, message
+):
+    # before: a numpy traceback (exit 1), a negative fuel cost, rows stamped
+    # in year 10000 that ingest rejects, and inf cells written with exit 0
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run_cli(*command, "--out", str(tmp_path), *TINY, *sets)
+    assert rc == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not any(tmp_path.iterdir())  # not even an empty data directory
 
 
 def test_validator_errors_name_their_section(tmp_path, capsys):

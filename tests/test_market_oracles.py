@@ -1,6 +1,7 @@
-"""``ingest_csv``, ``repair_gaps`` and the synthetic regime chain against
-their row-by-row, mask-loop and hour-loop references in ``oracles``: the
-same series to the bit, or the same error message."""
+"""``ingest_csv``, ``repair_gaps``, the synthetic regime chain and the
+synthetic market against their row-by-row, mask-loop, hour-loop and
+drawn-first references in ``oracles``: the same series to the bit, or the
+same error message."""
 
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -20,14 +21,16 @@ from marsbid.market_data import (
     CSV_COLUMNS,
     FIELD_NAMES,
     MarketSeries,
+    SyntheticConfig,
     _simulate_regimes,
     format_timestamp,
+    generate_synthetic,
     ingest_csv,
     repair_gaps,
 )
 
 from conftest import START_2021
-from oracles import loop_regimes, masked_repair_gaps, rowwise_ingest_csv
+from oracles import drawn_first_synthetic, loop_regimes, masked_repair_gaps, rowwise_ingest_csv
 
 def _outcome(fn, arg):
     try:
@@ -216,3 +219,22 @@ def test_regime_chain_equals_hour_loop(seed, dwell):
         assert ours.random() == ref.random()  # the same draws were taken
         if dwell == 1.0:  # every draw is below 1: a switch every hour
             np.testing.assert_array_equal(states, np.arange(1, n + 1) % 2)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"n_hours": 43824, "seed": 1},
+        {"n_hours": 48, "seed": 0, "start": START_2021 + 23},
+        {"n_hours": 5000, "seed": 7, "rt_spike_prob": 0.3, "rt_spike_mean": -80.0},
+        {"n_hours": 2000, "seed": 2, "rt_spike_prob": 1.0, "regime_dwell_hours": 1.0},
+        {"n_hours": 3000, "seed": 5, "rt_spread_std": 0.0, "calm_std": 0.5, "volatile_std": 90.0},
+    ],
+    ids=["five_years", "two_days", "spikes", "spike_every_volatile_hour", "no_spread"],
+)
+def test_synthetic_market_equals_drawn_first(config):
+    cfg = SyntheticConfig(**config)
+    series, want = generate_synthetic(cfg), drawn_first_synthetic(cfg)
+    for name in FIELD_NAMES:
+        np.testing.assert_array_equal(_bits(series.fields[name]), _bits(want[name]))
+    np.testing.assert_array_equal(series.regimes, want["regimes"])

@@ -10,9 +10,11 @@ end-to-end reproducibility test's overrides (seed 7), each tree runs
 phases with ``--workers 2``; ``evaluate`` of eight policies on test1;
 ``report``; and ``ablate --workers 2``. The trees are ``always_on``,
 ``economic`` and ``economic_weather`` (``economic`` with
-``env.include_weather=true``). ``economic`` also sets
-``io.checkpoint_every=1``, so its ``train`` runs write the periodic
-``<role>_u<update>.ckpt`` checkpoints after every PPO update. One more, ``ablate_3seeds``, runs
+``env.include_weather=true`` and ``generator.ramp_rate=30``, so a restarted
+unit climbs to ``p_max`` over several hours and its ramp clamps are fined).
+``economic`` also sets ``io.checkpoint_every=1``, so its ``train`` runs
+write the periodic ``<role>_u<update>.ckpt`` checkpoints after every PPO
+update. One more, ``ablate_3seeds``, runs
 ``ablate --workers 2`` alone with ``eval.seeds=0,1,2``, so its seeds run in
 a process pool where the machine has two CPUs. ``ablate_64`` runs
 ``ablate --workers 2`` alone with the default 64-64 nets
@@ -58,7 +60,11 @@ POLICIES = ("mars", "static", "safe", "spec", "vanilla", "cvar", "rolling_opt", 
 TREES = {
     "always_on": {"env.dispatch_mode": "always_on"},
     "economic": {"env.dispatch_mode": "economic", "io.checkpoint_every": "1"},
-    "economic_weather": {"env.dispatch_mode": "economic", "env.include_weather": "true"},
+    "economic_weather": {
+        "env.dispatch_mode": "economic",
+        "env.include_weather": "true",
+        "generator.ramp_rate": "30",
+    },
 }
 
 
