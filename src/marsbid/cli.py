@@ -179,13 +179,15 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
             f"no input CSV at {path}; set data.csv_path or run generate-data"
         )
     series = md.ingest_csv(path)
+    n_hours = len(series)
     n_missing = sum(int(np.isnan(v).sum()) for v in series.fields.values())
     repaired = md.repair_gaps(series) if n_missing else series
+    del series  # frees the unrepaired fields before write_csv and split copy
     n_filled = sum(int(m.sum()) for m in repaired.fill_mask.values())
     out_path = os.path.join(out_dir, "repaired.csv")
     md.write_csv(repaired, out_path, header_comment=_stamp(cfg, "-"))
     splits = zip(md.SPLIT_NAMES, md.split(repaired, cfg.split))
-    print(f"ingested {path}: {len(series)} hours, {n_missing} missing values")
+    print(f"ingested {path}: {n_hours} hours, {n_missing} missing values")
     print(f"wrote {out_path}: {n_filled} values filled")
     print("splits: " + ", ".join(f"{name} {len(part)}h" for name, part in splits))
     return 0

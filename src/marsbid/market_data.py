@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
+import orjson
 
 from .errors import DivergenceError, MarketDataError
 
@@ -83,12 +84,22 @@ def format_timestamp(epoch_hour: int) -> str:
 
 
 def float_cells(values, missing: str) -> list:
-    """CSV cells of floats: ``repr``, exact under a write/read round trip,
-    and ``missing`` for NaN. One ``repr`` of the whole list formats them."""
-    values = np.asarray(values, np.float64)
-    cells = repr(values.tolist())[1:-1].split(", ") if values.size else []
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        cells[i] = missing
+    """CSV cells of floats: each float's ``repr``, its shortest decimal that
+    reads back to the same float, and ``missing`` for NaN.
+
+    One ``orjson.dumps`` of the whole array writes the digits. Its cells equal
+    ``repr``'s at zero and where 1e-4 <= |x| < 1e16; elsewhere it writes
+    another notation (``0.00001`` for ``1e-05``, ``1e16`` for ``1e+16``) or
+    ``null`` (NaN, ±inf), so those few cells are rewritten one by one. orjson
+    takes only C-contiguous arrays, and columns such as ``weights.T`` are
+    strided."""
+    values = np.ascontiguousarray(values, np.float64)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    cells = text.split(",") if values.size else []
+    magnitude = np.abs(values)
+    odd = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0))
+    for i, x in zip(odd.tolist(), values[odd].tolist()):
+        cells[i] = missing if x != x else repr(x)
     return cells
 
 
@@ -400,8 +411,9 @@ def _cell_value(cell: str) -> float:
 
 
 def write_csv(series: MarketSeries, path, header_comment: str | None = None) -> None:
-    """Emit the standard CSV schema. Floats use ``repr`` so a write/ingest
-    round trip is exact; NaN becomes an empty cell."""
+    """Emit the standard CSV schema. Floats are written by
+    :func:`float_cells` in ``repr`` form, so a write/ingest round trip is
+    exact; NaN becomes an empty cell."""
     columns = [series.timestamps.astype("datetime64[h]")]
     columns += [series.fields[name] for name in FIELD_NAMES]
     write_table(path, header_comment, CSV_COLUMNS, columns, missing="")

@@ -34,9 +34,14 @@ from marsbid.ppo_trainer import UpdateRecord, write_log
 from conftest import START_2021
 from oracles import csv_writer_table, repr_cell
 
+# a NaN whose mantissa holds more than the quiet bit
+PAYLOAD_NAN = float(np.array(0x7FF8_0000_0000_BEEF, np.uint64).view(np.float64))
+# float_cells writes orjson's cell where 1e-4 <= |x| < 1e16 and repr's
+# elsewhere; the values on both sides of each switch point are here
 EDGE_VALUES = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-5, 1e-4, 1e15, 1e16, 1e22,
-    -1e22, 3.0, -7.0, 2.0**53, 0.1, -123.456, math.nan,
+    -1e22, 3.0, -7.0, 2.0**53, 0.1, -123.456, math.nan, float(np.nextafter(1e-4, 0)),
+    -1e-4, 9999999999999998.0, -1e16, -5e-324, PAYLOAD_NAN,
 ]
 BLOCK_EDGES = (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
 LEDGER_COLUMNS = (
@@ -72,10 +77,43 @@ def assert_same_file(tmp_path, write, header, rows, n_rows):
     assert all(line.count(",") == len(header) - 1 for line in lines)
 
 
+def random_bit_floats(n: int, seed: int) -> np.ndarray:
+    """``n`` float64s made of random bits. Sign and mantissa bits are
+    uniform, but one mantissa in 8 is zero, and the exponent field falls in
+    the band from 2**-16 to 2**56 around both of float_cells' switch points 9
+    times in 10, anywhere in 0..2047 8 times in 100, and else on 0 (zeros,
+    subnormals) or 2047 (±inf, NaN payloads)."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    exponents = np.array([rng.integers(1007, 1080, n), rng.integers(0, 2048, n),
+                          rng.choice([0, 2047], n)])
+    exponent = exponents[rng.choice(3, size=n, p=[0.9, 0.08, 0.02]), np.arange(n)]
+    mantissa = bits & np.uint64(2**52 - 1)
+    mantissa[rng.random(n) < 1 / 8] = 0
+    sign = bits & np.uint64(1 << 63)
+    return (sign | exponent.astype(np.uint64) << np.uint64(52) | mantissa).view(np.float64)
+
+
 @pytest.mark.parametrize("missing", ["", "NA", "nan"])
 def test_float_cells_match_per_cell_repr(missing):
     assert float_cells(EDGE_VALUES, missing) == [repr_cell(v, missing) for v in EDGE_VALUES]
     assert float_cells(np.array([]), missing) == []
+    # a column of a 2-D array is strided
+    grid = np.column_stack([EDGE_VALUES, EDGE_VALUES[::-1]])
+    assert not grid[:, 1].flags.c_contiguous
+    assert float_cells(grid[:, 1], missing) == [repr_cell(v, missing) for v in EDGE_VALUES[::-1]]
+
+
+@pytest.mark.parametrize("missing", ["", "NA", "nan"])
+def test_float_cells_match_repr_on_random_bits(missing):
+    values = random_bit_floats(200_000, seed=25)
+    magnitude = np.abs(values)
+    assert np.isinf(values).any() and (values == 0).any()
+    assert ((magnitude > 0) & (magnitude < 2.0**-1022)).any()  # subnormals
+    nan_bits = values[np.isnan(values)].view(np.uint64)
+    assert len(set(nan_bits.tolist())) > 2  # NaNs with payloads
+    assert ((magnitude >= 1e-4) & (magnitude < 1e16)).mean() > 0.8
+    assert float_cells(values, missing) == [repr_cell(v, missing) for v in values.tolist()]
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)

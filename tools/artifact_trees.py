@@ -19,11 +19,16 @@ update. One more, ``ablate_3seeds``, runs
 a process pool where the machine has two CPUs. ``ablate_64`` runs
 ``ablate --workers 2`` alone with the default 64-64 nets
 (``ppo.base.hidden`` and ``ppo.meta.hidden``), whose products take other
-BLAS paths than the 8-8 nets of every other tree. The last, ``ingest``, runs
+BLAS paths than the 8-8 nets of every other tree. ``ingest`` runs
 ``generate-data``, writes ``data/holes.csv``, a copy of ``synthetic.csv``
 with fixed gaps punched in and some rows moved (see :func:`punch_gaps`),
 and then ``ingest``, ``train --phase vanilla`` and ``evaluate --policy
-vanilla`` on it with ``data.source=csv``.
+vanilla`` on it with ``data.source=csv``. ``tiny_prices`` runs
+``generate-data``, ``ingest`` and ``evaluate --policy rolling_opt`` on a
+market whose prices lie mostly below 1e-4 (see :data:`TINY_PRICES`), so its
+CSVs hold thousands of floats that ``repr`` writes in exponent form, the
+cells ``market_data.float_cells`` formats one by one; the other trees
+write one such cell in all.
 
 Each tree's files land in ``OUT/<tree>/``, and its exit codes, stdout and
 stderr in ``OUT/<tree>.log``, with the tree's path masked as ``OUT``. Run
@@ -65,6 +70,16 @@ TREES = {
         "env.include_weather": "true",
         "generator.ramp_rate": "30",
     },
+}
+
+# Prices around $5e-5/MWh: below 1e-4, where repr switches to exponent form.
+TINY_PRICES = {
+    "synthetic.calm_mean": "4e-5",
+    "synthetic.calm_std": "5e-6",
+    "synthetic.volatile_mean": "6e-5",
+    "synthetic.volatile_std": "2.5e-5",
+    "synthetic.rt_spread_std": "8e-6",
+    "synthetic.diurnal_amplitude": "1e-5",
 }
 
 
@@ -163,6 +178,8 @@ def main(argv=None) -> int:
     trees["ablate_3seeds"] = ([["ablate", "--workers", "2"]], {**OVERRIDES, "eval.seeds": "0,1,2"})
     wide = {"ppo.base.hidden": "64,64", "ppo.meta.hidden": "64,64"}
     trees["ablate_64"] = ([["ablate", "--workers", "2"]], {**OVERRIDES, **wide})
+    tiny = [["generate-data"], ["ingest"], ["evaluate", "--policy", "rolling_opt", "--split", "test1"]]
+    trees["tiny_prices"] = (tiny, {**OVERRIDES, **TINY_PRICES})
     os.makedirs(out)
     failed = 0
     for name, (runs, overrides) in trees.items():
