@@ -14,7 +14,6 @@ from marsbid import (
     reward_spec,
     settle,
 )
-from marsbid.bidding_env import OBS_HISTORY_HOURS
 from marsbid.cli import load_series, make_env
 from marsbid.config import build_config
 
@@ -50,8 +49,8 @@ splits, load_scale = load_series(cfg)
 peak = p.s_var**2 / (p.lambda_risk * p.s_linear)
 print(f"\nutility peak s_var^2 / (lambda_risk * s_linear) = {peak:g} $/h; all-DA hours above it:")
 for name in ("train", "test1"):
-    env = make_env(cfg, splits[name], len(splits[name]) - OBS_HISTORY_HOURS, load_scale)
-    profit = settle(1.0, *env.episode(env.min_start).dispatch).profit
+    env = make_env(cfg, splits[name], load_scale)
+    profit = settle(1.0, *env.episode().dispatch).profit
     print(f"  {name:6s} {np.mean(profit > peak):.4f} of {len(profit)} hours")
 
 # CVaR-style shaping fines only outcomes below the rolling left-tail

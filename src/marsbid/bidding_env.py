@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DivergenceError
 from .market_data import MarketSeries, day_of_week, hour_of_day, write_table
 
 OBS_HISTORY_HOURS = 24
@@ -215,7 +216,7 @@ class StrategicBiddingEnv:
         self,
         series: MarketSeries,
         spec: GeneratorSpec | None = None,
-        episode_len: int = 168,
+        episode_len: int | None = 168,
         price_scale: float = 100.0,
         load_scale: float | None = None,
         dispatch_mode: str = "always_on",
@@ -223,6 +224,8 @@ class StrategicBiddingEnv:
     ):
         if series.has_missing():
             raise ValueError("environment requires a fully repaired series")
+        if episode_len is None:  # the whole series after the history
+            episode_len = len(series) - OBS_HISTORY_HOURS
         if len(series) < OBS_HISTORY_HOURS + episode_len:
             raise ValueError(
                 f"series of {len(series)}h cannot host a {episode_len}h episode "
@@ -245,7 +248,10 @@ class StrategicBiddingEnv:
         # std of the 24 DA prices before index i
         self._windows = np.lib.stride_tricks.sliding_window_view(f["lmp_da"], OBS_HISTORY_HOURS)
         self.volatility = np.full(len(series), np.nan)
-        self.volatility[OBS_HISTORY_HOURS:] = self._windows[:-1].std(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # prices near the float limit
+            self.volatility[OBS_HISTORY_HOURS:] = self._windows[:-1].std(axis=1)
+        if not np.isfinite(self.volatility[OBS_HISTORY_HOURS:]).all():
+            raise DivergenceError("non-finite 24-h volatility of lmp_da in the observations")
         self.volatility.flags.writeable = False
         hod = hour_of_day(series.timestamps).astype(np.float64)
         dow = day_of_week(series.timestamps).astype(np.float64)

@@ -20,7 +20,7 @@ import traceback
 import numpy as np
 
 from . import market_data as md
-from .bidding_env import OBS_HISTORY_HOURS, StrategicBiddingEnv
+from .bidding_env import StrategicBiddingEnv
 from .config import RunConfig, build_config
 from .errors import (
     CheckpointError,
@@ -88,9 +88,9 @@ def load_series(cfg: RunConfig):
     return splits, load_scale
 
 
-def make_env(cfg: RunConfig, series, episode_len, load_scale) -> StrategicBiddingEnv:
-    """The configured env over ``series``: training passes
-    ``cfg.episode_len``, evaluation the whole split, one contiguous pass."""
+def make_env(cfg: RunConfig, series, load_scale, episode_len=None) -> StrategicBiddingEnv:
+    """The configured env over ``series``: training passes ``cfg.episode_len``;
+    by default one episode covers the whole split, evaluation's one pass."""
     return StrategicBiddingEnv(
         series,
         spec=cfg.generator,
@@ -158,15 +158,18 @@ def _check_workers(workers: int, ppo_by_section: dict) -> None:
 
 def cmd_generate_data(cfg: RunConfig, args) -> int:
     series = md.generate_synthetic(cfg.synthetic)
+    da = series.fields["lmp_da"]
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of prices near the float limit
+        mean, std = da.mean(), da.std()
+    if not np.isfinite([mean, std]).all():
+        raise DivergenceError("non-finite lmp_da mean or std in the synthetic market")
     out_dir = _ensure_dir(os.path.join(_outdir(cfg, args), "data"))
     path = os.path.join(out_dir, "synthetic.csv")
     md.write_csv(series, path, header_comment=_stamp(cfg, cfg.synthetic.seed))
-    da = series.fields["lmp_da"]
-    volatile = series.regimes == 1
     print(f"wrote {path}: {len(series)} hours")
     print(
-        f"lmp_da mean {da.mean():.2f} std {da.std():.2f} $/MWh; "
-        f"volatile fraction {volatile.mean():.3f}"
+        f"lmp_da mean {mean:.2f} std {std:.2f} $/MWh; "
+        f"volatile fraction {np.mean(series.regimes == 1):.3f}"
     )
     return 0
 
@@ -201,7 +204,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         {"ppo.meta": cfg.ppo_meta} if args.phase == "meta" else {"ppo.base": cfg.ppo_base},
     )
     splits, load_scale = load_series(cfg)
-    env = make_env(cfg, splits["train"], cfg.episode_len, load_scale)
+    env = make_env(cfg, splits["train"], load_scale, cfg.episode_len)
     _ensure_dir(_ckpt_dir(out_dir, seed))
     logs_dir = _ensure_dir(os.path.join(out_dir, "logs"))
     checkpoint_cb = _checkpoint_cb(cfg, out_dir, seed)
@@ -282,22 +285,28 @@ def _pick_best_single(cfg, out_dir, splits, load_scale, seed) -> str:
         raise MissingPrerequisiteError(
             f"best_single: no single-policy checkpoints for seed {seed}"
         )
-    series = splits["train"]
-    env = make_env(cfg, series, len(series) - OBS_HISTORY_HOURS, load_scale)
+    env = make_env(cfg, splits["train"], load_scale)
     sharpes = {}
     for name in names:
         policy = greedy(_load_ckpt(out_dir, seed, name, env.obs_dim))
-        sharpes[name] = sharpe(run_policy_episode(env, policy, start=env.min_start).profit)
+        sharpes[name] = sharpe(run_policy_episode(env, policy).profit)
     return select_best_single(sharpes)
 
 
-def _evaluate(cfg: RunConfig, env, policy, seed: int, path: str):
-    """Run ``policy`` over ``env``'s contiguous pass and write its report to
-    ``path``; returns ``(ledger, report)``."""
-    ledger = run_policy_episode(env, policy, start=env.min_start, shaping=cfg.shaping)
+def _evaluate(cfg: RunConfig, env, policy, seed: int, prefix: str):
+    """Run ``policy`` over ``env``'s contiguous pass and write
+    ``<prefix>.metrics.json``, ``<prefix>.ledger.csv`` and, over a pass of at
+    least ``eval.rolling_window`` hours, ``<prefix>.rolling.csv``; returns
+    the report."""
+    ledger = run_policy_episode(env, policy, shaping=cfg.shaping)
     report = compute_report(ledger, config_hash=cfg.config_hash, seed=seed)
-    report.to_json(path)
-    return ledger, report
+    report.to_json(f"{prefix}.metrics.json")
+    stamp = _stamp(cfg, seed)
+    ledger.to_csv(f"{prefix}.ledger.csv", header_comment=stamp)
+    if len(ledger) >= cfg.eval_rolling_window:
+        means, sharpes = rolling_metrics(ledger.profit, window=cfg.eval_rolling_window)
+        write_rolling_csv(f"{prefix}.rolling.csv", means, sharpes, header_comment=stamp)
+    return report
 
 
 def _fmt4(value) -> str:
@@ -315,28 +324,11 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
     splits, load_scale = load_series(cfg)
     eval_dir = _ensure_dir(os.path.join(out_dir, "eval", policy, split_name))
-    series = splits[split_name]
-    env = make_env(cfg, series, len(series) - OBS_HISTORY_HOURS, load_scale)
+    env = make_env(cfg, splits[split_name], load_scale)
     reports = []
     for seed in seeds:
         built = _eval_policy(cfg, out_dir, policy, splits, load_scale, seed, env.obs_dim, cfg.roles)
-        ledger, report = _evaluate(
-            cfg, env, built, seed, os.path.join(eval_dir, f"seed{seed}.metrics.json")
-        )
-        ledger.to_csv(
-            os.path.join(eval_dir, f"seed{seed}.ledger.csv"),
-            header_comment=_stamp(cfg, seed),
-        )
-        if len(ledger) >= cfg.eval_rolling_window:
-            means, sharpes_series = rolling_metrics(
-                ledger.profit, window=cfg.eval_rolling_window
-            )
-            write_rolling_csv(
-                os.path.join(eval_dir, f"seed{seed}.rolling.csv"),
-                means,
-                sharpes_series,
-                header_comment=_stamp(cfg, seed),
-            )
+        report = _evaluate(cfg, env, built, seed, os.path.join(eval_dir, f"seed{seed}"))
         reports.append(report)
         print(
             f"{policy}/{split_name} seed {seed}: cumulative "
@@ -434,12 +426,10 @@ def _map_seeds(job, seeds):
 
 def _ablate_seed(cfg: RunConfig, out_dir, splits, load_scale, workers, seed):
     """Train the ablation's seven networks on one seed, save their
-    checkpoints, and evaluate the seven configurations.
-
-    Writes the seed's checkpoints and ``<configuration>_seed<seed>.metrics.json``
-    files; returns ``(reports by configuration, the lines to print)``.
-    """
-    train_env = make_env(cfg, splits["train"], cfg.episode_len, load_scale)
+    checkpoints, and evaluate the seven configurations, each with
+    :func:`_evaluate` at ``ablation/<configuration>_seed<seed>``; returns
+    ``(reports by configuration, the lines to print)``."""
+    train_env = make_env(cfg, splits["train"], load_scale, cfg.episode_len)
     _ensure_dir(_ckpt_dir(out_dir, seed))
     # one call, so the neutral worker gets its own init and rollout
     # seeds; spawn(3)[:2] == spawn(2) keeps safe and spec unchanged
@@ -464,8 +454,7 @@ def _ablate_seed(cfg: RunConfig, out_dir, splits, load_scale, workers, seed):
 
     # one env, its episode at the same contiguous start for every
     # configuration: the paired design
-    series = splits[cfg.eval_split]
-    env = make_env(cfg, series, len(series) - OBS_HISTORY_HOURS, load_scale)
+    env = make_env(cfg, splits[cfg.eval_split], load_scale)
     reports, lines = {}, []
     for name, policy in ABLATION_CONFIGS.items():
         if policy is None:
@@ -474,8 +463,8 @@ def _ablate_seed(cfg: RunConfig, out_dir, splits, load_scale, workers, seed):
             built = _eval_policy(
                 cfg, out_dir, policy, splits, load_scale, seed, env.obs_dim, ABLATION_ROLES
             )
-        path = os.path.join(out_dir, "ablation", f"{name}_seed{seed}.metrics.json")
-        reports[name] = report = _evaluate(cfg, env, built, seed, path)[1]
+        prefix = os.path.join(out_dir, "ablation", f"{name}_seed{seed}")
+        reports[name] = report = _evaluate(cfg, env, built, seed, prefix)
         lines.append(
             f"ablate seed {seed} {name}: sharpe {_fmt4(report.sharpe)}, "
             f"mdd {report.max_drawdown_abs:.0f} $"

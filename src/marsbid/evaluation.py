@@ -270,8 +270,8 @@ def run_policy_episode(
     start: int | None = None,
     shaping: ShapingParams | None = None,
 ) -> EpisodeLedger:
-    """Settle the whole episode ``env.episode(start)`` in one call; pass
-    ``start`` for the paired contiguous evaluation pass.
+    """Settle the whole episode ``env.episode(start)`` in one call; by
+    default the first, over a whole-split env the contiguous evaluation pass.
 
     ``policy(tape)`` maps the episode's tape to its raw actions, one per
     hour, or to a :class:`Blend`, whose weights and proposals are recorded

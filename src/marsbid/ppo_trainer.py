@@ -306,7 +306,7 @@ def train(
     alpha)`` shapes a buffer's profits and allocations, one call per buffer
     with rows in (t, worker) order, so a stateful shaper sees the stream a
     step-by-step rollout would. The policy is updated in place. Raises :class:`DivergenceError`
-    if policy outputs, settled profits, losses or parameters go non-finite.
+    if policy outputs, settled profits, losses, gradient norms or parameters go non-finite.
     """
     if policy.frozen:
         raise ValueError("cannot train a frozen policy")
@@ -379,9 +379,11 @@ def train(
                 batch = [x[start : start + cfg.minibatch_size] for x in epoch]
                 with np.errstate(over="ignore", invalid="ignore"):
                     lg = loss_and_grads(policy, *batch, cfg, grads=grads)
+                    norm = clip_grad_norm(grads, cfg.max_grad_norm)
                 if not np.isfinite(lg.total):
                     raise DivergenceError(f"non-finite loss at update {update}")
-                clip_grad_norm(grads, cfg.max_grad_norm)
+                if not np.isfinite(norm):  # clipping by an inf norm zeroes the update
+                    raise DivergenceError(f"non-finite gradient norm at update {update}")
                 optimizer.step(grads.flat)
                 policy.clamp_log_std()
 

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from marsbid import cli
-from marsbid.bidding_env import GeneratorSpec
+from marsbid.bidding_env import EpisodeLedger, GeneratorSpec
 from marsbid.cli import main
 from marsbid.config import DEFAULTS, build_config, config_hash, load_raw
 from marsbid.errors import ConfigError, DivergenceError
+from marsbid.evaluation import compute_report
 from marsbid.market_data import SyntheticConfig, format_timestamp, ingest_csv
 from marsbid.mars_hierarchy import train_meta
 from marsbid.policy_net import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, PolicyNetwork
@@ -570,20 +571,35 @@ def test_zero_p_max_and_negative_checkpoint_every_exit_2(tmp_path, capsys, overr
             4,
             "numeric divergence: non-finite lmp_rt in the synthetic market",
         ),
+        (
+            # finite prices whose squares overflow: generate-data's summary
+            # and the env's 24-h volatility
+            ("synthetic.calm_mean=1e300",),
+            4,
+            {
+                "generate-data": "numeric divergence: non-finite lmp_da mean or std in the "
+                "synthetic market",
+                "train": "numeric divergence: non-finite 24-h volatility of lmp_da in the "
+                "observations",
+            },
+        ),
     ],
-    ids=["seed", "heat_rate", "past_9999", "volatile_std", "rt_spread_std"],
+    ids=["seed", "heat_rate", "past_9999", "volatile_std", "rt_spread_std", "calm_mean"],
 )
 @pytest.mark.parametrize("command", [("generate-data",), ("train", "--phase", "vanilla")])
 def test_bad_market_and_generator_settings_fail_closed(
     tmp_path, capsys, command, overrides, code, message
 ):
     # before: a numpy traceback (exit 1), a negative fuel cost, rows stamped
-    # in year 10000 that ingest rejects, and inf cells written with exit 0
+    # in year 10000 that ingest rejects, inf cells written with exit 0, and a
+    # summary of `std inf` with exit 0 or a loss named after warnings
     sets = [arg for override in overrides for arg in ("--set", override)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rc = run_cli(*command, "--out", str(tmp_path), *TINY, *sets)
     assert rc == code
+    if isinstance(message, dict):  # one message per command
+        message = message[command[0]]
     assert capsys.readouterr().err == message + "\n"
     assert not any(tmp_path.iterdir())  # not even an empty data directory
 
@@ -782,6 +798,24 @@ def test_overflowing_training_exits_4(pipeline_dir, tmp_path, capsys, factor, me
     assert capsys.readouterr().err == f"numeric divergence: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["ppo.base.value_coef=1e300", "ppo.base.value_coef=1e154", "ppo.base.entropy_coef=1e300"],
+)
+def test_overflowing_gradient_norm_exits_4(tmp_path, capsys, override):
+    # before: the squares of the gradient overflowed its norm to inf, so
+    # clipping scaled every update to zero and train exited 0 with a policy
+    # that never moved
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run_cli(
+            "train", "--phase", "vanilla", "--out", str(tmp_path), *TINY, "--set", override
+        )
+    assert rc == 4
+    assert capsys.readouterr().err == "numeric divergence: non-finite gradient norm at update 0\n"
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
 def test_tiny_budget_training_smoke_under_60s(tmp_path):
     import time
 
@@ -795,11 +829,18 @@ def test_tiny_budget_training_smoke_under_60s(tmp_path):
     assert elapsed < 60.0, f"1k-step smoke took {elapsed:.1f}s"
 
 
-def test_ablate_matrix(tmp_path):
-    out = str(tmp_path)
-    args = TINY + ["--set", "eval.seeds=0,1"]
-    assert run_cli("ablate", "--out", out, *args) == 0
-    lines = (Path(out) / "ablation.csv").read_text().splitlines()
+ABLATE_ARGS = TINY + ["--set", "eval.seeds=0,1"]
+
+
+@pytest.fixture(scope="module")
+def ablate_dir(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("ablate"))
+    assert run_cli("ablate", "--out", out, *ABLATE_ARGS) == 0
+    return out
+
+
+def test_ablate_matrix(ablate_dir):
+    lines = (Path(ablate_dir) / "ablation.csv").read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == (
         "configuration,sharpe_mean,sharpe_std,max_drawdown_abs_mean,max_drawdown_rel_mean,n_seeds"
@@ -819,12 +860,10 @@ def test_ablate_matrix(tmp_path):
     assert rows["static_5050"][header.index("sharpe_mean")] != "NA"
 
 
-def test_evaluate_reproduces_ablate(tmp_path):
+def test_evaluate_reproduces_ablate(ablate_dir):
     # six ablation configurations are evaluate's policies on the same
-    # seeds and checkpoints, so their metrics files match byte for byte
-    out = str(tmp_path)
-    args = TINY + ["--set", "eval.seeds=0,1"]
-    assert run_cli("ablate", "--out", out, *args) == 0
+    # seeds and checkpoints, so their evaluation files match byte for byte
+    out = ablate_dir
     same = {
         "mars": "mars_k2",
         "static": "static_5050",
@@ -834,11 +873,41 @@ def test_evaluate_reproduces_ablate(tmp_path):
         "best_single": "best_single",
     }
     for policy, config in same.items():
-        assert run_cli("evaluate", "--policy", policy, "--out", out, *args) == 0
+        assert run_cli("evaluate", "--policy", policy, "--out", out, *ABLATE_ARGS) == 0
         for seed in (0, 1):
-            evaluated = Path(out) / "eval" / policy / "test1" / f"seed{seed}.metrics.json"
-            ablated = Path(out) / "ablation" / f"{config}_seed{seed}.metrics.json"
-            assert evaluated.read_bytes() == ablated.read_bytes(), (policy, seed)
+            for kind in ("metrics.json", "ledger.csv", "rolling.csv"):
+                evaluated = Path(out) / "eval" / policy / "test1" / f"seed{seed}.{kind}"
+                ablated = Path(out) / "ablation" / f"{config}_seed{seed}.{kind}"
+                assert evaluated.read_bytes() == ablated.read_bytes(), (policy, seed, kind)
+
+
+def _read_ledger(path: Path):
+    """A written ledger as ``(EpisodeLedger, config hash, seed)``. Every
+    float cell is the shortest round-trip decimal, so each column reads
+    back bit for bit; compute_report ignores the timestamps."""
+    comment, header, *rows = path.read_text().splitlines()
+    stamp = dict(item.split("=") for item in comment.removeprefix("# ").split())
+    names = header.split(",")[1:]
+    columns = dict(zip(names, np.array([[float(c) for c in r.split(",")[1:]] for r in rows]).T))
+    roles = tuple(name.removeprefix("w_") for name in names if name.startswith("w_"))
+    hourly = [f.name for f in dataclasses.fields(EpisodeLedger) if f.name in columns]
+    ledger = EpisodeLedger(timestamps=None, roles=roles, **{n: columns[n] for n in hourly})
+    if roles:
+        ledger.weights = np.column_stack([columns[f"w_{r}"] for r in roles])
+        ledger.proposals = np.column_stack([columns[f"prop_{r}"] for r in roles])
+    return ledger, stamp["config_hash"], int(stamp["seed"])
+
+
+@pytest.mark.parametrize("config", ["mars_k2", "vanilla"])
+def test_ablate_ledger_reproduces_its_metrics(ablate_dir, tmp_path, config):
+    # every metric is a function of the written hours: a blended and a
+    # single-policy ledger give their metrics.json back byte for byte
+    for seed in (0, 1):
+        prefix = Path(ablate_dir) / "ablation" / f"{config}_seed{seed}"
+        ledger, config_hash, stamped_seed = _read_ledger(Path(f"{prefix}.ledger.csv"))
+        assert stamped_seed == seed and (ledger.weights is not None) == (config == "mars_k2")
+        compute_report(ledger, config_hash=config_hash, seed=seed).to_json(tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_bytes() == Path(f"{prefix}.metrics.json").read_bytes()
 
 
 def test_ablate_neutral_worker_has_its_own_seeds(tmp_path):
@@ -888,7 +957,8 @@ def test_ablate_seeds_in_processes_equal_inline(tmp_path, monkeypatch, capsys):
         assert run_cli("ablate", "--out", str(out), "--workers", "2", *args) == 0
         runs[cpus] = (_tree(out), capsys.readouterr().out.replace(str(out), "OUT"))
     inline, pooled = runs[1], runs[2]
-    assert len(inline[0]) == 3 * 6 + 3 * 7 + 1  # checkpoints, metrics, ablation.csv
+    # checkpoints; metrics, ledger and rolling files; ablation.csv
+    assert len(inline[0]) == 3 * 6 + 3 * 7 * 3 + 1
     assert pooled[0] == inline[0]
     assert pooled[1] == inline[1]
     assert [line.split(":")[0] for line in inline[1].splitlines()[:8:7]] == [

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marsbid import cli
-from marsbid.bidding_env import OBS_HISTORY_HOURS, settle
+from marsbid.bidding_env import settle
 from marsbid.config import build_config
 from marsbid.reward_shaping import (
     CvarRewardShaper,
@@ -115,9 +115,8 @@ def test_default_meta_utility_falls_in_most_default_all_da_hours():
     splits, load_scale = cli.load_series(cfg)
     shares = {}
     for name in ("train", "test1"):
-        series = splits[name]
-        env = cli.make_env(cfg, series, len(series) - OBS_HISTORY_HOURS, load_scale)
-        profit = settle(1.0, *env.episode(env.min_start).dispatch).profit
+        env = cli.make_env(cfg, splits[name], load_scale)
+        profit = settle(1.0, *env.episode().dispatch).profit
         shares[name] = round(float(np.mean(profit > peak)), 4)
     assert shares == {"train": 0.8709, "test1": 0.6306}
 
