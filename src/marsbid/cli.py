@@ -116,7 +116,10 @@ def _load_ckpt(out_dir: str, seed: int, name: str, obs_dim: int) -> PolicyNetwor
         raise MissingPrerequisiteError(
             f"checkpoint {path} not found; run `marsbid train` first"
         )
-    return PolicyNetwork.load(path, expect_obs_dim=obs_dim)
+    net = PolicyNetwork.load(path, expect_obs_dim=obs_dim)
+    if net.role != name:
+        raise CheckpointError(f"{path}: stored role {net.role!r} != file name {name!r}")
+    return net
 
 
 def _load_ensemble(out_dir: str, seed: int, obs_dim: int, roles) -> AgentEnsemble:
@@ -128,6 +131,11 @@ def _load_ensemble(out_dir: str, seed: int, obs_dim: int, roles) -> AgentEnsembl
     return AgentEnsemble(workers=tuple(workers))
 
 
+def _save_ckpt(cfg: RunConfig, out_dir: str, seed: int, net, name: str) -> None:
+    _ensure_dir(_ckpt_dir(out_dir, seed))
+    net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)
+
+
 def _checkpoint_cb(cfg: RunConfig, out_dir: str, seed: int):
     """Save ``<role>_u<update>`` every ``io.checkpoint_every`` updates."""
     if cfg.checkpoint_every <= 0:
@@ -135,11 +143,34 @@ def _checkpoint_cb(cfg: RunConfig, out_dir: str, seed: int):
 
     def cb(net, update):
         if update % cfg.checkpoint_every == 0:
-            net.save(
-                _ckpt_path(out_dir, seed, f"{net.role}_u{update}"), config_hash=cfg.config_hash
-            )
+            _save_ckpt(cfg, out_dir, seed, net, f"{net.role}_u{update}")
 
     return cb
+
+
+def _train_phase(cfg: RunConfig, env, out_dir: str, seed: int, workers: int, phase, roles) -> None:
+    """Train ``phase`` on ``env``: ``university`` one worker per role in
+    ``roles``, ``meta`` a controller over the saved workers ``roles``, and
+    ``vanilla`` or ``cvar`` one baseline. Only then save each net as
+    ``checkpoints/seed<seed>/<role>.ckpt`` and its log as
+    ``logs/<name>_seed<seed>.csv``."""
+    kwargs = dict(workers=workers, checkpoint_cb=_checkpoint_cb(cfg, out_dir, seed))
+    if phase == "university":
+        ensemble, logs = train_university(
+            env, cfg.ppo_base, cfg.shaping, roles=roles, seed=seed, **kwargs
+        )
+        trained = {f"university_{role}": (net, logs[role]) for role, net in ensemble.workers}
+    elif phase == "meta":
+        ensemble = _load_ensemble(out_dir, seed, env.obs_dim, roles)
+        meta = train_meta(env, ensemble, cfg.ppo_meta, cfg.shaping, seed=seed, **kwargs)
+        trained = {"meta": meta}
+    else:  # vanilla or cvar
+        seed_seq = np.random.SeedSequence(seed)
+        trained = {phase: train_worker(env, cfg.ppo_base, cfg.shaping, seed_seq, phase, **kwargs)}
+    logs_dir = _ensure_dir(os.path.join(out_dir, "logs"))
+    for name, (net, log) in trained.items():
+        _save_ckpt(cfg, out_dir, seed, net, net.role)
+        write_log(os.path.join(logs_dir, f"{name}_seed{seed}.csv"), log, _stamp(cfg, seed))
 
 
 def _check_workers(workers: int, ppo_by_section: dict) -> None:
@@ -175,7 +206,7 @@ def cmd_generate_data(cfg: RunConfig, args) -> int:
 
 
 def cmd_ingest(cfg: RunConfig, args) -> int:
-    out_dir = _ensure_dir(os.path.join(_outdir(cfg, args), "data"))
+    out_dir = os.path.join(_outdir(cfg, args), "data")
     path = cfg.csv_path or os.path.join(out_dir, "synthetic.csv")
     if not os.path.exists(path):
         raise MissingPrerequisiteError(
@@ -185,9 +216,9 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
     n_hours = len(series)
     n_missing = sum(int(np.isnan(v).sum()) for v in series.fields.values())
     repaired = md.repair_gaps(series) if n_missing else series
-    del series  # frees the unrepaired fields before write_csv and split copy
+    del series  # frees the unrepaired fields before write_csv
     n_filled = sum(int(m.sum()) for m in repaired.fill_mask.values())
-    out_path = os.path.join(out_dir, "repaired.csv")
+    out_path = os.path.join(_ensure_dir(out_dir), "repaired.csv")
     md.write_csv(repaired, out_path, header_comment=_stamp(cfg, "-"))
     splits = zip(md.SPLIT_NAMES, md.split(repaired, cfg.split))
     print(f"ingested {path}: {n_hours} hours, {n_missing} missing values")
@@ -198,58 +229,17 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
 
 def cmd_train(cfg: RunConfig, args) -> int:
     out_dir = _outdir(cfg, args)
-    seed = args.seed
     _check_workers(
         args.workers,
         {"ppo.meta": cfg.ppo_meta} if args.phase == "meta" else {"ppo.base": cfg.ppo_base},
     )
     splits, load_scale = load_series(cfg)
     env = make_env(cfg, splits["train"], load_scale, cfg.episode_len)
-    _ensure_dir(_ckpt_dir(out_dir, seed))
-    logs_dir = _ensure_dir(os.path.join(out_dir, "logs"))
-    checkpoint_cb = _checkpoint_cb(cfg, out_dir, seed)
-
-    if args.phase == "university":
-        ensemble, logs = train_university(
-            env,
-            cfg.ppo_base,
-            cfg.shaping,
-            roles=cfg.roles,
-            seed=seed,
-            workers=args.workers,
-            checkpoint_cb=checkpoint_cb,
-        )
-        # (checkpoint name, net, log, log name), saved in this order
-        trained = [(role, net, logs[role], f"university_{role}") for role, net in ensemble.workers]
-        done = f"university phase done: {len(ensemble.workers)} workers"
-    elif args.phase == "meta":
-        ensemble = _load_ensemble(out_dir, seed, env.obs_dim, cfg.roles)
-        meta, log = train_meta(
-            env,
-            ensemble,
-            cfg.ppo_meta,
-            cfg.shaping,
-            seed=seed,
-            workers=args.workers,
-            checkpoint_cb=checkpoint_cb,
-        )
-        trained = [("meta", meta, log, "meta")]
-        done = "meta phase done"
-    else:  # vanilla or cvar
-        net, log = train_worker(
-            env,
-            cfg.ppo_base,
-            cfg.shaping,
-            np.random.SeedSequence(seed),
-            args.phase,
-            workers=args.workers,
-            checkpoint_cb=checkpoint_cb,
-        )
-        trained = [(args.phase, net, log, args.phase)]
-        done = f"{args.phase} training done"
-    for name, net, log, log_name in trained:
-        net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)
-        write_log(os.path.join(logs_dir, f"{log_name}_seed{seed}.csv"), log, _stamp(cfg, seed))
+    _train_phase(cfg, env, out_dir, args.seed, args.workers, args.phase, cfg.roles)
+    done = {
+        "university": f"university phase done: {len(cfg.roles)} workers",
+        "meta": "meta phase done",
+    }.get(args.phase, f"{args.phase} training done")
     print(f"{done} -> {out_dir}")
     return 0
 
@@ -258,14 +248,13 @@ def _eval_policy(cfg, out_dir, policy, splits, load_scale, seed, obs_dim, roles)
     """The policy object that ``evaluate --policy <policy>`` runs; mars and
     static blend the workers ``roles``."""
     if policy in ("mars", "static"):
-        ensemble = _load_ensemble(out_dir, seed, obs_dim, roles)
+        meta = np.full(len(roles), 1.0 / len(roles))
         if policy == "mars":
             meta = _load_ckpt(out_dir, seed, "meta", obs_dim)
-            if meta.action_dim != ensemble.k:
+            if meta.action_dim != len(roles):
                 path = _ckpt_path(out_dir, seed, "meta")
-                raise CheckpointError(f"{path}: action_dim {meta.action_dim} != {ensemble.k} roles")
-            return BlendPolicy(ensemble, meta)
-        return BlendPolicy(ensemble, np.full(ensemble.k, 1.0 / ensemble.k))
+                raise CheckpointError(f"{path}: action_dim {meta.action_dim} != {len(roles)} roles")
+        return BlendPolicy(_load_ensemble(out_dir, seed, obs_dim, roles), meta)
     if policy == "rolling_opt":
         return rolling_opt
     if policy == "best_single":
@@ -300,6 +289,7 @@ def _evaluate(cfg: RunConfig, env, policy, seed: int, prefix: str):
     the report."""
     ledger = run_policy_episode(env, policy, shaping=cfg.shaping)
     report = compute_report(ledger, config_hash=cfg.config_hash, seed=seed)
+    _ensure_dir(os.path.dirname(prefix))
     report.to_json(f"{prefix}.metrics.json")
     stamp = _stamp(cfg, seed)
     ledger.to_csv(f"{prefix}.ledger.csv", header_comment=stamp)
@@ -323,7 +313,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     seeds = (args.seed,) if args.seed is not None else cfg.eval_seeds
 
     splits, load_scale = load_series(cfg)
-    eval_dir = _ensure_dir(os.path.join(out_dir, "eval", policy, split_name))
+    eval_dir = os.path.join(out_dir, "eval", policy, split_name)
     env = make_env(cfg, splits[split_name], load_scale)
     reports = []
     for seed in seeds:
@@ -425,32 +415,25 @@ def _map_seeds(job, seeds):
 
 
 def _ablate_seed(cfg: RunConfig, out_dir, splits, load_scale, workers, seed):
-    """Train the ablation's seven networks on one seed, save their
-    checkpoints, and evaluate the seven configurations, each with
+    """Train the ablation's seven networks on one seed, save all but the
+    K=3 meta controller with their logs as ``train --phase`` does, and
+    evaluate the seven configurations, each with
     :func:`_evaluate` at ``ablation/<configuration>_seed<seed>``; returns
     ``(reports by configuration, the lines to print)``."""
     train_env = make_env(cfg, splits["train"], load_scale, cfg.episode_len)
-    _ensure_dir(_ckpt_dir(out_dir, seed))
-    # one call, so the neutral worker gets its own init and rollout
+    # one phase, so the neutral worker gets its own init and rollout
     # seeds; spawn(3)[:2] == spawn(2) keeps safe and spec unchanged
-    ens_k3, _ = train_university(
-        train_env, cfg.ppo_base, cfg.shaping, roles=(*ABLATION_ROLES, "neutral"),
-        seed=seed, workers=workers,
-    )
-    ens2 = AgentEnsemble(workers=ens_k3.workers[:2])
-
+    k3_roles = (*ABLATION_ROLES, "neutral")
+    _train_phase(cfg, train_env, out_dir, seed, workers, "university", k3_roles)
     # both meta controllers take this seed (common random numbers for
     # the K=2 vs K=3 comparison): the same body weights at init and the
-    # same episode starts
-    meta2, _ = train_meta(train_env, ens2, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
+    # same episode starts. The K=3 one is never saved, so it gets no
+    # checkpoint callback that would overwrite meta_u<n>.ckpt.
+    _train_phase(cfg, train_env, out_dir, seed, workers, "meta", ABLATION_ROLES)
+    ens_k3 = _load_ensemble(out_dir, seed, train_env.obs_dim, k3_roles)
     meta3, _ = train_meta(train_env, ens_k3, cfg.ppo_meta, cfg.shaping, seed=seed, workers=workers)
-    seed_seq = np.random.SeedSequence(seed)
-    singles = [
-        (role, train_worker(train_env, cfg.ppo_base, cfg.shaping, seed_seq, role, workers)[0])
-        for role in ("vanilla", "cvar")
-    ]
-    for name, net in (*ens_k3.workers, ("meta", meta2), *singles):
-        net.save(_ckpt_path(out_dir, seed, name), config_hash=cfg.config_hash)
+    for phase in ("vanilla", "cvar"):
+        _train_phase(cfg, train_env, out_dir, seed, workers, phase, ())
 
     # one env, its episode at the same contiguous start for every
     # configuration: the paired design
@@ -482,7 +465,6 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     _check_workers(args.workers, {"ppo.base": cfg.ppo_base, "ppo.meta": cfg.ppo_meta})
     out_dir = _outdir(cfg, args)
     splits, load_scale = load_series(cfg)
-    _ensure_dir(os.path.join(out_dir, "ablation"))
 
     job = functools.partial(_ablate_seed, cfg, out_dir, splits, load_scale, args.workers)
     per_config: dict[str, list] = {name: [] for name in ABLATION_CONFIGS}
@@ -492,7 +474,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
         for name, report in reports.items():
             per_config[name].append(report)
 
-    table_path = os.path.join(out_dir, "ablation.csv")
+    table_path = os.path.join(_ensure_dir(out_dir), "ablation.csv")
     aggs = [aggregate_reports(reports) for reports in per_config.values()]
     # a float array holds a None statistic as NaN, written NA
     columns = [np.array(list(per_config), dtype=str)]

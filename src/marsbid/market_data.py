@@ -196,13 +196,14 @@ class MarketSeries:
         return any(bool(np.isnan(v).any()) for v in self.fields.values())
 
     def slice(self, start: int, stop: int) -> "MarketSeries":
-        """Sub-series over positional indices [start, stop)."""
+        """Sub-series over positional indices [start, stop): read-only views
+        of this series' arrays, so it copies nothing."""
         return MarketSeries(
-            timestamps=self.timestamps[start:stop].copy(),
-            fields={k: v[start:stop].copy() for k, v in self.fields.items()},
+            timestamps=self.timestamps[start:stop],
+            fields={k: v[start:stop] for k, v in self.fields.items()},
             provenance=self.provenance,
-            fill_mask={k: v[start:stop].copy() for k, v in self.fill_mask.items()},
-            regimes=None if self.regimes is None else self.regimes[start:stop].copy(),
+            fill_mask={k: v[start:stop] for k, v in self.fill_mask.items()},
+            regimes=None if self.regimes is None else self.regimes[start:stop],
         )
 
 
@@ -476,11 +477,11 @@ def repair_gaps(series: MarketSeries) -> MarketSeries:
         new_fields[name] = values
         new_mask[name] = mask
     return MarketSeries(
-        timestamps=series.timestamps.copy(),
+        timestamps=series.timestamps,  # read-only, so shared
         fields=new_fields,
         provenance=series.provenance,
         fill_mask=new_mask,
-        regimes=None if series.regimes is None else series.regimes.copy(),
+        regimes=series.regimes,
     )
 
 

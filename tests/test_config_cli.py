@@ -297,6 +297,23 @@ def test_periodic_checkpoints(tmp_path):
         assert final == (periodic / f"{name}_u{last}.ckpt").read_bytes()
 
 
+def test_ablate_saves_train_periodic_checkpoints(tmp_path):
+    # ablate trains each phase with train's checkpoint callback; its K=3
+    # meta controller is never saved, so it writes no meta_u<n> over the
+    # K=2 one's
+    sets = ["--set", "io.checkpoint_every=1"]
+    trained, ablated = tmp_path / "train", tmp_path / "ablate"
+    for phase in ("university", "meta", "vanilla", "cvar"):
+        assert run_cli("train", "--phase", phase, "--out", str(trained), *TINY, *sets) == 0
+    assert run_cli("ablate", "--out", str(ablated), *TINY, *sets) == 0
+    t, a = (d / "checkpoints" / "seed0" for d in (trained, ablated))
+    names = {p.name for p in t.glob("*_u*.ckpt")}
+    assert "meta_u1.ckpt" in names
+    assert {p.name for p in a.glob("*_u*.ckpt")} == names | {"neutral_u1.ckpt", "neutral_u2.ckpt"}
+    for name in names:
+        assert (a / name).read_bytes() == (t / name).read_bytes(), name
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("pipeline"))
@@ -402,7 +419,7 @@ def test_meta_checkpoint_of_wrong_width_exits_2(pipeline_dir, tmp_path, capsys):
                  "--out", str(tmp_path), *TINY, "--set", "ensemble.roles=safe,spec,neutral")
     assert rc == 2
     assert capsys.readouterr().err == f"error: {ckpts / 'meta.ckpt'}: action_dim 2 != 3 roles\n"
-    assert not any(p.is_file() for p in (tmp_path / "eval").rglob("*"))
+    assert not (tmp_path / "eval").exists()
 
 
 def test_rolling_opt_needs_no_checkpoints(tmp_path):
@@ -490,7 +507,7 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, kind, contents):
     err = capsys.readouterr().err
     assert err.startswith(f"{prefix}: {path}: cannot read: ")
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not any(p.is_file() for p in out.rglob("*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -510,7 +527,7 @@ def test_non_finite_float_setting_exits_2(tmp_path, capsys, override):
     key, value = override.split("=")
     assert run_cli("generate-data", "--out", str(tmp_path), *TINY, "--set", override) == 2
     assert capsys.readouterr().err == f"config error: {key}: expected number, got {value!r}\n"
-    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -523,7 +540,7 @@ def test_hidden_size_below_1_exits_2(tmp_path, capsys, override, sizes):
     section = override.split(".hidden")[0]
     message = f"config error: {section}: hidden sizes must be >= 1, got {sizes}\n"
     assert capsys.readouterr().err == message
-    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -543,7 +560,7 @@ def test_zero_p_max_and_negative_checkpoint_every_exit_2(tmp_path, capsys, overr
     rc = run_cli("train", "--phase", "vanilla", "--out", str(tmp_path), *TINY, *sets)
     assert rc == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -615,14 +632,14 @@ def test_validator_errors_name_their_section(tmp_path, capsys):
         f"config error: {section}: hidden sizes must be >= 1, got (4, 0)\n"
         for section in ("ppo.base", "ppo.meta")
     ]
-    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+    assert not any(tmp_path.iterdir())
 
 
 def test_zero_kl_target_exits_2_naming_its_section(tmp_path, capsys):
     rc = run_cli("generate-data", "--out", str(tmp_path), *TINY, "--set", "ppo.meta.kl_target=0")
     assert rc == 2
     assert capsys.readouterr().err == "config error: ppo.meta: kl_target must be > 0\n"
-    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+    assert not any(tmp_path.iterdir())
 
 
 def write_checkpoint_header(path, role: bytes, dims, action_dim: int) -> None:
@@ -645,8 +662,10 @@ def write_checkpoint_header(path, role: bytes, dims, action_dim: int) -> None:
         (b"vanilla", (), 1, "bad dims [], action_dim 1"),
         (b"vanilla", ("obs", 0), 1, "bad dims [{obs}, 0], action_dim 1"),
         (b"vanilla", ("obs", 8), 0, "bad dims [{obs}, 8], action_dim 0"),
+        # a valid checkpoint under another role's name evaluated that role
+        (b"cvar", ("obs", 8), 1, "stored role 'cvar' != file name 'vanilla'"),
     ],
-    ids=["role-not-ascii", "role-unknown", "no-dims", "hidden-0", "action-dim-0"],
+    ids=["role-not-ascii", "role-unknown", "no-dims", "hidden-0", "action-dim-0", "role-renamed"],
 )
 def test_corrupt_checkpoint_header_exits_2(
     pipeline_dir, tmp_path, capsys, role, dims, action_dim, message
@@ -662,7 +681,7 @@ def test_corrupt_checkpoint_header_exits_2(
     assert rc == 2
     expected = f"error: {path}: {message.format(obs=obs.layer_dims[0])}\n"
     assert capsys.readouterr().err == expected
-    assert not any(p.is_file() for p in (tmp_path / "eval").rglob("*"))
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize(
@@ -773,7 +792,7 @@ def test_overflowing_evaluation_exits_4(pipeline_dir, tmp_path, capsys, policy, 
         )
     assert rc == 4
     assert capsys.readouterr().err == f"numeric divergence: {message}\n"
-    assert not any(p.is_file() for p in (out / "eval").rglob("*"))
+    assert not (out / "eval").exists()
 
 
 @pytest.mark.parametrize(
@@ -813,7 +832,26 @@ def test_overflowing_gradient_norm_exits_4(tmp_path, capsys, override):
         )
     assert rc == 4
     assert capsys.readouterr().err == "numeric divergence: non-finite gradient norm at update 0\n"
-    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("evaluate", "--policy", "mars", "--seed", "0"), 3),
+        (("ablate", "--set", "ppo.base.value_coef=1e300"), 4),
+        (("ingest",), 3),
+        (("train", "--phase", "meta"), 3),
+    ],
+    ids=["evaluate-no-checkpoints", "ablate-diverges", "ingest-no-csv", "meta-no-workers"],
+)
+def test_failed_command_leaves_no_directory(tmp_path, capsys, args, code):
+    # before: evaluate left an empty eval/mars/test1/, ablate checkpoints/seed0/
+    # and ablation/, ingest data/, and train checkpoints/seed0/ and logs/
+    assert run_cli(*args, "--out", str(tmp_path), *TINY) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_tiny_budget_training_smoke_under_60s(tmp_path):
@@ -879,6 +917,22 @@ def test_evaluate_reproduces_ablate(ablate_dir):
                 evaluated = Path(out) / "eval" / policy / "test1" / f"seed{seed}.{kind}"
                 ablated = Path(out) / "ablation" / f"{config}_seed{seed}.{kind}"
                 assert evaluated.read_bytes() == ablated.read_bytes(), (policy, seed, kind)
+
+
+def test_train_reproduces_ablate(ablate_dir, tmp_path):
+    # ablate trains and saves each phase with train's code, so on the same
+    # seeds its checkpoints and training logs match train's byte for byte
+    nets = ("safe", "spec", "meta", "vanilla", "cvar")
+    logs = ("university_safe", "university_spec", "meta", "vanilla", "cvar")
+    for seed in (0, 1):
+        for phase in ("university", "meta", "vanilla", "cvar"):
+            rc = run_cli("train", "--phase", phase, "--seed", str(seed), "--out", str(tmp_path),
+                         *ABLATE_ARGS)
+            assert rc == 0
+        names = [f"checkpoints/seed{seed}/{n}.ckpt" for n in nets]
+        names += [f"logs/{n}_seed{seed}.csv" for n in logs]
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (Path(ablate_dir) / name).read_bytes(), name
 
 
 def _read_ledger(path: Path):
@@ -957,8 +1011,8 @@ def test_ablate_seeds_in_processes_equal_inline(tmp_path, monkeypatch, capsys):
         assert run_cli("ablate", "--out", str(out), "--workers", "2", *args) == 0
         runs[cpus] = (_tree(out), capsys.readouterr().out.replace(str(out), "OUT"))
     inline, pooled = runs[1], runs[2]
-    # checkpoints; metrics, ledger and rolling files; ablation.csv
-    assert len(inline[0]) == 3 * 6 + 3 * 7 * 3 + 1
+    # checkpoints; training logs; metrics, ledger and rolling files; ablation.csv
+    assert len(inline[0]) == 3 * 6 + 3 * 6 + 3 * 7 * 3 + 1
     assert pooled[0] == inline[0]
     assert pooled[1] == inline[1]
     assert [line.split(":")[0] for line in inline[1].splitlines()[:8:7]] == [

@@ -409,6 +409,26 @@ def test_split_concat_reproduces_union():
     np.testing.assert_array_equal(joined_ts, s.timestamps)
 
 
+def test_split_and_repair_share_read_only_arrays():
+    # a split is views of the series, and repair shares what it does not
+    # fill, so neither copies the hours; every array stays read-only
+    da = np.arange(24.0 * 3)
+    da[30] = np.nan
+    s = repair_gaps(make_series(lmp_da=da))
+    spec = SplitSpec(
+        train=DateRange(_day(0), _day(1)),
+        test1=DateRange(_day(1), _day(2)),
+        test2=DateRange(_day(2), _day(3)),
+    )
+    for part in split(s, spec):
+        arrays = (part.timestamps, *part.fields.values(), *part.fill_mask.values())
+        assert all(not a.flags.writeable for a in arrays)
+        assert np.shares_memory(part.fields["lmp_da"], s.fields["lmp_da"])
+        assert np.shares_memory(part.timestamps, s.timestamps)
+    repaired = repair_gaps(s)
+    assert repaired.timestamps is s.timestamps
+
+
 # -- synthetic ---------------------------------------------------------------
 
 
